@@ -19,10 +19,18 @@ from .emulator import (
     write_synthetic_dump,
 )
 from .errors import AvaddonRescueError
-from .filecodec import FileRecoveryReport, decrypt_file, encrypt_file
+from .filecodec import FileRecoveryReport, decrypt_file, encrypt_file, walk_files
 from .memscan import Evidence, load_dump, recover_key, scan_key_candidates
 from .strings import decode_string, encode_string, label_batch
-from .trailer import Trailer, VictimBlock, build_trailer, is_infected, parse_trailer, probe
+from .trailer import (
+    Trailer,
+    VictimBlock,
+    build_trailer,
+    classify,
+    is_infected,
+    parse_trailer,
+    probe,
+)
 
 __all__ = [
     "__version__",
@@ -34,6 +42,7 @@ __all__ = [
     "Trailer",
     "VictimBlock",
     "build_trailer",
+    "classify",
     "decode_string",
     "decrypt_file",
     "decrypt_stream",
@@ -50,6 +59,7 @@ __all__ = [
     "recover_key",
     "scan_key_candidates",
     "unwrap_session_key",
+    "walk_files",
     "wrap_session_key",
     "write_synthetic_dump",
 ]

@@ -5,7 +5,7 @@ The malware encrypts each file with AES-256 in CBC mode, zero IV, feeding
 chain is never finalized there is no standard padding: a trailing partial
 block is zero-padded and the true length is recorded in the trailer
 instead. Chunk boundaries are invisible in the ciphertext; one continuous
-CBC stream per file.
+CBC stream per file, so this module runs a whole prefix through one call.
 
 The CBC/zero-IV choice matches the platform default for an AES key created
 with no explicit mode or IV parameters, which is how the sample behaves.
@@ -24,9 +24,6 @@ from .trailer import ENCRYPTED_PREFIX_LIMIT, ceil16
 
 KEY_LEN = 32
 BLOCK_LEN = 16
-
-#: Chunk size of the original encryption loop; kept for stream callers.
-CHUNK_LEN = 0x2000
 
 _ZERO_IV = bytes(BLOCK_LEN)
 
@@ -63,35 +60,8 @@ def zero_pad16(data: bytes) -> bytes:
     return data + bytes(ceil16(len(data)) - len(data))
 
 
-class CbcStream:
-    """One continuous zero-IV CBC stream, mirroring the never-finalized calls.
-
-    Feed block-aligned chunks through `update`; the chain carries across
-    calls exactly like repeated non-final encryption calls on one key
-    handle. `tail` accepts the single trailing partial chunk and zero-pads
-    it.
-    """
-
-    def __init__(self, key: SessionKey, *, decrypt: bool = False) -> None:
-        cipher = Cipher(algorithms.AES(key.key_bytes), modes.CBC(_ZERO_IV))
-        self._ctx = cipher.decryptor() if decrypt else cipher.encryptor()
-        self._decrypt = decrypt
-        self._tail_taken = False
-
-    def update(self, chunk: bytes) -> bytes:
-        if self._tail_taken:
-            raise CipherError("stream already consumed its trailing partial chunk")
-        if len(chunk) % BLOCK_LEN != 0:
-            raise CipherError(f"chunk length {len(chunk)} is not a multiple of {BLOCK_LEN}")
-        return self._ctx.update(chunk)
-
-    def tail(self, chunk: bytes) -> bytes:
-        """Encrypt the final, possibly partial chunk (zero-padded)."""
-        if self._decrypt:
-            raise CipherError("decryption input must already be block-aligned")
-        out = self.update(zero_pad16(chunk))
-        self._tail_taken = True
-        return out
+def _zero_iv_cbc(key: SessionKey) -> Cipher:
+    return Cipher(algorithms.AES(key.key_bytes), modes.CBC(_ZERO_IV))
 
 
 def encrypt_stream(key: SessionKey, plaintext: bytes) -> bytes:
@@ -106,8 +76,7 @@ def encrypt_stream(key: SessionKey, plaintext: bytes) -> bytes:
             f"plaintext length {len(plaintext)} exceeds the encrypted prefix "
             f"limit {ENCRYPTED_PREFIX_LIMIT:#x}"
         )
-    stream = CbcStream(key)
-    return stream.tail(plaintext)
+    return _zero_iv_cbc(key).encryptor().update(zero_pad16(plaintext))
 
 
 def decrypt_stream(key: SessionKey, ciphertext: bytes) -> bytes:
@@ -118,5 +87,4 @@ def decrypt_stream(key: SessionKey, ciphertext: bytes) -> bytes:
     """
     if len(ciphertext) % BLOCK_LEN != 0:
         raise CipherError(f"ciphertext length {len(ciphertext)} is not a multiple of {BLOCK_LEN}")
-    stream = CbcStream(key, decrypt=True)
-    return stream.update(ciphertext)
+    return _zero_iv_cbc(key).decryptor().update(ciphertext)

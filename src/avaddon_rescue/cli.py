@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 import click
 
@@ -34,7 +34,7 @@ from .emulator import (
     write_synthetic_dump,
 )
 from .errors import AvaddonRescueError, SandboxViolation
-from .filecodec import FileRecoveryReport, decrypt_file
+from .filecodec import SIDE_BY_SIDE_SUFFIX, FileRecoveryReport, decrypt_file, walk_files
 from .memscan import (
     DEFAULT_ALIGNMENT,
     Evidence,
@@ -98,22 +98,6 @@ def _status_note(message: str) -> None:
     click.echo(message, err=True)
 
 
-def _walk_files(paths: tuple[str, ...]) -> Iterator[Path]:
-    """Deterministic recursive file listing; symlinks are not followed."""
-    for given in paths:
-        p = Path(given)
-        if p.is_file() and not p.is_symlink():
-            yield p
-            continue
-        for dirpath, dirnames, filenames in os.walk(p, followlinks=False):
-            dirnames.sort()
-            base = Path(dirpath)
-            for name in sorted(filenames):
-                child = base / name
-                if not child.is_symlink():
-                    yield child
-
-
 def _write_key_file(path: str, key: SessionKey) -> None:
     key_path = Path(path)
     key_path.write_text(key.hex() + "\n")
@@ -159,7 +143,7 @@ def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
     """Recursively scan PATHS and report infected files."""
     started = time.perf_counter()
     rows: list[dict[str, Any]] = []
-    for path in _walk_files(paths):
+    for path in walk_files(paths):
         try:
             trailer = probe(path)
         except OSError as exc:
@@ -216,10 +200,6 @@ def _evidence_from_flags(
     if header_magic:
         return Evidence.from_header_magics(evidence_encrypted)
     raise click.UsageError("pass --evidence-original FILE or --header-magic")
-
-
-def _recovery_dict(result, show_key: bool) -> dict[str, Any]:
-    return result.to_dict(include_key=show_key)
 
 
 @cli.command("recover-key")
@@ -287,7 +267,7 @@ def cmd_recover_key(
             "evidence_original": evidence_original,
             "header_magic": header_magic,
         },
-        key_recovery=_recovery_dict(result, show_key),
+        key_recovery=result.to_dict(include_key=show_key),
         totals={"wall_time": round(time.perf_counter() - started, 3)},
     )
     if as_json or out:
@@ -365,14 +345,14 @@ def cmd_decrypt(
         width = int(pointer_width) if pointer_width else None
         with load_dump(dump, fmt, map_path=map_path, pointer_width=width) as image:
             result = recover_key(image, evidence, alignment=alignment)
-        key_recovery = _recovery_dict(result, show_key=False)
+        key_recovery = result.to_dict(include_key=False)
         if result.outcome is RecoveryOutcome.AMBIGUOUS:
             raise SystemExit(ExitCode.AMBIGUOUS_KEY)
         if result.outcome is not RecoveryOutcome.FOUND:
             raise SystemExit(ExitCode.KEY_NOT_FOUND)
         key = result.key
 
-    targets = [p for p in _walk_files(paths) if not p.name.endswith(".decrypted")]
+    targets = [p for p in walk_files(paths) if not p.name.endswith(SIDE_BY_SIDE_SUFFIX)]
     infected = []
     for p in targets:
         try:

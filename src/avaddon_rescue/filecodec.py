@@ -18,20 +18,16 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Iterable, Iterator
 
-from .cipher import CHUNK_LEN, CbcStream, SessionKey
+from .cipher import SessionKey, decrypt_stream, encrypt_stream
 from .errors import SandboxViolation
 from .trailer import (
     APPENDIX_LEN,
     ENCRYPTED_PREFIX_LIMIT,
-    MAGIC_A,
-    MAGIC_B,
-    TRAILER_LEN,
     VictimBlock,
     build_trailer,
-    parse_trailer,
-    trailer_consistent_with_body,
+    classify_open,
 )
 
 log = logging.getLogger(__name__)
@@ -75,28 +71,57 @@ class FileRecoveryReport:
         }
 
 
-def _pump_prefix(src: BinaryIO, dst: BinaryIO, stream: CbcStream, prefix_len: int) -> int:
-    """Run `prefix_len` source bytes through the cipher stream in the
-    original 0x2000-byte chunking; returns bytes written."""
-    written = 0
-    remaining = prefix_len
-    while remaining > CHUNK_LEN:
-        out = stream.update(src.read(CHUNK_LEN))
-        dst.write(out)
-        written += len(out)
-        remaining -= CHUNK_LEN
-    last = src.read(remaining)
-    out = stream.tail(last)
-    dst.write(out)
-    return written + len(out)
+def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
+    """Regular files under `roots`, depth-first in lexicographic order.
+
+    A regular-file root yields itself, and paths keep the form the caller
+    gave. Symlinks inside a tree are never followed or yielded.
+    Unreadable directories are logged and skipped.
+    """
+    for root in roots:
+        root = Path(root)
+        if root.is_file() and not root.is_symlink():
+            yield root
+        else:
+            yield from _walk_dir(root)
 
 
-def _copy_remainder(src: BinaryIO, dst: BinaryIO) -> None:
-    while True:
-        chunk = src.read(1 << 20)
-        if not chunk:
-            return
+def _walk_dir(directory: Path) -> Iterator[Path]:
+    try:
+        with os.scandir(directory) as it:
+            entries = sorted(it, key=lambda e: e.name)
+    except OSError as exc:
+        log.warning("cannot list %s: %s", directory, exc)
+        return
+    for entry in entries:
+        child = Path(entry.path)
+        try:
+            if entry.is_symlink():
+                continue
+            is_dir = entry.is_dir(follow_symlinks=False)
+            is_file = entry.is_file(follow_symlinks=False)
+        except OSError as exc:
+            log.warning("cannot stat %s: %s", child, exc)
+            continue
+        if is_dir:
+            yield from _walk_dir(child)
+        elif is_file:
+            yield child
+
+
+def _read_exact(src: BinaryIO, n: int) -> bytes:
+    data = src.read(n)
+    if len(data) != n:
+        raise OSError(f"file shrank while being read: wanted {n} bytes, got {len(data)}")
+    return data
+
+
+def _copy_exact(src: BinaryIO, dst: BinaryIO, n: int) -> None:
+    """Copy the next `n` bytes of `src` to `dst`, 1 MiB at a time."""
+    while n:
+        chunk = _read_exact(src, min(n, 1 << 20))
         dst.write(chunk)
+        n -= len(chunk)
 
 
 def _replace_via_tmp(path: Path, write_body) -> None:
@@ -134,31 +159,23 @@ def encrypt_file(
     try:
         size = real.stat().st_size
         with open(real, "rb") as src:
-            tail = b""
-            if size >= APPENDIX_LEN:
-                src.seek(size - TRAILER_LEN)
-                tail = src.read(TRAILER_LEN)
-                src.seek(0)
-            if tail and len(tail) == TRAILER_LEN:
-                trailer = parse_trailer(tail)
-                if trailer.has_valid_magics and trailer_consistent_with_body(
-                    trailer, size - APPENDIX_LEN
-                ):
-                    return FileRecoveryReport(
-                        str(path),
-                        FileStatus.SKIPPED_INFECTED,
-                        original_length=trailer.original_length,
-                        duration_s=time.perf_counter() - started,
-                    )
+            trailer = classify_open(src, size).trailer
+            if trailer is not None:
+                return FileRecoveryReport(
+                    str(path),
+                    FileStatus.SKIPPED_INFECTED,
+                    original_length=trailer.original_length,
+                    duration_s=time.perf_counter() - started,
+                )
 
+            src.seek(0)
             prefix_len = min(size, ENCRYPTED_PREFIX_LIMIT)
             processed = 0
 
             def write_body(dst: BinaryIO) -> None:
                 nonlocal processed
-                stream = CbcStream(key)
-                processed = _pump_prefix(src, dst, stream, prefix_len)
-                _copy_remainder(src, dst)
+                processed = dst.write(encrypt_stream(key, _read_exact(src, prefix_len)))
+                _copy_exact(src, dst, size - prefix_len)
                 dst.write(victim_block.data)
                 dst.write(build_trailer(size))
 
@@ -181,29 +198,6 @@ def encrypt_file(
     )
 
 
-def _classify_trailer(size: int, tail: bytes) -> tuple[FileStatus, str | None]:
-    """Decide between clean and damaged for a file that failed the strict check.
-
-    Both magics present but an inconsistent length means a damaged trailer;
-    a single matching magic likewise. No matching magic is just a clean
-    file.
-    """
-    trailer = parse_trailer(tail)
-    magic_hits = (trailer.magic_a == MAGIC_A) + (trailer.magic_b == MAGIC_B)
-    if magic_hits == 2:
-        return (
-            FileStatus.CORRUPT_TRAILER,
-            f"magics match but recorded length {trailer.original_length} is "
-            f"inconsistent with body length {size - APPENDIX_LEN}",
-        )
-    if magic_hits == 1:
-        return (
-            FileStatus.CORRUPT_TRAILER,
-            f"one magic damaged: magic_a={trailer.magic_a:#x} magic_b={trailer.magic_b:#x}",
-        )
-    return FileStatus.SKIPPED_CLEAN, None
-
-
 def decrypt_file(
     path: str | os.PathLike,
     key: SessionKey,
@@ -223,60 +217,34 @@ def decrypt_file(
 
     try:
         size = path.stat().st_size
-        if size < APPENDIX_LEN:
-            return FileRecoveryReport(
-                str(path), FileStatus.SKIPPED_CLEAN, duration_s=time.perf_counter() - started
-            )
         with open(path, "rb") as src:
-            src.seek(size - TRAILER_LEN)
-            tail = src.read(TRAILER_LEN)
-            trailer = parse_trailer(tail)
-            body = size - APPENDIX_LEN
-            if not (
-                trailer.has_valid_magics and trailer_consistent_with_body(trailer, body)
-            ):
-                status, detail = _classify_trailer(size, tail)
+            found = classify_open(src, size)
+            if found.trailer is None:
+                status = FileStatus.CORRUPT_TRAILER if found.damage else FileStatus.SKIPPED_CLEAN
                 return FileRecoveryReport(
-                    str(path), status, duration_s=time.perf_counter() - started, detail=detail
+                    str(path),
+                    status,
+                    duration_s=time.perf_counter() - started,
+                    detail=found.damage,
                 )
 
-            original_length = trailer.original_length
+            original_length = found.trailer.original_length
+            body = size - APPENDIX_LEN
             enc_prefix = min(body, ENCRYPTED_PREFIX_LIMIT)
             src.seek(0)
-            processed = 0
+            processed = enc_prefix
 
             def write_body(dst: BinaryIO) -> None:
-                nonlocal processed
-                stream = CbcStream(key, decrypt=True)
-                remaining = enc_prefix
-                while remaining:
-                    step = min(remaining, CHUNK_LEN)
-                    out = stream.update(src.read(step))
-                    dst.write(out)
-                    processed += len(out)
-                    remaining -= step
+                dst.write(decrypt_stream(key, _read_exact(src, enc_prefix)))
                 # untouched middle of a large file; stop before the appendix
-                middle = body - enc_prefix
-                while middle:
-                    chunk = src.read(min(middle, 1 << 20))
-                    if not chunk:
-                        raise OSError("file shrank while decrypting")
-                    dst.write(chunk)
-                    middle -= len(chunk)
+                _copy_exact(src, dst, body - enc_prefix)
                 dst.truncate(original_length)
 
             if output_policy == "in_place":
-                _replace_via_tmp(path, write_body)
+                out_path = path
             else:
                 out_path = path.with_name(path.name + SIDE_BY_SIDE_SUFFIX)
-                tmp = out_path.with_name(out_path.name + _TMP_SUFFIX)
-                try:
-                    with open(tmp, "wb") as dst:
-                        write_body(dst)
-                    os.replace(tmp, out_path)
-                except BaseException:
-                    tmp.unlink(missing_ok=True)
-                    raise
+            _replace_via_tmp(out_path, write_body)
     except OSError as exc:
         log.warning("could not decrypt %s: %s", path, exc)
         return FileRecoveryReport(

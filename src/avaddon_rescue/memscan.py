@@ -122,12 +122,6 @@ class DumpImage:
             return None
         return r.offset + (va - r.va)
 
-    def offset_to_va(self, offset: int) -> int | None:
-        for r in self.ranges:
-            if r.offset <= offset < r.offset + r.length:
-                return r.va + (offset - r.offset)
-        return None
-
     def read_va(self, va: int, count: int) -> bytes | None:
         """Read `count` bytes at a virtual address, walking adjacent ranges.
 

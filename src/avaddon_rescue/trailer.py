@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
+from typing import BinaryIO
 
 from .errors import TrailerError
 
@@ -35,7 +35,7 @@ assert _TRAILER_STRUCT.size == TRAILER_LEN
 
 @dataclass(frozen=True)
 class Trailer:
-    """Decoded trailer fields; decoding never validates, see `has_valid_magics`."""
+    """Decoded trailer fields; decoding never validates, see `classify`."""
 
     original_length: int
     magic_a: int
@@ -122,26 +122,63 @@ def trailer_consistent_with_body(trailer: Trailer, body_length: int) -> bool:
     return trailer.length_sane and expected_body_length(trailer.original_length) == body_length
 
 
+@dataclass(frozen=True)
+class Classification:
+    """What a file's size and last 24 bytes say about it.
+
+    Infected: `trailer` is set. Damaged: `damage` says why (one magic
+    matches, or both match but the recorded length does not fit the body).
+    Clean: neither is set.
+    """
+
+    trailer: Trailer | None = None
+    damage: str | None = None
+
+
+def classify(size: int, tail: bytes) -> Classification:
+    """The one infection rule, over a file's size and its last 24 bytes.
+
+    A file is infected when it is large enough to carry the 536-byte
+    appendix, both magics match, and the recorded original length is
+    consistent with the encrypted body length. `tail` is ignored for
+    files too small to carry the appendix.
+    """
+    if size < APPENDIX_LEN:
+        return Classification()
+    trailer = parse_trailer(tail)
+    magic_hits = (trailer.magic_a == MAGIC_A) + (trailer.magic_b == MAGIC_B)
+    if magic_hits == 0:
+        return Classification()
+    if magic_hits == 1:
+        return Classification(
+            damage=f"one magic damaged: magic_a={trailer.magic_a:#x} magic_b={trailer.magic_b:#x}"
+        )
+    if not trailer_consistent_with_body(trailer, size - APPENDIX_LEN):
+        return Classification(
+            damage=f"magics match but recorded length {trailer.original_length} is "
+            f"inconsistent with body length {size - APPENDIX_LEN}"
+        )
+    return Classification(trailer=trailer)
+
+
+def classify_open(fh: BinaryIO, size: int) -> Classification:
+    """`classify` an open binary file of `size` bytes; moves its position."""
+    fh.seek(max(0, size - TRAILER_LEN))
+    return classify(size, fh.read(TRAILER_LEN))
+
+
 def probe(path: str | os.PathLike) -> Trailer | None:
     """Return the trailer when `path` is an infected file, else None.
 
-    A file counts as infected when it is large enough to carry the 536-byte
-    appendix, both magics match, and the recorded original length is
-    consistent with the encrypted body length. I/O problems propagate as
-    OSError so callers can tell "unreadable" from "clean".
+    See `classify` for the rule; damaged trailers count as not infected
+    here. I/O problems propagate as OSError so callers can tell
+    "unreadable" from "clean".
     """
-    path = Path(path)
-    size = path.stat().st_size
-    if size < APPENDIX_LEN:
+    size = os.stat(path).st_size
+    if size < APPENDIX_LEN:  # cannot be infected; spare the open
         return None
     with open(path, "rb") as fh:
-        fh.seek(size - TRAILER_LEN)
-        trailer = parse_trailer(fh.read(TRAILER_LEN))
-    if not trailer.has_valid_magics:
-        return None
-    if not trailer_consistent_with_body(trailer, size - APPENDIX_LEN):
-        return None
-    return trailer
+        return classify_open(fh, size).trailer
 
 
 def is_infected(path: str | os.PathLike) -> bool:

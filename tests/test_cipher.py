@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from avaddon_rescue.cipher import (
     BLOCK_LEN,
-    CHUNK_LEN,
-    CbcStream,
     SessionKey,
     decrypt_stream,
     encrypt_stream,
@@ -19,6 +17,8 @@ from avaddon_rescue.trailer import ENCRYPTED_PREFIX_LIMIT, ceil16
 from reference_aes import aes256_encrypt_block, cbc_encrypt
 
 ZERO_IV = bytes(16)
+#: Chunk size of the sample's encryption loop.
+SAMPLE_CHUNK_LEN = 0x2000
 
 # NIST SP 800-38A, AES-256 ECB: with a zero IV the first CBC block equals
 # the raw block encryption, so these published pairs test the stream directly.
@@ -69,17 +69,13 @@ def test_round_trip_lengths(session_key, length):
 
 def test_chunked_equals_whole(session_key):
     """Two chained 0x2000 chunks must equal the one-shot stream."""
-    plain = random.Random(42).randbytes(2 * CHUNK_LEN)
+    plain = random.Random(42).randbytes(2 * SAMPLE_CHUNK_LEN)
     whole = encrypt_stream(session_key, plain)
 
     # oracle: encrypt each chunk separately, carrying the CBC chain by hand
-    first = cbc_encrypt(session_key.key_bytes, ZERO_IV, plain[:CHUNK_LEN])
-    second = cbc_encrypt(session_key.key_bytes, first[-16:], plain[CHUNK_LEN:])
+    first = cbc_encrypt(session_key.key_bytes, ZERO_IV, plain[:SAMPLE_CHUNK_LEN])
+    second = cbc_encrypt(session_key.key_bytes, first[-16:], plain[SAMPLE_CHUNK_LEN:])
     assert whole == first + second
-
-    # and the streaming interface itself chunks transparently
-    stream = CbcStream(session_key)
-    assert stream.update(plain[:CHUNK_LEN]) + stream.tail(plain[CHUNK_LEN:]) == whole
 
 
 @settings(max_examples=30, deadline=None)
@@ -87,9 +83,10 @@ def test_chunked_equals_whole(session_key):
 def test_chunk_transparency_any_split(data, cut_blocks):
     key = SessionKey(bytes(range(32)))
     cut = min(cut_blocks * BLOCK_LEN, len(data) // BLOCK_LEN * BLOCK_LEN)
-    stream = CbcStream(key)
-    split = stream.update(data[:cut]) + stream.tail(data[cut:])
-    assert split == encrypt_stream(key, data)
+    first = cbc_encrypt(key.key_bytes, ZERO_IV, data[:cut])
+    chain = first[-16:] if first else ZERO_IV
+    second = cbc_encrypt(key.key_bytes, chain, zero_pad16(data[cut:]))
+    assert first + second == encrypt_stream(key, data)
 
 
 def test_determinism(session_key):
@@ -121,14 +118,3 @@ def test_encrypt_prefix_limit(session_key):
     encrypt_stream(session_key, bytes(ENCRYPTED_PREFIX_LIMIT))
     with pytest.raises(CipherError):
         encrypt_stream(session_key, bytes(ENCRYPTED_PREFIX_LIMIT + 1))
-
-
-def test_stream_misuse(session_key):
-    stream = CbcStream(session_key)
-    with pytest.raises(CipherError):
-        stream.update(b"odd")
-    stream.tail(b"x")
-    with pytest.raises(CipherError):
-        stream.update(bytes(16))
-    with pytest.raises(CipherError):
-        CbcStream(session_key, decrypt=True).tail(b"x")

@@ -1,7 +1,9 @@
 import json
+import logging
 import os
 import shutil
 import stat
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -18,7 +20,7 @@ from avaddon_rescue.emulator import (
 from avaddon_rescue.filecodec import encrypt_file
 from avaddon_rescue.strings import encode_string
 from avaddon_rescue.trailer import VictimBlock, is_infected
-from conftest import make_tree
+from conftest import make_tree, random_corpus
 
 
 @pytest.fixture
@@ -111,6 +113,118 @@ def test_detect_report_to_file(runner, infected_sandbox, tmp_path):
     assert result.exit_code == ExitCode.OK
     payload = json.loads(out.read_text())
     assert payload["command"] == "detect"
+
+
+def test_detect_unreadable_dir_is_logged(runner, infected_sandbox, monkeypatch, caplog):
+    root, _originals, report = infected_sandbox
+    real_scandir = os.scandir
+
+    def flaky_scandir(path):
+        if str(path).endswith("keep"):
+            raise PermissionError("simulated")
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", flaky_scandir)
+    with caplog.at_level(logging.WARNING):
+        result = runner.invoke(cli, ["detect", str(root), "--json"])
+    assert result.exit_code == ExitCode.OK
+    payload = json.loads(result.stdout)
+    assert [r["path"] for r in payload["rows"]] == sorted(
+        str(p) for p in (root / "docs").iterdir()
+    )
+    assert payload["totals"]["infected"] == report.encrypted
+    assert any(
+        "cannot list" in r.getMessage() and str(root / "keep") in r.getMessage()
+        for r in caplog.records
+    )
+
+
+def test_single_file_argument(runner, tmp_path, infected_sandbox, session_key):
+    root, originals, _report = infected_sandbox
+    target = root / "docs" / "file0.txt"
+    untouched = root / "docs" / "file1.txt"
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+
+    result = runner.invoke(cli, ["detect", str(target), "--json"])
+    assert result.exit_code == ExitCode.OK
+    assert json.loads(result.stdout)["rows"] == [
+        {"path": str(target), "status": "infected", "original_length": len(originals[target])}
+    ]
+
+    result = runner.invoke(
+        cli, ["decrypt", str(target), "--key-file", str(key_file), "--no-verify", "--json"]
+    )
+    assert result.exit_code == ExitCode.OK, result.output
+    assert json.loads(result.stdout)["totals"]["decrypted"] == 1
+    assert target.read_bytes() == originals[target]
+    assert is_infected(untouched)
+
+
+def test_symlinks_never_reported_or_touched(runner, tmp_path, infected_sandbox, session_key):
+    root, _originals, report = infected_sandbox
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    build_infected_sandbox(outside, session_key, n_files=3)
+    outside_snapshot = {p: p.read_bytes() for p in outside.rglob("*") if p.is_file()}
+    alias = root / "alias.txt"
+    alias.symlink_to(outside / "docs" / "file0.txt")
+    linked_dir = root / "linked_docs"
+    linked_dir.symlink_to(outside / "docs", target_is_directory=True)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+
+    result = runner.invoke(cli, ["detect", str(root), "--json"])
+    assert result.exit_code == ExitCode.OK
+    payload = json.loads(result.stdout)
+    assert payload["totals"]["files_scanned"] == report.encrypted + 1
+    assert not any("alias" in r["path"] or "linked_docs" in r["path"] for r in payload["rows"])
+
+    result = runner.invoke(
+        cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
+    )
+    assert result.exit_code == ExitCode.OK, result.output
+    payload = json.loads(result.stdout)
+    assert payload["totals"]["decrypted"] == report.encrypted
+    assert not any("alias" in r["path"] or "linked_docs" in r["path"] for r in payload["rows"])
+    assert alias.is_symlink() and linked_dir.is_symlink()
+    assert {p: p.read_bytes() for p in outside.rglob("*") if p.is_file()} == outside_snapshot
+
+
+def test_detect_nested_tree_rows_independent_of_walk_order(runner, tmp_path, session_key):
+    # random_corpus nests files beside directories named d0..d5, so a walk
+    # that lists a directory's files before its subdirectories and one that
+    # interleaves them by name visit the files in different orders
+    root = tmp_path / "nested"
+    make_tree(root, random_corpus(5, 40, max_size=2048))
+    report = emulate_infection(
+        root, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN
+    )
+    make_tree(root, {"d0/clean.bin": b"c" * 700, "zz.exe": b"z" * 700})
+
+    result = runner.invoke(cli, ["detect", str(root), "--json"])
+    assert result.exit_code == ExitCode.OK
+    payload = json.loads(result.stdout)
+
+    listing = sorted(
+        (Path(dirpath) / name for dirpath, _dirs, names in os.walk(root) for name in names),
+        key=str,
+    )
+    expected = []
+    for path in listing:
+        trailer = cli_mod.probe(path)
+        if trailer is None:
+            expected.append({"path": str(path), "status": "clean"})
+        else:
+            expected.append(
+                {"path": str(path), "status": "infected",
+                 "original_length": trailer.original_length}
+            )
+    assert payload["rows"] == expected
+    totals = payload["totals"]
+    assert (totals["files_scanned"], totals["infected"], totals["failed"]) == (
+        len(listing), report.encrypted, 0
+    )
 
 
 # --- strings -----------------------------------------------------------------

@@ -95,7 +95,6 @@ def test_load_raw_with_sidecar_map(tmp_path):
         assert dump.translate(0x400800) is None
         assert dump.translate(0x500000) == 0x800
         assert dump.translate(0x5007FF) == 0xFFF
-        assert dump.offset_to_va(0x800) == 0x500000
         # reading across the va gap fails, inside a range succeeds
         assert dump.read_va(0x4007F0, 32) is None
         assert dump.read_va(0x400010, 4) == bytes([16, 17, 18, 19])
