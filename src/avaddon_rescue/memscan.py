@@ -11,11 +11,12 @@ The scanner anchors on that 12-byte triple (strictly weaker than matching
 the whole record, so it never misses), reads the key pointer that follows,
 and extracts 32 candidate key bytes. False positives are culled by
 known-plaintext verification, never by the scan itself; the full chain is
-only used to rank confidence.
+looked for only behind verified candidates, to rank confidence.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import mmap
@@ -23,6 +24,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .cipher import SessionKey, decrypt_stream
@@ -82,7 +84,14 @@ class DumpImage:
         self.pointer_width = pointer_width
         self.format = fmt
         self._file = _file
+        for r in ranges:
+            if min(r.va, r.length, r.offset) < 0:
+                raise DumpFormatError(
+                    f"range va={r.va:#x} length={r.length:#x} offset={r.offset:#x} "
+                    f"has a negative field"
+                )
         self.ranges = sorted((r for r in ranges if r.length > 0), key=lambda r: r.va)
+        self._starts = [r.va for r in self.ranges]
         for prev, cur in zip(self.ranges, self.ranges[1:]):
             if cur.va < prev.va_end:
                 raise DumpFormatError(
@@ -110,9 +119,9 @@ class DumpImage:
             self._file = None
 
     def range_of(self, va: int) -> MemoryRange | None:
-        for r in self.ranges:
-            if r.va <= va < r.va_end:
-                return r
+        i = bisect.bisect_right(self._starts, va) - 1
+        if i >= 0 and va < self.ranges[i].va_end:
+            return self.ranges[i]
         return None
 
     def translate(self, va: int) -> int | None:
@@ -147,8 +156,8 @@ class DumpImage:
 
 def _load_sidecar_map(map_path: Path) -> list[MemoryRange]:
     try:
-        entries = json.loads(map_path.read_text())
-    except json.JSONDecodeError as exc:
+        entries = json.loads(map_path.read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
         raise DumpFormatError(f"sidecar map {map_path} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise DumpFormatError(f"sidecar map {map_path} must be a JSON array")
@@ -156,7 +165,7 @@ def _load_sidecar_map(map_path: Path) -> list[MemoryRange]:
     for entry in entries:
         try:
             ranges.append(MemoryRange(int(entry["va"]), int(entry["length"]), int(entry["offset"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DumpFormatError(f"bad sidecar map entry {entry!r}: {exc}") from exc
     return ranges
 
@@ -227,7 +236,7 @@ class KeyCandidate:
     key_va: int | None = None
     key: SessionKey | None = None
     key_source: str | None = None  # "va" | "file_offset"
-    chain_confirmed: bool = False
+    chain_confirmed: bool | None = None  # None: not checked (only verified keys are)
     verified: bool = False
 
     def to_dict(self) -> dict:
@@ -276,11 +285,10 @@ def scan_key_candidates(
             if alignment > 1 and va % alignment:
                 continue
             cand = KeyCandidate(struct_offset=found, struct_va=va)
-            ptr_end = found + len(KEY_DATA_PATTERN) + pw
-            if ptr_end <= end:
-                key_ptr = int.from_bytes(
-                    dump.data[found + len(KEY_DATA_PATTERN) : ptr_end], "little"
-                )
+            # by VA, so a pointer that runs on into the next range is still read
+            ptr = dump.read_va(va + len(KEY_DATA_PATTERN), pw)
+            if ptr is not None:
+                key_ptr = int.from_bytes(ptr, "little")
                 cand.key_va = key_ptr
                 cand.key, cand.key_source = _read_candidate_key(dump, key_ptr)
             hits.append(cand)
@@ -326,7 +334,7 @@ def confirm_chain(dump: DumpImage, candidate: KeyCandidate) -> bool:
     pw = dump.pointer_width
     mask = (1 << (8 * pw)) - 1
     key_data_va = candidate.struct_va - pw
-    if key_data_va < 0:
+    if not 0 <= key_data_va <= mask:  # no pointer cell can hold it
         return False
     for magic_cell_va in _find_value(dump, key_data_va):
         masked = (magic_cell_va ^ HANDLE_XOR_CONSTANT) & mask
@@ -371,6 +379,32 @@ class Evidence:
     def from_header_magics(cls, encrypted_path: str | os.PathLike) -> "Evidence":
         return cls(Path(encrypted_path))
 
+    @cached_property
+    def challenge(self) -> tuple[bytes, bytes | None]:
+        """(ciphertext prefix, plaintext it must decrypt to; None in header-magic mode).
+
+        Read from the evidence file once, on first use, so verifying many
+        candidates costs one small decrypt each. An `EvidenceError` is
+        not cached and is raised again on the next use.
+        """
+        trailer = probe(self.encrypted_path)
+        if trailer is None:
+            raise EvidenceError(f"{self.encrypted_path} is not an infected file")
+        body = os.stat(self.encrypted_path).st_size - APPENDIX_LEN
+        if body < 16:
+            raise EvidenceError(f"{self.encrypted_path} has an empty encrypted body")
+
+        want = None
+        ct_len = 16
+        if self.plaintext_prefix is not None:
+            want = self.plaintext_prefix[: trailer.original_length]
+            if len(want) < MIN_PLAINTEXT_MATCH:
+                raise EvidenceError("known plaintext shorter than the evidence file content")
+            ct_len = min(ceil16(len(want)), body, ENCRYPTED_PREFIX_LIMIT)
+
+        with open(self.encrypted_path, "rb") as fh:
+            return fh.read(ct_len), want
+
 
 def verify_key(key: SessionKey, evidence: Evidence) -> bool:
     """Decrypt the evidence file's first block(s) with `key` and compare.
@@ -378,27 +412,9 @@ def verify_key(key: SessionKey, evidence: Evidence) -> bool:
     Known-plaintext mode needs a 16-byte match minimum; header-magic mode
     accepts any library entry (all 8+ bytes) as a decrypted prefix.
     """
-    trailer = probe(evidence.encrypted_path)
-    if trailer is None:
-        raise EvidenceError(f"{evidence.encrypted_path} is not an infected file")
-    size = Path(evidence.encrypted_path).stat().st_size
-    body = size - APPENDIX_LEN
-    if body < 16:
-        raise EvidenceError(f"{evidence.encrypted_path} has an empty encrypted body")
-
-    if evidence.plaintext_prefix is not None:
-        want = evidence.plaintext_prefix[: trailer.original_length]
-        if len(want) < MIN_PLAINTEXT_MATCH:
-            raise EvidenceError("known plaintext shorter than the evidence file content")
-        ct_len = min(ceil16(len(want)), body, ENCRYPTED_PREFIX_LIMIT)
-    else:
-        ct_len = 16
-
-    with open(evidence.encrypted_path, "rb") as fh:
-        ciphertext = fh.read(ct_len)
+    ciphertext, want = evidence.challenge
     plain = decrypt_stream(key, ciphertext)
-
-    if evidence.plaintext_prefix is not None:
+    if want is not None:
         return plain[: len(want)] == want
     return any(plain.startswith(magic) for _, magic in HEADER_MAGICS)
 
@@ -442,14 +458,16 @@ def recover_key(
     """Scan, verify, and rank; return the single verified key if any.
 
     Never returns an unverified key. Two distinct keys both passing
-    verification is reported as ambiguous rather than guessing.
+    verification is reported as ambiguous rather than guessing. The
+    outcome depends only on the verified set, so the key-handle chain
+    (a full pass over the dump per call) is looked for only behind
+    verified candidates; the rest keep `chain_confirmed=None`.
     """
     candidates = scan_key_candidates(dump, alignment=alignment)
     for cand in candidates:
-        if cand.key is None:
-            continue
         cand.verified = verify_candidate(cand, evidence)
-        cand.chain_confirmed = confirm_chain(dump, cand)
+        if cand.verified:
+            cand.chain_confirmed = confirm_chain(dump, cand)
     candidates.sort(key=lambda c: (not c.verified, not c.chain_confirmed, c.struct_offset))
 
     verified_keys = {c.key.key_bytes for c in candidates if c.verified}

@@ -445,3 +445,149 @@ def test_generate_session_key_properties():
     assert generate_session_key(0) == generate_session_key(0)
     assert generate_session_key(0) != generate_session_key(1)
     assert len(generate_session_key().key_bytes) == 32
+
+
+# --- multi-range address map ---------------------------------------------------
+
+
+def test_range_of_matches_linear_search(tmp_path):
+    f = tmp_path / "many.dmp"
+    f.write_bytes(bytes(0x4000))
+    layout = [(0x10000 + i * 0x3000, 0x800, i * 0x800) for i in range(8)]
+    f.with_name("many.dmp.map.json").write_text(
+        json.dumps([{"va": va, "length": n, "offset": off} for va, n, off in reversed(layout)])
+    )
+    with load_dump(f, "raw_with_map") as dump:
+        for va in range(0xF000, 0x10000 + 8 * 0x3000 + 0x1000, 0x100):
+            want = next((off + va - b for b, n, off in layout if b <= va < b + n), None)
+            assert dump.translate(va) == want, hex(va)
+        for b, n, off in layout:  # both edges of every range
+            assert dump.translate(b) == off
+            assert dump.translate(b + n - 1) == off + n - 1
+            assert dump.translate(b + n) is None
+
+
+def test_scan_pointer_straddles_contiguous_ranges(tmp_path, session_key):
+    """The triple ends on range A's last byte; its key pointer is the first
+    bytes of range B, which continues at the next VA but sits earlier in
+    the file."""
+    blob = bytearray(0x1100)
+    triple_va = 0x1100 - len(KEY_DATA_PATTERN)
+    blob[triple_va : triple_va + 12] = KEY_DATA_PATTERN  # range A: va == file offset
+    blob[0:4] = (0x1180).to_bytes(4, "little")  # va 0x1100 is file offset 0
+    blob[0x80:0xA0] = session_key.key_bytes  # va 0x1180
+    f = tmp_path / "straddle.dmp"
+    f.write_bytes(bytes(blob))
+    f.with_name("straddle.dmp.map.json").write_text(
+        json.dumps(
+            [
+                {"va": 0x1000, "length": 0x100, "offset": 0x1000},
+                {"va": 0x1100, "length": 0x100, "offset": 0},
+            ]
+        )
+    )
+    with load_dump(f, "raw_with_map") as dump:
+        (cand,) = scan_key_candidates(dump)
+    assert cand.struct_va == triple_va
+    assert cand.key_va == 0x1180
+    assert cand.key == session_key
+    assert cand.key_source == "va"
+
+
+def test_confirm_chain_record_above_pointer_range(tmp_path):
+    """A record mapped above 4 GiB in a 32-bit dump has no chain, not a crash."""
+    blob = bytearray(0x1000)
+    blob[0x10:0x1C] = KEY_DATA_PATTERN
+    f = tmp_path / "high.dmp"
+    f.write_bytes(bytes(blob))
+    f.with_name("high.dmp.map.json").write_text(
+        json.dumps([{"va": 1 << 32, "length": 0x1000, "offset": 0}])
+    )
+    with load_dump(f, "raw_with_map") as dump:
+        (cand,) = scan_key_candidates(dump)
+        assert confirm_chain(dump, cand) is False
+
+
+# --- verify first, then confirm --------------------------------------------------
+
+
+def test_evidence_read_once(evidence_pair, session_key, other_key, monkeypatch):
+    import avaddon_rescue.memscan as memscan_mod
+
+    encrypted, original = evidence_pair
+    evidence = Evidence.from_original(encrypted, original)
+    probes = []
+    real_probe = memscan_mod.probe
+    monkeypatch.setattr(memscan_mod, "probe", lambda p: probes.append(p) or real_probe(p))
+    results = [verify_key(k, evidence) for k in (other_key, session_key) * 5]
+    assert results == [False, True] * 5
+    assert len(probes) == 1
+
+
+def _expected_recovery(dump, evidence, verify):
+    """Outcome, key and per-offset verified flags from checking every
+    scanned candidate directly, with no ranking or chain involved."""
+    candidates = scan_key_candidates(dump)
+    verified = {c.struct_offset: c.key is not None and verify(c.key, evidence) for c in candidates}
+    keys = {c.key.key_bytes for c in candidates if verified[c.struct_offset]}
+    if not keys:
+        return RecoveryOutcome.NOT_FOUND, None, verified
+    if len(keys) > 1:
+        return RecoveryOutcome.AMBIGUOUS, None, verified
+    return RecoveryOutcome.FOUND, next(iter(keys)), verified
+
+
+@pytest.mark.parametrize("case", ["found", "not_found", "ambiguous"])
+@pytest.mark.parametrize("seed", range(3))
+def test_recover_key_confirms_only_verified(
+    tmp_path, evidence_pair, session_key, monkeypatch, case, seed
+):
+    import avaddon_rescue.memscan as memscan_mod
+
+    encrypted, original = evidence_pair
+    evidence = Evidence.from_original(encrypted, original)
+    layout = random_dump_layout(
+        seed + 40,
+        container=("raw", "raw_with_map", "minidump")[seed],
+        pointer_width=(4, 8, 4)[seed],
+        n_decoys=60,
+        total_bytes=2 << 20,
+    )
+    if case != "not_found":
+        layout.chains[0].key = session_key
+    dump_path = tmp_path / "decoys.dmp"
+    write_synthetic_dump(layout, dump_path)
+
+    confirmed = []
+    real_confirm = memscan_mod.confirm_chain
+
+    def counting_confirm(dump, cand):
+        confirmed.append(cand.struct_offset)
+        return real_confirm(dump, cand)
+
+    monkeypatch.setattr(memscan_mod, "confirm_chain", counting_confirm)
+    with load_dump(dump_path, layout.container, pointer_width=layout.pointer_width) as dump:
+        keys = [c.key for c in scan_key_candidates(dump) if c.key is not None]
+        assert len(keys) >= 20
+        if case == "ambiguous":
+            # no second genuine key can decrypt the evidence; accept one decoy's too
+            accepted = {session_key.key_bytes, next(k for k in keys if k != session_key).key_bytes}
+            monkeypatch.setattr(memscan_mod, "verify_key", lambda k, ev: k.key_bytes in accepted)
+        result = recover_key(dump, evidence)
+        outcome, key, verified = _expected_recovery(dump, evidence, memscan_mod.verify_key)
+
+    assert result.outcome is outcome is RecoveryOutcome(case)
+    assert (result.key.key_bytes if result.key else None) == key
+    assert {c.struct_offset: c.verified for c in result.candidates} == verified
+    assert sorted(confirmed) == sorted(c.struct_offset for c in result.candidates if c.verified)
+    for cand in result.candidates:
+        if cand.verified:
+            assert cand.chain_confirmed is (cand.key == session_key)
+        else:
+            assert cand.chain_confirmed is None
+            assert cand.to_dict()["chain_confirmed"] is None
+    if case == "ambiguous":
+        assert len(confirmed) == 2 and result.key is None
+    assert [c.verified for c in result.candidates] == sorted(
+        (c.verified for c in result.candidates), reverse=True
+    )
