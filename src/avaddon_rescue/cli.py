@@ -37,16 +37,16 @@ from .errors import AvaddonRescueError, SandboxViolation
 from .filecodec import SIDE_BY_SIDE_SUFFIX, FileRecoveryReport, decrypt_file, walk_files
 from .memscan import (
     DEFAULT_ALIGNMENT,
+    DUMP_FORMATS,
     Evidence,
     RecoveryOutcome,
+    RecoveryResult,
     load_dump,
     recover_key,
     verify_key,
 )
 from .strings import label_batch, parse_batch_input, rows_to_json, rows_to_tsv
 from .trailer import probe
-
-log = logging.getLogger(__name__)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -123,6 +123,15 @@ def _totals(rows: list[dict[str, Any]], wall_time: float, **extra: int) -> dict[
     return out
 
 
+def _exit_by_rows(totals: dict[str, Any]) -> None:
+    """Exit 6 when any row failed, else 3 when no row is infected, else 0."""
+    if totals["failed"]:
+        raise SystemExit(ExitCode.PARTIAL_FAILURE)
+    if totals["infected"] == 0:
+        raise SystemExit(ExitCode.NOTHING_INFECTED)
+    raise SystemExit(ExitCode.OK)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="avaddon-rescue")
 @click.option("-v", "--verbose", is_flag=True, help="Chatty progress on stderr.")
@@ -178,12 +187,7 @@ def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
             f"scanned {t['files_scanned']} files: {t['infected']} infected, "
             f"{t['failed']} unreadable"
         )
-
-    if report.totals["failed"]:
-        raise SystemExit(ExitCode.PARTIAL_FAILURE)
-    if report.totals["infected"] == 0:
-        raise SystemExit(ExitCode.NOTHING_INFECTED)
-    raise SystemExit(ExitCode.OK)
+    _exit_by_rows(report.totals)
 
 
 def _evidence_from_flags(
@@ -202,26 +206,51 @@ def _evidence_from_flags(
     raise click.UsageError("pass --evidence-original FILE or --header-magic")
 
 
+_KEY_SOURCE_OPTIONS = (
+    click.option("--format", "fmt", type=click.Choice(["auto", *DUMP_FORMATS]),
+                 default="auto", show_default=True, help="Dump container."),
+    click.option("--map", "map_path", type=click.Path(exists=True),
+                 help="Sidecar VA map (raw_with_map)."),
+    click.option("--pointer-width", type=click.Choice(["4", "8"]), default=None,
+                 help="Override pointer width for raw dumps."),
+    click.option("--alignment", type=click.IntRange(min=1), default=DEFAULT_ALIGNMENT,
+                 show_default=True, help="Scan alignment step; use 1 for damaged dumps."),
+    click.option("--evidence-encrypted", type=click.Path(exists=True),
+                 help="One encrypted file to verify candidate keys against."),
+    click.option("--evidence-original", type=click.Path(exists=True),
+                 help="The original (pre-infection) copy of that file."),
+    click.option("--header-magic", is_flag=True,
+                 help="Verify against known file-type headers instead of an original copy."),
+)
+
+
+def _key_source_options(command):
+    """The dump and evidence options `recover-key` and `decrypt` share."""
+    for option in reversed(_KEY_SOURCE_OPTIONS):
+        command = option(command)
+    return command
+
+
+def _recover_from_dump(
+    dump: str,
+    fmt: str,
+    map_path: str | None,
+    pointer_width: str | None,
+    alignment: int,
+    evidence: Evidence,
+) -> RecoveryResult:
+    width = int(pointer_width) if pointer_width else None
+    with load_dump(dump, fmt, map_path=map_path, pointer_width=width) as image:
+        _status_note(
+            f"scanning {dump} ({image.format}, {len(image.ranges)} ranges, "
+            f"{image.pointer_width * 8}-bit)"
+        )
+        return recover_key(image, evidence, alignment=alignment)
+
+
 @cli.command("recover-key")
 @click.option("--dump", required=True, type=click.Path(exists=True), help="Process memory dump.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["auto", "raw", "raw_with_map", "minidump"]),
-    default="auto",
-    show_default=True,
-)
-@click.option("--map", "map_path", type=click.Path(exists=True), help="Sidecar VA map (raw_with_map).")
-@click.option("--pointer-width", type=click.Choice(["4", "8"]), default=None,
-              help="Override pointer width for raw dumps.")
-@click.option("--alignment", type=int, default=DEFAULT_ALIGNMENT, show_default=True,
-              help="Scan alignment step; use 1 for damaged dumps.")
-@click.option("--evidence-encrypted", type=click.Path(exists=True),
-              help="One encrypted file to verify candidate keys against.")
-@click.option("--evidence-original", type=click.Path(exists=True),
-              help="The original (pre-infection) copy of that file.")
-@click.option("--header-magic", is_flag=True,
-              help="Verify against known file-type headers instead of an original copy.")
+@_key_source_options
 @click.option("--key-out", type=click.Path(), default="avaddon_session_key.hex",
               show_default=True, help="Where to store the recovered key (mode 0600).")
 @click.option("--show-key", is_flag=True, help="Also print the key hex to the report.")
@@ -244,13 +273,7 @@ def cmd_recover_key(
     """Scan a memory dump for the AES-256 session key and verify it."""
     started = time.perf_counter()
     evidence = _evidence_from_flags(evidence_encrypted, evidence_original, header_magic)
-    width = int(pointer_width) if pointer_width else None
-    with load_dump(dump, fmt, map_path=map_path, pointer_width=width) as image:
-        _status_note(
-            f"scanning {dump} ({image.format}, {len(image.ranges)} ranges, "
-            f"{image.pointer_width * 8}-bit)"
-        )
-        result = recover_key(image, evidence, alignment=alignment)
+    result = _recover_from_dump(dump, fmt, map_path, pointer_width, alignment, evidence)
 
     if result.outcome is RecoveryOutcome.FOUND:
         assert result.key is not None
@@ -291,19 +314,13 @@ def cmd_recover_key(
 @click.argument("paths", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--key-file", type=click.Path(exists=True), help="File holding the session key hex.")
 @click.option("--dump", type=click.Path(exists=True), help="Recover the key from this dump first.")
-@click.option("--format", "fmt", type=click.Choice(["auto", "raw", "raw_with_map", "minidump"]),
-              default="auto", show_default=True)
-@click.option("--map", "map_path", type=click.Path(exists=True))
-@click.option("--pointer-width", type=click.Choice(["4", "8"]), default=None)
-@click.option("--alignment", type=int, default=DEFAULT_ALIGNMENT, show_default=True)
-@click.option("--evidence-encrypted", type=click.Path(exists=True))
-@click.option("--evidence-original", type=click.Path(exists=True))
-@click.option("--header-magic", is_flag=True)
+@_key_source_options
 @click.option("--no-verify", is_flag=True,
               help="Skip the key verification gate (only with --key-file).")
 @click.option("--in-place/--side-by-side", "in_place", default=True,
               help="Replace infected files atomically, or write .decrypted copies.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel workers.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Parallel workers.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
 @click.option("--out", type=click.Path(), help="Write the report to a file instead of stdout.")
 def cmd_decrypt(
@@ -342,9 +359,7 @@ def cmd_decrypt(
         if no_verify:
             raise click.UsageError("--no-verify requires --key-file")
         evidence = _evidence_from_flags(evidence_encrypted, evidence_original, header_magic)
-        width = int(pointer_width) if pointer_width else None
-        with load_dump(dump, fmt, map_path=map_path, pointer_width=width) as image:
-            result = recover_key(image, evidence, alignment=alignment)
+        result = _recover_from_dump(dump, fmt, map_path, pointer_width, alignment, evidence)
         key_recovery = result.to_dict(include_key=False)
         if result.outcome is RecoveryOutcome.AMBIGUOUS:
             raise SystemExit(ExitCode.AMBIGUOUS_KEY)
@@ -353,25 +368,13 @@ def cmd_decrypt(
         key = result.key
 
     targets = [p for p in walk_files(paths) if not p.name.endswith(SIDE_BY_SIDE_SUFFIX)]
-    infected = []
-    for p in targets:
-        try:
-            if probe(p) is not None:
-                infected.append(p)
-        except OSError as exc:
-            log.warning("cannot probe %s: %s", p, exc)
-    _status_note(f"{len(infected)} infected files of {len(targets)} scanned")
-    if not infected:
-        _status_note("nothing to decrypt")
-        raise SystemExit(ExitCode.NOTHING_INFECTED)
-
     policy = "in_place" if in_place else "side_by_side"
     reports: list[FileRecoveryReport]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda p: decrypt_file(p, key, policy), infected))
+            reports = list(pool.map(lambda p: decrypt_file(p, key, policy), targets))
     else:
-        reports = [decrypt_file(p, key, policy) for p in infected]
+        reports = [decrypt_file(p, key, policy) for p in targets]
 
     rows = sorted((r.to_dict() for r in reports), key=lambda r: r["path"])
     report = RunReport(
@@ -391,13 +394,10 @@ def cmd_decrypt(
     else:
         t = report.totals
         click.echo(
-            f"decrypted {t['decrypted']}/{t['infected']} infected files "
+            f"decrypted {t['decrypted']}/{t['infected']} infected files, {t['failed']} failed "
             f"({t['bytes']} ciphertext bytes, {t['wall_time']}s)"
         )
-
-    if report.totals["failed"]:
-        raise SystemExit(ExitCode.PARTIAL_FAILURE)
-    raise SystemExit(ExitCode.OK)
+    _exit_by_rows(report.totals)
 
 
 @cli.command("emulate")
@@ -415,7 +415,7 @@ def cmd_decrypt(
               help="Store the generated operator RSA private key PEM (mode 0600).")
 @click.option("--dump-out", type=click.Path(),
               help="Also write a synthetic memory dump embedding the session key.")
-@click.option("--dump-format", type=click.Choice(["raw", "raw_with_map", "minidump"]),
+@click.option("--dump-format", type=click.Choice(DUMP_FORMATS),
               default="minidump", show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
 @click.option("--out", type=click.Path(), help="Write the report to a file instead of stdout.")

@@ -32,7 +32,14 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from .cipher import SessionKey
 from .errors import LayoutSpecError, SandboxViolation, WrapError
 from .filecodec import FileRecoveryReport, FileStatus, encrypt_file, walk_files
-from .memscan import ALG_AES_256, HANDLE_XOR_CONSTANT, KEY_FLAGS, KEY_SIZE, default_map_path
+from .memscan import (
+    ALG_AES_256,
+    DUMP_FORMATS,
+    HANDLE_XOR_CONSTANT,
+    KEY_FLAGS,
+    KEY_SIZE,
+    default_map_path,
+)
 from .minidump import read_minidump, write_minidump
 from .trailer import VICTIM_BLOCK_LEN, VictimBlock, probe
 
@@ -366,7 +373,7 @@ class DumpLayoutSpec:
     chains: list[PlantedChain]
     decoys: list[Decoy] = field(default_factory=list)
     pointer_width: int = 4
-    container: str = "raw"  # raw | raw_with_map | minidump
+    container: str = "raw"  # one of memscan.DUMP_FORMATS
     minidump_list: str = "memory64"
     fill: str = "zero"  # zero | random
     seed: int | None = None
@@ -401,7 +408,7 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
     """
     if spec.pointer_width not in (4, 8):
         raise LayoutSpecError("pointer width must be 4 or 8")
-    if spec.container not in ("raw", "raw_with_map", "minidump"):
+    if spec.container not in DUMP_FORMATS:
         raise LayoutSpecError(f"unknown container {spec.container!r}")
     if spec.fill not in ("zero", "random"):
         raise LayoutSpecError(f"unknown fill profile {spec.fill!r}")

@@ -47,6 +47,9 @@ HANDLE_XOR_CONSTANT = 0xE35A172C
 
 DEFAULT_ALIGNMENT = 4
 
+#: Dump containers `load_dump` reads and `write_synthetic_dump` writes.
+DUMP_FORMATS = ("raw", "raw_with_map", "minidump")
+
 #: Leading bytes of common file types, used when no original file is at
 #: hand. Every entry must be at least 8 bytes so a match is meaningful.
 HEADER_MAGICS: tuple[tuple[str, bytes], ...] = (
@@ -181,7 +184,7 @@ def load_dump(
     map_path: str | os.PathLike | None = None,
     pointer_width: int | None = None,
 ) -> DumpImage:
-    """Open a dump as one of {raw, raw_with_map, minidump}, or sniff it.
+    """Open a dump as one of `DUMP_FORMATS`, or sniff it.
 
     raw maps the whole file at virtual address 0 (offset == VA);
     raw_with_map takes ranges from a JSON sidecar; minidump parses the
@@ -262,6 +265,19 @@ def _read_candidate_key(dump: DumpImage, key_ptr: int) -> tuple[SessionKey | Non
     return None, None
 
 
+def _find_aligned(dump: DumpImage, needle: bytes, alignment: int = DEFAULT_ALIGNMENT):
+    """Yield (file offset, va) of every aligned occurrence of `needle`,
+    range by range in VA order; a match never spans two ranges."""
+    for rng in dump.ranges:
+        end = rng.offset + rng.length
+        pos = rng.offset
+        while (found := dump.data.find(needle, pos, end)) != -1:
+            pos = found + 1
+            va = rng.va + (found - rng.offset)
+            if alignment <= 1 or va % alignment == 0:
+                yield found, va
+
+
 def scan_key_candidates(
     dump: DumpImage, *, alignment: int = DEFAULT_ALIGNMENT
 ) -> list[KeyCandidate]:
@@ -273,25 +289,15 @@ def scan_key_candidates(
     """
     pw = dump.pointer_width
     hits: list[KeyCandidate] = []
-    for rng in dump.ranges:
-        start, end = rng.offset, rng.offset + rng.length
-        pos = start
-        while True:
-            found = dump.data.find(KEY_DATA_PATTERN, pos, end)
-            if found == -1:
-                break
-            pos = found + 1
-            va = rng.va + (found - rng.offset)
-            if alignment > 1 and va % alignment:
-                continue
-            cand = KeyCandidate(struct_offset=found, struct_va=va)
-            # by VA, so a pointer that runs on into the next range is still read
-            ptr = dump.read_va(va + len(KEY_DATA_PATTERN), pw)
-            if ptr is not None:
-                key_ptr = int.from_bytes(ptr, "little")
-                cand.key_va = key_ptr
-                cand.key, cand.key_source = _read_candidate_key(dump, key_ptr)
-            hits.append(cand)
+    for found, va in _find_aligned(dump, KEY_DATA_PATTERN, alignment):
+        cand = KeyCandidate(struct_offset=found, struct_va=va)
+        # by VA, so a pointer that runs on into the next range is still read
+        ptr = dump.read_va(va + len(KEY_DATA_PATTERN), pw)
+        if ptr is not None:
+            key_ptr = int.from_bytes(ptr, "little")
+            cand.key_va = key_ptr
+            cand.key, cand.key_source = _read_candidate_key(dump, key_ptr)
+        hits.append(cand)
 
     hits.sort(key=lambda c: c.struct_offset)
     seen: set[bytes] = set()
@@ -303,23 +309,6 @@ def scan_key_candidates(
             seen.add(cand.key.key_bytes)
         out.append(cand)
     return out
-
-
-def _find_value(dump: DumpImage, value: int, *, alignment: int = DEFAULT_ALIGNMENT):
-    """Yield virtual addresses of every aligned cell holding `value`."""
-    needle = value.to_bytes(dump.pointer_width, "little")
-    for rng in dump.ranges:
-        start, end = rng.offset, rng.offset + rng.length
-        pos = start
-        while True:
-            found = dump.data.find(needle, pos, end)
-            if found == -1:
-                break
-            pos = found + 1
-            va = rng.va + (found - rng.offset)
-            if alignment > 1 and va % alignment:
-                continue
-            yield va
 
 
 def confirm_chain(dump: DumpImage, candidate: KeyCandidate) -> bool:
@@ -336,9 +325,9 @@ def confirm_chain(dump: DumpImage, candidate: KeyCandidate) -> bool:
     key_data_va = candidate.struct_va - pw
     if not 0 <= key_data_va <= mask:  # no pointer cell can hold it
         return False
-    for magic_cell_va in _find_value(dump, key_data_va):
+    for _, magic_cell_va in _find_aligned(dump, key_data_va.to_bytes(pw, "little")):
         masked = (magic_cell_va ^ HANDLE_XOR_CONSTANT) & mask
-        for _ in _find_value(dump, masked):
+        if next(_find_aligned(dump, masked.to_bytes(pw, "little")), None):
             return True
     return False
 

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import avaddon_rescue.cli as cli_mod
+import avaddon_rescue.trailer as trailer_mod
 from avaddon_rescue.cli import ExitCode, cli
 from avaddon_rescue.emulator import (
     CONFIRM_TOKEN,
@@ -19,7 +20,7 @@ from avaddon_rescue.emulator import (
 )
 from avaddon_rescue.filecodec import encrypt_file
 from avaddon_rescue.strings import encode_string
-from avaddon_rescue.trailer import VictimBlock, is_infected
+from avaddon_rescue.trailer import TRAILER_LEN, VictimBlock, is_infected
 from conftest import make_tree, random_corpus
 
 
@@ -418,9 +419,23 @@ def test_recover_key_ambiguous(runner, tmp_path, evidence_files, session_key, ot
     assert not (tmp_path / "k.hex").exists()
 
 
-def test_recover_key_requires_evidence(runner, session_dump):
+def test_recover_key_requires_evidence(runner, tmp_path, session_dump, evidence_files):
     result = runner.invoke(cli, ["recover-key", "--dump", str(session_dump)])
     assert result.exit_code == 2  # usage error
+
+    encrypted, original = evidence_files
+    key_out = tmp_path / "k.hex"
+    for alignment in ("0", "-4"):
+        result = runner.invoke(
+            cli,
+            [
+                "recover-key", "--dump", str(session_dump), "--alignment", alignment,
+                "--evidence-encrypted", str(encrypted), "--evidence-original", str(original),
+                "--key-out", str(key_out),
+            ],
+        )
+        assert result.exit_code == 2, (alignment, result.output)
+        assert not key_out.exists()
 
 
 # --- decrypt ---------------------------------------------------------------------
@@ -478,20 +493,45 @@ def test_decrypt_no_verify_requires_key_file(runner, tmp_path, session_dump):
     assert result.exit_code == 2
 
 
-def test_decrypt_requires_exactly_one_key_source(runner, tmp_path):
+def test_decrypt_requires_exactly_one_key_source(
+    runner, tmp_path, infected_sandbox, session_key, session_dump, evidence_files
+):
     (tmp_path / "f.txt").write_bytes(b"x")
     result = runner.invoke(cli, ["decrypt", str(tmp_path)])
     assert result.exit_code == 2
+
+    # a worker count or scan step below 1 is a usage error, not a silent default
+    root, originals, _report = infected_sandbox
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    encrypted, original = evidence_files
+    from_key_file = ["--key-file", str(key_file), "--no-verify"]
+    from_dump = ["--dump", str(session_dump), "--evidence-encrypted", str(encrypted),
+                 "--evidence-original", str(original)]
+    for extra in (
+        [*from_key_file, "--jobs", "0"],
+        [*from_key_file, "--jobs", "-2"],
+        [*from_dump, "--alignment", "0"],
+    ):
+        result = runner.invoke(cli, ["decrypt", str(root), *extra])
+        assert result.exit_code == 2, (extra, result.output)
+        assert all(is_infected(p) for p in originals if p.suffix == ".txt")
 
 
 def test_decrypt_nothing_infected(runner, tmp_path, session_key):
     make_tree(tmp_path / "clean", {"a.txt": b"clean" * 200})
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    out = tmp_path / "report.json"
     result = runner.invoke(
-        cli, ["decrypt", str(tmp_path / "clean"), "--key-file", str(key_file), "--no-verify"]
+        cli,
+        ["decrypt", str(tmp_path / "clean"), "--key-file", str(key_file), "--no-verify",
+         "--out", str(out)],
     )
     assert result.exit_code == ExitCode.NOTHING_INFECTED
+    payload = json.loads(out.read_text())
+    assert payload["totals"]["infected"] == 0
+    assert [r["status"] for r in payload["rows"]] == ["skipped_clean"]
 
 
 def test_decrypt_jobs_invariance(runner, tmp_path, session_key):
@@ -517,6 +557,15 @@ def test_decrypt_jobs_invariance(runner, tmp_path, session_key):
     t1, t2 = (p["totals"] for p in payloads)
     for field in ("files_scanned", "infected", "decrypted", "failed", "bytes"):
         assert t1[field] == t2[field]
+    statuses = [
+        {os.path.relpath(r["path"], box): r["status"] for r in p["rows"]}
+        for box, p in zip((box1, box2), payloads)
+    ]
+    assert statuses[0] == statuses[1]
+    assert statuses[0] == {
+        str(p.relative_to(box1)): "decrypted" if p.suffix == ".txt" else "skipped_clean"
+        for p in originals
+    }
     rel1 = {p.relative_to(box1): p.read_bytes() for p in box1.rglob("*") if p.is_file()}
     rel2 = {p.relative_to(box2): p.read_bytes() for p in box2.rglob("*") if p.is_file()}
     assert rel1 == rel2
@@ -545,6 +594,93 @@ def test_decrypt_partial_failure_exit_code(runner, tmp_path, session_key, monkey
     payload = json.loads(result.stdout)
     assert payload["totals"]["failed"] == 1
     assert payload["totals"]["wall_time"] >= 0
+
+
+def test_decrypt_damaged_trailer_is_a_failed_row(runner, tmp_path, infected_sandbox, session_key):
+    root, originals, report = infected_sandbox
+    damaged = root / "docs" / "file0.txt"
+    data = bytearray(damaged.read_bytes())
+    data[-TRAILER_LEN + 8] ^= 0xFF  # first byte of magic_a
+    damaged.write_bytes(bytes(data))
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+
+    result = runner.invoke(
+        cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
+    )
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    payload = json.loads(result.stdout)
+    rows = {r["path"]: r for r in payload["rows"]}
+    assert rows[str(damaged)]["status"] == "corrupt_trailer"
+    assert "one magic damaged" in rows[str(damaged)]["detail"]
+    assert payload["totals"]["failed"] == 1
+    assert payload["totals"]["decrypted"] == report.encrypted - 1
+    assert damaged.read_bytes() == bytes(data)
+    for path, content in originals.items():
+        if path != damaged:
+            assert path.read_bytes() == content
+
+
+def test_decrypt_unreadable_file_is_a_failed_row(
+    runner, tmp_path, infected_sandbox, session_key, monkeypatch
+):
+    root, originals, report = infected_sandbox
+    unreadable = root / "docs" / "file0.txt"
+    snapshot = unreadable.read_bytes()
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    real_stat = os.stat
+
+    # root ignores mode bits, so deny the stat itself
+    def flaky_stat(path, *args, **kwargs):
+        if str(path) == str(unreadable):
+            raise PermissionError(13, "simulated denial", str(path))
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", flaky_stat)
+    result = runner.invoke(
+        cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
+    )
+    monkeypatch.undo()
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    payload = json.loads(result.stdout)
+    rows = {r["path"]: r for r in payload["rows"]}
+    assert rows[str(unreadable)]["status"] == "io_error"
+    assert "simulated denial" in rows[str(unreadable)]["detail"]
+    assert payload["totals"]["failed"] == 1
+    assert payload["totals"]["decrypted"] == report.encrypted - 1
+    assert unreadable.read_bytes() == snapshot
+    for path, content in originals.items():
+        if path != unreadable:
+            assert path.read_bytes() == content
+
+
+def test_decrypt_classifies_each_walked_file_once(
+    runner, tmp_path, infected_sandbox, session_key, monkeypatch
+):
+    root, originals, report = infected_sandbox
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    real_classify = trailer_mod.classify
+    classified = []
+
+    def counting_classify(size, tail):
+        classified.append(size)
+        return real_classify(size, tail)
+
+    def no_probe(path):
+        raise AssertionError(f"decrypt probed {path}")
+
+    monkeypatch.setattr(trailer_mod, "classify", counting_classify)
+    monkeypatch.setattr(cli_mod, "probe", no_probe)
+    result = runner.invoke(
+        cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
+    )
+    assert result.exit_code == ExitCode.OK, result.output
+    payload = json.loads(result.stdout)
+    assert payload["totals"]["files_scanned"] == len(originals)
+    assert payload["totals"]["decrypted"] == report.encrypted
+    assert len(classified) == len(originals)
 
 
 def test_decrypt_side_by_side_flag(runner, tmp_path, session_key):
