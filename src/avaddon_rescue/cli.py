@@ -98,10 +98,12 @@ def _status_note(message: str) -> None:
     click.echo(message, err=True)
 
 
-def _write_key_file(path: str, key: SessionKey) -> None:
-    key_path = Path(path)
-    key_path.write_text(key.hex() + "\n")
-    os.chmod(key_path, 0o600)
+def _write_key_file(path: str, data: bytes) -> None:
+    """Write key material to `path`, made or set to mode 0600 before any byte is written."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "wb") as fh:
+        os.fchmod(fd, 0o600)  # an existing file keeps its old mode through O_CREAT
+        fh.write(data)
 
 
 def _read_key_file(path: str) -> SessionKey:
@@ -111,7 +113,8 @@ def _read_key_file(path: str) -> SessionKey:
 def _totals(rows: list[dict[str, Any]], wall_time: float, **extra: int) -> dict[str, Any]:
     out = {
         "files_scanned": len(rows),
-        "infected": sum(1 for r in rows if r.get("status") in ("infected", "decrypted")),
+        # detect and decrypt rows carry original_length only for infected files
+        "infected": sum(1 for r in rows if r.get("original_length") is not None),
         "decrypted": sum(1 for r in rows if r.get("status") == "decrypted"),
         "failed": sum(
             1 for r in rows if r.get("status") in ("io_error", "corrupt_trailer")
@@ -277,7 +280,7 @@ def cmd_recover_key(
 
     if result.outcome is RecoveryOutcome.FOUND:
         assert result.key is not None
-        _write_key_file(key_out, result.key)
+        _write_key_file(key_out, f"{result.key.hex()}\n".encode())
         _status_note(f"key recovered and written to {key_out}")
 
     report = RunReport(
@@ -433,11 +436,12 @@ def cmd_emulate(
     out: str | None,
 ) -> None:
     """Encrypt a sandboxed tree with a benign, fully recoverable emulation."""
+    started = time.perf_counter()
     key = generate_session_key(seed)
     pair = OperatorKeyPair.generate()
     block = wrap_session_key(key, pair.public)
     try:
-        report = emulate_infection(
+        infection = emulate_infection(
             sandbox,
             key,
             SkipPolicy.default(),
@@ -451,12 +455,10 @@ def cmd_emulate(
         raise SystemExit(ExitCode.GATE_REFUSAL)
 
     if key_out:
-        _write_key_file(key_out, key)
+        _write_key_file(key_out, f"{key.hex()}\n".encode())
         _status_note(f"session key written to {key_out}")
     if operator_key_out:
-        pem_path = Path(operator_key_out)
-        pem_path.write_bytes(pair.private_pem())
-        os.chmod(pem_path, 0o600)
+        _write_key_file(operator_key_out, pair.private_pem())
         _status_note(f"operator private key written to {operator_key_out}")
     if dump_out:
         layout = random_dump_layout(
@@ -469,16 +471,35 @@ def cmd_emulate(
         write_synthetic_dump(layout, dump_out)
         _status_note(f"synthetic dump written to {dump_out}")
 
-    payload = report.to_dict(include_rows=as_json or bool(out))
+    # no seed in the parameters: it derives the session key
+    report = RunReport(
+        command="emulate",
+        parameters={
+            "sandbox": infection.sandbox_root,
+            "priority_paths": list(priority_paths),
+            "dump_out": dump_out,
+            "dump_format": dump_format,
+        },
+        rows=[row.to_dict() for row in infection.rows],
+        totals={
+            "planned": infection.planned,
+            "encrypted": infection.encrypted,
+            "skipped_infected": infection.skipped_infected,
+            "errors": infection.errors,
+            "bytes_encrypted": infection.bytes_encrypted,
+            "wall_time": round(time.perf_counter() - started, 3),
+        },
+    )
     if as_json or out:
-        _emit(json.dumps(payload, indent=2) + "\n", out)
+        _emit(report.to_json(), out)
     else:
+        t = report.totals
         click.echo(
-            f"encrypted {report.encrypted}/{report.planned} planned files "
-            f"({report.bytes_encrypted} bytes, {report.duration_s:.2f}s); "
-            f"{report.skipped_infected} already infected, {report.errors} errors"
+            f"encrypted {t['encrypted']}/{t['planned']} planned files "
+            f"({t['bytes_encrypted']} bytes, {t['wall_time']}s); "
+            f"{t['skipped_infected']} already infected, {t['errors']} errors"
         )
-    raise SystemExit(ExitCode.PARTIAL_FAILURE if report.errors else ExitCode.OK)
+    raise SystemExit(ExitCode.PARTIAL_FAILURE if infection.errors else ExitCode.OK)
 
 
 @cli.command("strings")

@@ -15,13 +15,10 @@ anything outside the sandbox and the explicit dump output path.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import random
 import secrets
-import struct
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -33,17 +30,14 @@ from .cipher import SessionKey
 from .errors import LayoutSpecError, SandboxViolation, WrapError
 from .filecodec import FileRecoveryReport, FileStatus, encrypt_file, walk_files
 from .memscan import (
-    ALG_AES_256,
     DUMP_FORMATS,
     HANDLE_XOR_CONSTANT,
-    KEY_FLAGS,
-    KEY_SIZE,
+    KEY_DATA_PATTERN,
+    DumpImage,
     default_map_path,
 )
-from .minidump import read_minidump, write_minidump
-from .trailer import VICTIM_BLOCK_LEN, VictimBlock, probe
-
-log = logging.getLogger(__name__)
+from .minidump import MemoryRange, read_minidump, write_minidump
+from .trailer import VICTIM_BLOCK_LEN, VictimBlock
 
 #: Path fragments the encryption pass leaves untouched.
 DEFAULT_PATH_SUBSTRINGS: tuple[str, ...] = (
@@ -187,8 +181,9 @@ def plan_traversal(
     """Depth-first, lexicographic traversal producing the encryption plan.
 
     Priority paths come first and skip the path-substring whitelist (the
-    extension and already-infected checks still apply there). Symlinks are
-    never followed. Unreadable directories are logged and skipped.
+    extension check still applies there). Symlinks are never followed.
+    Unreadable directories are logged and skipped. Already-infected files
+    stay in the plan; `encrypt_file` refuses them.
     """
     policy = policy or SkipPolicy.default()
     planned: list[Path] = []
@@ -200,12 +195,6 @@ def plan_traversal(
                 continue
             seen.add(key)
             if policy.exclusion_reason(path, check_substrings=check_substrings):
-                continue
-            try:
-                if probe(path) is not None:
-                    continue
-            except OSError as exc:
-                log.warning("cannot probe %s: %s", path, exc)
                 continue
             planned.append(path)
     return planned
@@ -270,7 +259,7 @@ def ensure_sandbox(
 
 @dataclass
 class InfectionReport:
-    """Counts and sizes of one emulation pass, one row per touched file."""
+    """Counts and sizes of one emulation pass, one row per planned file."""
 
     sandbox_root: str
     planned: int = 0
@@ -278,22 +267,7 @@ class InfectionReport:
     skipped_infected: int = 0
     errors: int = 0
     bytes_encrypted: int = 0
-    duration_s: float = 0.0
     rows: list[FileRecoveryReport] = field(default_factory=list)
-
-    def to_dict(self, *, include_rows: bool = True) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "sandbox_root": self.sandbox_root,
-            "planned": self.planned,
-            "encrypted": self.encrypted,
-            "skipped_infected": self.skipped_infected,
-            "errors": self.errors,
-            "bytes_encrypted": self.bytes_encrypted,
-            "duration_s": round(self.duration_s, 6),
-        }
-        if include_rows:
-            out["rows"] = [r.to_dict() for r in self.rows]
-        return out
 
 
 def emulate_infection(
@@ -309,11 +283,12 @@ def emulate_infection(
     """Encrypt every plannable file under the sandbox root.
 
     The gate runs before any file is touched; a violation is a hard
-    refusal. Re-running over the same sandbox encrypts nothing, because
-    infected files fail the plan's re-encryption check.
+    refusal. Every planned file gets one row. Re-running over the same
+    sandbox encrypts nothing: `encrypt_file`'s re-encryption check turns
+    each infected file into a `skipped_infected` row, and a file it cannot
+    read into an `io_error` row.
     """
     root = ensure_sandbox(sandbox_root, confirm_token=confirm_token, allow_roots=allow_roots)
-    started = time.perf_counter()
     plan = plan_traversal([root], priority_paths=priority_paths, policy=policy)
     report = InfectionReport(sandbox_root=str(root), planned=len(plan))
     for path in plan:
@@ -329,7 +304,6 @@ def emulate_infection(
             report.skipped_infected += 1
         else:
             report.errors += 1
-    report.duration_s = time.perf_counter() - started
     return report
 
 
@@ -390,11 +364,7 @@ def _hcryptkey_bytes(pw: int, magic_s_va: int) -> bytes:
 
 
 def _key_data_bytes(pw: int, key_va: int) -> bytes:
-    return (
-        bytes(pw)
-        + struct.pack("<III", ALG_AES_256, KEY_FLAGS, KEY_SIZE)
-        + key_va.to_bytes(pw, "little")
-    )
+    return bytes(pw) + KEY_DATA_PATTERN + key_va.to_bytes(pw, "little")
 
 
 def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[str, Any]:
@@ -505,50 +475,34 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
         decoy_rows.append({"kind": decoy.kind, "key_data_va": decoy.key_data_va,
                            "key_va": decoy.key_va})
 
-    # lay out the container and compute final file offsets
+    # lay out the container, then read it back through the scanner's VA map
     path = Path(path)
     va_payloads = [(rva, bytes(buf)) for buf, (rva, _r) in zip(buffers, ranges)]
-    sidecar: Path | None = None
     if spec.container == "minidump":
         blob = write_minidump(va_payloads, pw, list_kind=spec.minidump_list)
-        # read our own container back so the manifest carries real offsets
-        loaded_ranges, _width = read_minidump(blob)
-        range_rows = [{"va": r.va, "length": r.length, "offset": r.offset} for r in loaded_ranges]
-    elif spec.container == "raw_with_map":
-        blob_parts = []
-        range_rows = []
-        offset = 0
-        for rva, payload in va_payloads:
-            blob_parts.append(payload)
-            range_rows.append({"va": rva, "length": len(payload), "offset": offset})
-            offset += len(payload)
-        blob = b"".join(blob_parts)
-        sidecar = default_map_path(path)
-    else:  # raw: identity mapping
+        mapped, _width = read_minidump(blob)
+    else:
+        # payloads back to back; raw's one range starts at va 0, so offset == va
         blob = b"".join(payload for _rva, payload in va_payloads)
-        range_rows = [{"va": rva, "length": len(p), "offset": rva} for rva, p in va_payloads]
-
-    def file_offset(va: int) -> int:
-        for row in range_rows:
-            if row["va"] <= va < row["va"] + row["length"]:
-                return row["offset"] + (va - row["va"])
-        raise LayoutSpecError(f"va {va:#x} missing from final range table")
+        mapped, offset = [], 0
+        for rva, payload in va_payloads:
+            mapped.append(MemoryRange(rva, len(payload), offset))
+            offset += len(payload)
+    image = DumpImage(path, blob, mapped, pw, spec.container)
+    range_rows = [{"va": r.va, "length": r.length, "offset": r.offset} for r in image.ranges]
 
     # self-check: every planted invariant must hold in the final blob
-    mask = (1 << (8 * pw)) - 1
     for chain in spec.chains:
-        off = file_offset(chain.key_va)
-        if blob[off : off + 32] != chain.key.key_bytes:
+        if image.read_va(chain.key_va, 32) != chain.key.key_bytes:
             raise LayoutSpecError("self-check failed: key bytes not at planted offset")
         if chain.magic_s_va is not None and chain.hcryptkey_va is not None:
-            hk_off = file_offset(chain.hcryptkey_va) + 11 * pw
-            magic_field = int.from_bytes(blob[hk_off : hk_off + pw], "little")
-            if magic_field != ((chain.magic_s_va ^ HANDLE_XOR_CONSTANT) & mask):
+            handle = image.read_va(chain.hcryptkey_va, 12 * pw)
+            if handle != _hcryptkey_bytes(pw, chain.magic_s_va):
                 raise LayoutSpecError("self-check failed: handle XOR link broken")
 
     path.write_bytes(blob)
-    if sidecar is not None:
-        sidecar.write_text(json.dumps(range_rows, indent=2))
+    if spec.container == "raw_with_map":
+        default_map_path(path).write_text(json.dumps(range_rows, indent=2))
 
     manifest: dict[str, Any] = {
         "container": spec.container,
@@ -561,7 +515,7 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
                 "key_data_va": c.key_data_va,
                 "key_va": c.key_va,
                 "key_hex": c.key.hex(),
-                "key_file_offset": file_offset(c.key_va),
+                "key_file_offset": image.translate(c.key_va),
             }
             for c in spec.chains
         ],

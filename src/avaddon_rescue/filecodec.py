@@ -7,13 +7,15 @@ copy the remainder, drop the 536-byte appendix, truncate to the recorded
 original length.
 
 Both directions write to a temporary sibling and replace atomically, so a
-crash mid-operation never leaves a half-written file as the only copy.
+crash mid-operation never leaves a half-written file as the only copy. The
+replacement keeps the source file's mode, atime and mtime.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import stat
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -124,12 +126,19 @@ def _copy_exact(src: BinaryIO, dst: BinaryIO, n: int) -> None:
         n -= len(chunk)
 
 
-def _replace_via_tmp(path: Path, write_body) -> None:
-    """Write a replacement for `path` to a temp sibling, then rename over it."""
+def _replace_via_tmp(path: Path, write_body, source: os.stat_result) -> None:
+    """Write a replacement for `path` to a temp sibling, then rename over it.
+
+    The replacement gets the permission bits, atime and mtime of `source`,
+    the stat result of the file it was made from.
+    """
     tmp = path.with_name(path.name + _TMP_SUFFIX)
     try:
         with open(tmp, "wb") as dst:
             write_body(dst)
+            os.fchmod(dst.fileno(), stat.S_IMODE(source.st_mode))
+        # after close, so that no later write moves the mtime
+        os.utime(tmp, ns=(source.st_atime_ns, source.st_mtime_ns))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -157,7 +166,8 @@ def encrypt_file(
         raise SandboxViolation(f"{path} is not inside the sandbox root {root}")
 
     try:
-        size = real.stat().st_size
+        st = real.stat()
+        size = st.st_size
         with open(real, "rb") as src:
             trailer = classify_open(src, size).trailer
             if trailer is not None:
@@ -179,7 +189,7 @@ def encrypt_file(
                 dst.write(victim_block.data)
                 dst.write(build_trailer(size))
 
-            _replace_via_tmp(real, write_body)
+            _replace_via_tmp(real, write_body, st)
     except OSError as exc:
         log.warning("could not encrypt %s: %s", path, exc)
         return FileRecoveryReport(
@@ -214,9 +224,11 @@ def decrypt_file(
         raise ValueError(f"unknown output policy {output_policy!r}")
     started = time.perf_counter()
     path = Path(path)
+    original_length: int | None = None
 
     try:
-        size = path.stat().st_size
+        st = path.stat()
+        size = st.st_size
         with open(path, "rb") as src:
             found = classify_open(src, size)
             if found.trailer is None:
@@ -244,12 +256,13 @@ def decrypt_file(
                 out_path = path
             else:
                 out_path = path.with_name(path.name + SIDE_BY_SIDE_SUFFIX)
-            _replace_via_tmp(out_path, write_body)
+            _replace_via_tmp(out_path, write_body, st)
     except OSError as exc:
         log.warning("could not decrypt %s: %s", path, exc)
         return FileRecoveryReport(
             str(path),
             FileStatus.IO_ERROR,
+            original_length=original_length,
             duration_s=time.perf_counter() - started,
             detail=str(exc),
         )

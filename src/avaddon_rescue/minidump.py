@@ -148,31 +148,25 @@ def write_minidump(
     sysinfo_rva = dir_rva + n_streams * _DIR_ENTRY.size
     list_rva = sysinfo_rva + _SYSTEM_INFO_LEN
 
+    stream = bytearray()
     if list_kind == "memory64":
-        list_len = 16 + len(ranges) * 16
-        payload_rva = list_rva + list_len
-        body = bytearray()
-        body += struct.pack("<QQ", len(ranges), payload_rva)
-        for va, payload in ranges:
-            body += struct.pack("<QQ", va, len(payload))
-        stream = bytes(body)
-        payload = b"".join(p for _, p in ranges)
+        stream_type = STREAM_MEMORY64_LIST
+        payload_rva = list_rva + 16 + len(ranges) * 16
+        stream += struct.pack("<QQ", len(ranges), payload_rva)
+        for va, data in ranges:
+            stream += struct.pack("<QQ", va, len(data))
     else:
-        list_len = 4 + len(ranges) * 16
-        payload_rva = list_rva + list_len
-        body = bytearray()
-        body += struct.pack("<I", len(ranges))
-        offset = payload_rva
+        stream_type = STREAM_MEMORY_LIST
+        offset = list_rva + 4 + len(ranges) * 16
+        stream += struct.pack("<I", len(ranges))
         for va, data in ranges:
             if len(data) >= 1 << 32:
                 raise ValueError("memory32 ranges are limited to 4 GiB")
-            body += struct.pack("<QII", va, len(data), offset)
+            stream += struct.pack("<QII", va, len(data), offset)
             offset += len(data)
-        stream = bytes(body)
-        payload = b"".join(p for _, p in ranges)
 
-    stream_type = STREAM_MEMORY64_LIST if list_kind == "memory64" else STREAM_MEMORY_LIST
+    payload = b"".join(data for _, data in ranges)
     directory = _DIR_ENTRY.pack(STREAM_SYSTEM_INFO, _SYSTEM_INFO_LEN, sysinfo_rva)
     directory += _DIR_ENTRY.pack(stream_type, len(stream), list_rva)
     header = _HEADER.pack(SIGNATURE, _VERSION, n_streams, dir_rva, 0, 0, 0)
-    return header + directory + _system_info_bytes(pointer_width) + stream + payload
+    return header + directory + _system_info_bytes(pointer_width) + bytes(stream) + payload

@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+import avaddon_rescue.emulator as emulator_mod
+import avaddon_rescue.trailer as trailer_mod
 from avaddon_rescue.emulator import (
     CONFIRM_TOKEN,
     DEFAULT_EXCLUDED_EXTENSIONS,
@@ -23,6 +25,7 @@ from avaddon_rescue.emulator import (
     write_synthetic_dump,
 )
 from avaddon_rescue.errors import LayoutSpecError, SandboxViolation, WrapError
+from avaddon_rescue.filecodec import FileStatus, encrypt_file
 from avaddon_rescue.memscan import load_dump
 from avaddon_rescue.trailer import VICTIM_BLOCK_LEN, VictimBlock, is_infected
 from conftest import make_tree
@@ -99,15 +102,6 @@ def test_plan_traversal_priority_still_checks_extensions(tmp_path):
     make_tree(tmp_path, {"pri/data.mdf": b"m", "pri/data.db": b"d"})
     plan = plan_traversal([], priority_paths=[tmp_path / "pri"])
     assert [p.name for p in plan] == ["data.db"]
-
-
-def test_plan_traversal_skips_already_infected(tmp_path, session_key):
-    make_tree(tmp_path, {"one.txt": b"abc" * 100, "two.txt": b"def" * 100})
-    report = emulate_infection(
-        tmp_path, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN
-    )
-    assert report.encrypted == 2
-    assert plan_traversal([tmp_path]) == []
 
 
 def test_plan_traversal_skips_symlinks(tmp_path):
@@ -295,8 +289,47 @@ def test_emulate_rerun_encrypts_nothing(tmp_path, session_key):
         tmp_path, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN
     )
     assert second.encrypted == 0
-    assert second.planned == 0
+    assert second.skipped_infected == 2
     assert {p: p.read_bytes() for p in tmp_path.rglob("*.txt")} == snapshot
+
+
+def test_emulate_pre_infected_file_is_a_skipped_row(tmp_path, session_key):
+    make_tree(tmp_path, {"one.txt": b"abc" * 300, "two.txt": b"def" * 300})
+    encrypt_file(tmp_path / "one.txt", session_key, VictimBlock.zeros(), sandbox_root=tmp_path)
+    infected = (tmp_path / "one.txt").read_bytes()
+    report = emulate_infection(
+        tmp_path, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN
+    )
+    assert (report.planned, report.encrypted, report.skipped_infected) == (2, 1, 1)
+    statuses = {os.path.basename(row.path): row.status for row in report.rows}
+    assert statuses == {"one.txt": FileStatus.SKIPPED_INFECTED, "two.txt": FileStatus.ENCRYPTED}
+    assert (tmp_path / "one.txt").read_bytes() == infected
+
+
+def test_emulate_classifies_each_planned_file_once(tmp_path, session_key, monkeypatch):
+    make_tree(
+        tmp_path,
+        {"a.txt": b"a" * 700, "sub/b.txt": b"b" * 40, "sub/c.txt": b"c" * 9000, "d.exe": b"d"},
+    )
+    encrypt_file(tmp_path / "sub/c.txt", session_key, VictimBlock.zeros(), sandbox_root=tmp_path)
+    real_classify = trailer_mod.classify
+    calls = []
+
+    def counting_classify(size, tail):
+        calls.append(size)
+        return real_classify(size, tail)
+
+    def no_probe(path):
+        raise AssertionError(f"probe called for {path}")
+
+    monkeypatch.setattr(trailer_mod, "classify", counting_classify)
+    monkeypatch.setattr(trailer_mod, "probe", no_probe)
+    report = emulate_infection(
+        tmp_path, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN
+    )
+    assert report.planned == 3
+    assert (report.encrypted, report.skipped_infected) == (2, 1)
+    assert len(calls) == report.planned
 
 
 def test_emulate_gate_refusal_touches_nothing(tmp_path, session_key):
@@ -361,6 +394,26 @@ def test_dump_generator_minidump_range_table_round_trip(tmp_path, session_key):
     with load_dump(dump_path, "minidump") as dump:
         loaded = [{"va": r.va, "length": r.length, "offset": r.offset} for r in dump.ranges]
     assert loaded == manifest["ranges"]
+
+
+def test_dump_generator_self_check_catches_misplaced_range(tmp_path, session_key, monkeypatch):
+    real_write = emulator_mod.write_minidump
+
+    def swapping_write(ranges, *args, **kwargs):
+        (va_a, data_a), (va_b, data_b) = ranges
+        return real_write([(va_a, data_b), (va_b, data_a)], *args, **kwargs)
+
+    monkeypatch.setattr(emulator_mod, "write_minidump", swapping_write)
+    spec = DumpLayoutSpec(
+        ranges=[(0x10000, 0x8000), (0x40000, 0x8000)],
+        chains=[PlantedChain(key=session_key, key_data_va=0x10100, key_va=0x10200)],
+        container="minidump",
+        seed=2,
+    )
+    dump_path = tmp_path / "misplaced.dmp"
+    with pytest.raises(LayoutSpecError, match="self-check"):
+        write_synthetic_dump(spec, dump_path)
+    assert not dump_path.exists()
 
 
 def test_dump_generator_rejects_collisions(tmp_path, session_key):

@@ -1,5 +1,6 @@
 import os
 import random
+import stat
 
 import pytest
 
@@ -169,6 +170,24 @@ def test_decrypt_side_by_side(tmp_path, session_key):
     assert report.status is FileStatus.DECRYPTED
     assert f.read_bytes() == infected  # source untouched
     out = tmp_path / ("sample.bin" + SIDE_BY_SIDE_SUFFIX)
+    assert out.read_bytes() == content
+
+
+@pytest.mark.parametrize("policy", ["in_place", "side_by_side"])
+def test_mode_and_times_survive_both_transforms(tmp_path, session_key, policy):
+    f = tmp_path / "sample.bin"
+    content = write_sample(f, 3000, seed=29)
+    f.chmod(0o640)
+    times_ns = (1_500_000_000_123_456_789, 1_600_000_000_987_654_321)  # atime, mtime
+    os.utime(f, ns=times_ns)
+
+    assert encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path).status is FileStatus.ENCRYPTED
+    assert decrypt_file(f, session_key, output_policy=policy).status is FileStatus.DECRYPTED
+
+    out = f if policy == "in_place" else tmp_path / ("sample.bin" + SIDE_BY_SIDE_SUFFIX)
+    st = out.stat()  # before the read below moves the atime
+    assert stat.S_IMODE(st.st_mode) == 0o640
+    assert (st.st_atime_ns, st.st_mtime_ns) == times_ns
     assert out.read_bytes() == content
 
 
