@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -99,11 +100,16 @@ def _status_note(message: str) -> None:
 
 
 def _write_key_file(path: str, data: bytes) -> None:
-    """Write key material to `path`, made or set to mode 0600 before any byte is written."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    with open(fd, "wb") as fh:
-        os.fchmod(fd, 0o600)  # an existing file keeps its old mode through O_CREAT
-        fh.write(data)
+    """Write key material to a new mode-0600 sibling, then rename it over `path`,
+    so that a reader holding an existing file there open never sees the key."""
+    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=".key-")  # O_EXCL, 0600
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_key_file(path: str) -> SessionKey:
@@ -482,11 +488,7 @@ def cmd_emulate(
         },
         rows=[row.to_dict() for row in infection.rows],
         totals={
-            "planned": infection.planned,
-            "encrypted": infection.encrypted,
-            "skipped_infected": infection.skipped_infected,
-            "errors": infection.errors,
-            "bytes_encrypted": infection.bytes_encrypted,
+            **infection.totals(),
             "wall_time": round(time.perf_counter() - started, 3),
         },
     )

@@ -259,15 +259,25 @@ def ensure_sandbox(
 
 @dataclass
 class InfectionReport:
-    """Counts and sizes of one emulation pass, one row per planned file."""
+    """One emulation pass: one row per planned file; every count is read off the rows."""
 
     sandbox_root: str
-    planned: int = 0
-    encrypted: int = 0
-    skipped_infected: int = 0
-    errors: int = 0
-    bytes_encrypted: int = 0
     rows: list[FileRecoveryReport] = field(default_factory=list)
+
+    def _count(self, status: FileStatus) -> int:
+        return sum(1 for row in self.rows if row.status is status)
+
+    planned = property(lambda self: len(self.rows))
+    encrypted = property(lambda self: self._count(FileStatus.ENCRYPTED))
+    skipped_infected = property(lambda self: self._count(FileStatus.SKIPPED_INFECTED))
+    errors = property(lambda self: self.planned - self.encrypted - self.skipped_infected)
+    bytes_encrypted = property(lambda self: sum(
+        row.original_length or 0 for row in self.rows if row.status is FileStatus.ENCRYPTED
+    ))
+
+    def totals(self) -> dict[str, int]:
+        names = ("planned", "encrypted", "skipped_infected", "errors", "bytes_encrypted")
+        return {name: getattr(self, name) for name in names}
 
 
 def emulate_infection(
@@ -290,20 +300,13 @@ def emulate_infection(
     """
     root = ensure_sandbox(sandbox_root, confirm_token=confirm_token, allow_roots=allow_roots)
     plan = plan_traversal([root], priority_paths=priority_paths, policy=policy)
-    report = InfectionReport(sandbox_root=str(root), planned=len(plan))
+    report = InfectionReport(sandbox_root=str(root))
     for path in plan:
         try:
             row = encrypt_file(path, key, victim_block, sandbox_root=root)
         except SandboxViolation as exc:
             row = FileRecoveryReport(str(path), FileStatus.IO_ERROR, detail=str(exc))
         report.rows.append(row)
-        if row.status is FileStatus.ENCRYPTED:
-            report.encrypted += 1
-            report.bytes_encrypted += row.original_length or 0
-        elif row.status is FileStatus.SKIPPED_INFECTED:
-            report.skipped_infected += 1
-        else:
-            report.errors += 1
     return report
 
 

@@ -8,7 +8,7 @@ original length.
 
 Both directions write to a temporary sibling and replace atomically, so a
 crash mid-operation never leaves a half-written file as the only copy. The
-replacement keeps the source file's mode, atime and mtime.
+replacement keeps the source file's owner, group, mode, atime and mtime.
 """
 
 from __future__ import annotations
@@ -129,14 +129,22 @@ def _copy_exact(src: BinaryIO, dst: BinaryIO, n: int) -> None:
 def _replace_via_tmp(path: Path, write_body, source: os.stat_result) -> None:
     """Write a replacement for `path` to a temp sibling, then rename over it.
 
-    The replacement gets the permission bits, atime and mtime of `source`,
-    the stat result of the file it was made from.
+    The replacement gets the owner, group, mode, atime and mtime of
+    `source`, the stat result of the file it was made from. Where the
+    owner and group cannot be copied, the setuid, setgid and sticky bits
+    are dropped: a restore never makes a set-id file for an account that
+    did not own the original.
     """
     tmp = path.with_name(path.name + _TMP_SUFFIX)
+    mode = stat.S_IMODE(source.st_mode)
     try:
         with open(tmp, "wb") as dst:
             write_body(dst)
-            os.fchmod(dst.fileno(), stat.S_IMODE(source.st_mode))
+            try:
+                os.fchown(dst.fileno(), source.st_uid, source.st_gid)
+            except OSError:
+                mode &= 0o777
+            os.fchmod(dst.fileno(), mode)
         # after close, so that no later write moves the mtime
         os.utime(tmp, ns=(source.st_atime_ns, source.st_mtime_ns))
         os.replace(tmp, path)

@@ -191,6 +191,36 @@ def test_mode_and_times_survive_both_transforms(tmp_path, session_key, policy):
     assert out.read_bytes() == content
 
 
+def test_restore_drops_setid_bits_when_the_owner_cannot_be_copied(tmp_path, session_key, monkeypatch):
+    f = tmp_path / "tool"
+    content = write_sample(f, 3000, seed=31)
+    encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
+    f.chmod(0o6755)
+
+    def refuse(fd, uid, gid):
+        raise PermissionError(1, "Operation not permitted")
+
+    # what a restoring account that may not give files away sees
+    monkeypatch.setattr(os, "fchown", refuse)
+    assert decrypt_file(f, session_key).status is FileStatus.DECRYPTED
+    assert stat.S_IMODE(f.stat().st_mode) == 0o755
+    assert f.read_bytes() == content
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="giving a file to another account needs root")
+def test_restore_keeps_owner_and_group(tmp_path, session_key):
+    f = tmp_path / "tool"
+    content = write_sample(f, 3000, seed=37)
+    encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
+    os.chown(f, 4242, 4343)
+    f.chmod(0o4700)  # after the chown, which clears set-id bits
+
+    assert decrypt_file(f, session_key).status is FileStatus.DECRYPTED
+    st = f.stat()
+    assert (st.st_uid, st.st_gid, stat.S_IMODE(st.st_mode)) == (4242, 4343, 0o4700)
+    assert f.read_bytes() == content
+
+
 def test_decrypt_failure_leaves_source(tmp_path, session_key, monkeypatch):
     f = tmp_path / "sample.bin"
     write_sample(f, 700, seed=19)
