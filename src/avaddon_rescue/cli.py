@@ -8,11 +8,11 @@ unless --show-key is passed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -35,7 +35,7 @@ from .emulator import (
     write_synthetic_dump,
 )
 from .errors import AvaddonRescueError, SandboxViolation
-from .filecodec import SIDE_BY_SIDE_SUFFIX, FileRecoveryReport, decrypt_file, walk_files
+from .filecodec import SIDE_BY_SIDE_SUFFIX, decrypt_file, replace_atomically, walk_files
 from .memscan import (
     DEFAULT_ALIGNMENT,
     DUMP_FORMATS,
@@ -102,14 +102,7 @@ def _status_note(message: str) -> None:
 def _write_key_file(path: str, data: bytes) -> None:
     """Write key material to a new mode-0600 sibling, then rename it over `path`,
     so that a reader holding an existing file there open never sees the key."""
-    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, prefix=".key-")  # O_EXCL, 0600
-    try:
-        with open(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    replace_atomically(path, lambda fh: fh.write(data))
 
 
 def _read_key_file(path: str) -> SessionKey:
@@ -328,8 +321,8 @@ def cmd_recover_key(
               help="Skip the key verification gate (only with --key-file).")
 @click.option("--in-place/--side-by-side", "in_place", default=True,
               help="Replace infected files atomically, or write .decrypted copies.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Parallel workers.")
+@click.option("--jobs", type=click.IntRange(min=1), default=os.cpu_count() or 1,
+              show_default="CPU count", help="Worker threads; each restores one directory.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
 @click.option("--out", type=click.Path(), help="Write the report to a file instead of stdout.")
 def cmd_decrypt(
@@ -378,14 +371,12 @@ def cmd_decrypt(
 
     targets = [p for p in walk_files(paths) if not p.name.endswith(SIDE_BY_SIDE_SUFFIX)]
     policy = "in_place" if in_place else "side_by_side"
-    reports: list[FileRecoveryReport]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda p: decrypt_file(p, key, policy), targets))
-    else:
-        reports = [decrypt_file(p, key, policy) for p in targets]
-
-    rows = sorted((r.to_dict() for r in reports), key=lambda r: r["path"])
+    # one task per run of files in one directory: workers that share a
+    # directory contend for it in the kernel when they create and rename
+    runs = [list(run) for _, run in itertools.groupby(targets, key=lambda p: p.parent)]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        done = pool.map(lambda run: [decrypt_file(p, key, policy).to_dict() for p in run], runs)
+        rows = sorted(itertools.chain.from_iterable(done), key=lambda r: r["path"])
     report = RunReport(
         command="decrypt",
         parameters={

@@ -3,8 +3,8 @@
 Encryption touches only the first 0x100000 bytes of a file, leaves the
 remainder untouched, and appends the 512-byte victim block plus the
 24-byte trailer. Recovery reverses that: decrypt the encrypted prefix,
-copy the remainder, drop the 536-byte appendix, truncate to the recorded
-original length.
+drop its zero padding past the recorded original length, copy the
+remainder, and leave out the 536-byte appendix.
 
 Both directions write to a temporary sibling and replace atomically, so a
 crash mid-operation never leaves a half-written file as the only copy. The
@@ -16,11 +16,12 @@ from __future__ import annotations
 import logging
 import os
 import stat
+import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 from .cipher import SessionKey, decrypt_stream, encrypt_stream
 from .errors import SandboxViolation
@@ -126,30 +127,36 @@ def _copy_exact(src: BinaryIO, dst: BinaryIO, n: int) -> None:
         n -= len(chunk)
 
 
-def _replace_via_tmp(path: Path, write_body, source: os.stat_result) -> None:
-    """Write a replacement for `path` to a temp sibling, then rename over it.
+def replace_atomically(
+    path: str | os.PathLike,
+    write_body: Callable[[BinaryIO], object],
+    source: os.stat_result | None = None,
+) -> None:
+    """Write a replacement for `path` to a new temp sibling, then rename over it.
 
-    The replacement gets the owner, group, mode, atime and mtime of
-    `source`, the stat result of the file it was made from. Where the
-    owner and group cannot be copied, the setuid, setgid and sticky bits
-    are dropped: a restore never makes a set-id file for an account that
-    did not own the original.
+    `mkstemp` creates the temp `.<name>.<random><_TMP_SUFFIX>` with O_EXCL
+    and mode 0600, so it never follows a planted link. With `source`, the
+    stat result of the file the replacement was made from, the replacement
+    gets its owner, group, mode, atime and mtime; where the owner cannot be
+    copied, the set-id and sticky bits are dropped.
     """
-    tmp = path.with_name(path.name + _TMP_SUFFIX)
-    mode = stat.S_IMODE(source.st_mode)
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=_TMP_SUFFIX)
     try:
-        with open(tmp, "wb") as dst:
+        with open(fd, "wb") as dst:
             write_body(dst)
-            try:
-                os.fchown(dst.fileno(), source.st_uid, source.st_gid)
-            except OSError:
-                mode &= 0o777
-            os.fchmod(dst.fileno(), mode)
-        # after close, so that no later write moves the mtime
-        os.utime(tmp, ns=(source.st_atime_ns, source.st_mtime_ns))
+            if source is not None:
+                dst.flush()  # so that no later write moves the mtime
+                mode = stat.S_IMODE(source.st_mode)
+                try:
+                    os.fchown(fd, source.st_uid, source.st_gid)
+                except OSError:
+                    mode &= 0o777
+                os.fchmod(fd, mode)
+                os.utime(fd, ns=(source.st_atime_ns, source.st_mtime_ns))
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 
@@ -197,7 +204,7 @@ def encrypt_file(
                 dst.write(victim_block.data)
                 dst.write(build_trailer(size))
 
-            _replace_via_tmp(real, write_body, st)
+            replace_atomically(real, write_body, st)
     except OSError as exc:
         log.warning("could not encrypt %s: %s", path, exc)
         return FileRecoveryReport(
@@ -255,16 +262,17 @@ def decrypt_file(
             processed = enc_prefix
 
             def write_body(dst: BinaryIO) -> None:
-                dst.write(decrypt_stream(key, _read_exact(src, enc_prefix)))
+                # classify checked the recorded length against the body, so
+                # the slice drops exactly the zero padding
+                dst.write(decrypt_stream(key, _read_exact(src, enc_prefix))[:original_length])
                 # untouched middle of a large file; stop before the appendix
                 _copy_exact(src, dst, body - enc_prefix)
-                dst.truncate(original_length)
 
             if output_policy == "in_place":
                 out_path = path
             else:
                 out_path = path.with_name(path.name + SIDE_BY_SIDE_SUFFIX)
-            _replace_via_tmp(out_path, write_body, st)
+            replace_atomically(out_path, write_body, st)
     except OSError as exc:
         log.warning("could not decrypt %s: %s", path, exc)
         return FileRecoveryReport(

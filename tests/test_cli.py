@@ -598,40 +598,52 @@ def test_decrypt_nothing_infected(runner, tmp_path, session_key):
 
 
 def test_decrypt_jobs_invariance(runner, tmp_path, session_key):
-    box1 = tmp_path / "one"
-    box1.mkdir()
-    originals, _ = build_infected_sandbox(box1, session_key, n_files=10)
-    box2 = tmp_path / "two"
-    shutil.copytree(box1, box2)
-
+    # the walk yields A's files in two runs, split by A/sub
+    rels = ["A/a.txt", "A/sub/b.txt", "A/z.txt", *(f"flat/f{i}.txt" for i in range(6)),
+            "flat/readme.exe"]
+    pristine = tmp_path / "pristine"
+    originals = {
+        str(p.relative_to(pristine)): data
+        for p, data in make_tree(pristine, {rel: f"{rel} ".encode() * 40 for rel in rels}).items()
+    }
+    emulate_infection(pristine, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
 
-    payloads = []
-    for box, jobs in ((box1, "1"), (box2, "8")):
-        result = runner.invoke(
-            cli,
-            ["decrypt", str(box), "--key-file", str(key_file), "--no-verify",
-             "--jobs", jobs, "--json"],
-        )
-        assert result.exit_code == ExitCode.OK, result.output
-        payloads.append(json.loads(result.stdout))
+    for policy in ("--in-place", "--side-by-side"):
+        outcomes = []
+        for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "8"], []):
+            box = tmp_path / f"{policy}{''.join(jobs)}"
+            shutil.copytree(pristine, box)
+            result = runner.invoke(
+                cli,
+                ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", policy,
+                 *jobs, "--json"],
+            )
+            assert result.exit_code == ExitCode.OK, result.output
+            payload = json.loads(result.stdout)
+            if not jobs:
+                assert payload["parameters"]["jobs"] == os.cpu_count()
+            rows = [
+                {**r, "path": os.path.relpath(r["path"], box), "duration_s": None}
+                for r in payload["rows"]
+            ]
+            totals = {k: v for k, v in payload["totals"].items() if k != "wall_time"}
+            tree = {str(p.relative_to(box)): p.read_bytes() for p in box.rglob("*") if p.is_file()}
+            outcomes.append((rows, totals, tree))
 
-    t1, t2 = (p["totals"] for p in payloads)
-    for field in ("files_scanned", "infected", "decrypted", "failed", "bytes"):
-        assert t1[field] == t2[field]
-    statuses = [
-        {os.path.relpath(r["path"], box): r["status"] for r in p["rows"]}
-        for box, p in zip((box1, box2), payloads)
-    ]
-    assert statuses[0] == statuses[1]
-    assert statuses[0] == {
-        str(p.relative_to(box1)): "decrypted" if p.suffix == ".txt" else "skipped_clean"
-        for p in originals
-    }
-    rel1 = {p.relative_to(box1): p.read_bytes() for p in box1.rglob("*") if p.is_file()}
-    rel2 = {p.relative_to(box2): p.read_bytes() for p in box2.rglob("*") if p.is_file()}
-    assert rel1 == rel2
+        assert all(outcome == outcomes[0] for outcome in outcomes), policy
+        rows, totals, tree = outcomes[0]
+        assert [r["path"] for r in rows] == sorted(originals)
+        assert {r["path"]: r["status"] for r in rows} == {
+            rel: "decrypted" if rel.endswith(".txt") else "skipped_clean" for rel in originals
+        }
+        assert (totals["decrypted"], totals["failed"]) == (len(originals) - 1, 0)
+        if policy == "--in-place":
+            assert tree == originals
+        else:
+            restored = {rel: tree[rel + ".decrypted"] for rel in originals if rel.endswith(".txt")}
+            assert restored == {rel: d for rel, d in originals.items() if rel.endswith(".txt")}
 
 
 def test_decrypt_partial_failure_exit_code(runner, tmp_path, session_key, monkeypatch):

@@ -221,21 +221,39 @@ def test_restore_keeps_owner_and_group(tmp_path, session_key):
     assert f.read_bytes() == content
 
 
-def test_decrypt_failure_leaves_source(tmp_path, session_key, monkeypatch):
+@pytest.mark.parametrize("step", ["replace", "fchmod", "utime"])
+def test_decrypt_failure_leaves_source(tmp_path, session_key, monkeypatch, step):
     f = tmp_path / "sample.bin"
     write_sample(f, 700, seed=19)
     encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
     infected = f.read_bytes()
 
-    def boom(src, dst):
-        raise OSError("disk full")
+    def boom(*args, **kwargs):
+        raise OSError(f"simulated {step} failure")
 
-    monkeypatch.setattr(os, "replace", boom)
+    monkeypatch.setattr(os, step, boom)
     report = decrypt_file(f, session_key)
     assert report.status is FileStatus.IO_ERROR
     monkeypatch.undo()
     assert f.read_bytes() == infected
     assert list(tmp_path.glob("*avrescue-tmp*")) == []
+
+
+def test_restore_never_writes_through_a_planted_temp_link(tmp_path, session_key):
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    f = tree / "doc.txt"
+    content = write_sample(f, 3000, seed=41)
+    encrypt_file(f, session_key, BLOCK, sandbox_root=tree)
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"outside the evidence tree")
+    # a link under the fixed temp name that a predictable writer would open
+    (tree / "doc.txt.avrescue-tmp").symlink_to("../victim.txt")
+
+    assert decrypt_file(f, session_key).status is FileStatus.DECRYPTED
+    assert victim.read_bytes() == b"outside the evidence tree"
+    assert not f.is_symlink()
+    assert f.read_bytes() == content
 
 
 def test_unknown_output_policy(tmp_path, session_key):
