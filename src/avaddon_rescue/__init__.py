@@ -27,7 +27,6 @@ from .trailer import (
     VictimBlock,
     build_trailer,
     classify,
-    is_infected,
     parse_trailer,
     probe,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "encrypt_file",
     "encrypt_stream",
     "generate_session_key",
-    "is_infected",
     "label_batch",
     "load_dump",
     "parse_trailer",

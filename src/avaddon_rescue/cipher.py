@@ -42,10 +42,11 @@ class SessionKey:
         return self.key_bytes.hex()
 
     @classmethod
-    def from_hex(cls, text: str) -> "SessionKey":
+    def from_hex(cls, text: str | bytes) -> "SessionKey":
+        """Parse key hex, given as text or as the ASCII bytes of a key file."""
         try:
-            raw = bytes.fromhex(text.strip())
-        except ValueError as exc:
+            raw = bytes.fromhex(text.decode("ascii") if isinstance(text, bytes) else text)
+        except ValueError as exc:  # UnicodeDecodeError included
             raise CipherError(f"invalid key hex: {exc}") from exc
         return cls(raw)
 

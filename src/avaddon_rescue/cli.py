@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import click
 
@@ -105,10 +105,6 @@ def _write_key_file(path: str, data: bytes) -> None:
     replace_atomically(path, lambda fh: fh.write(data))
 
 
-def _read_key_file(path: str) -> SessionKey:
-    return SessionKey.from_hex(Path(path).read_text())
-
-
 def _totals(rows: list[dict[str, Any]], wall_time: float, **extra: int) -> dict[str, Any]:
     out = {
         "files_scanned": len(rows),
@@ -134,6 +130,10 @@ def _exit_by_rows(totals: dict[str, Any]) -> None:
     raise SystemExit(ExitCode.OK)
 
 
+_OUT_OPTION = click.option("--out", type=click.Path(dir_okay=False),
+                           help="Write the report to a file instead of stdout.")
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="avaddon-rescue")
 @click.option("-v", "--verbose", is_flag=True, help="Chatty progress on stderr.")
@@ -149,27 +149,24 @@ def cli(verbose: bool) -> None:
 @cli.command("detect")
 @click.argument("paths", nargs=-1, required=True, type=click.Path(exists=True))
 @click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
-@click.option("--out", type=click.Path(), help="Write the report to a file instead of stdout.")
+@_OUT_OPTION
 def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
     """Recursively scan PATHS and report infected files."""
     started = time.perf_counter()
     rows: list[dict[str, Any]] = []
     for path in walk_files(paths):
         try:
-            trailer = probe(path)
+            found = probe(path)
         except OSError as exc:
             rows.append({"path": str(path), "status": "io_error", "detail": str(exc)})
             continue
-        if trailer is None:
-            rows.append({"path": str(path), "status": "clean"})
+        if found.trailer is not None:
+            rows.append({"path": str(path), "status": "infected",
+                         "original_length": found.trailer.original_length})
+        elif found.damage:
+            rows.append({"path": str(path), "status": "corrupt_trailer", "detail": found.damage})
         else:
-            rows.append(
-                {
-                    "path": str(path),
-                    "status": "infected",
-                    "original_length": trailer.original_length,
-                }
-            )
+            rows.append({"path": str(path), "status": "clean"})
     rows.sort(key=lambda r: r["path"])
     report = RunReport(
         command="detect",
@@ -187,7 +184,7 @@ def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
         t = report.totals
         click.echo(
             f"scanned {t['files_scanned']} files: {t['infected']} infected, "
-            f"{t['failed']} unreadable"
+            f"{t['failed']} failed"
         )
     _exit_by_rows(report.totals)
 
@@ -211,15 +208,15 @@ def _evidence_from_flags(
 _KEY_SOURCE_OPTIONS = (
     click.option("--format", "fmt", type=click.Choice(["auto", *DUMP_FORMATS]),
                  default="auto", show_default=True, help="Dump container."),
-    click.option("--map", "map_path", type=click.Path(exists=True),
+    click.option("--map", "map_path", type=click.Path(exists=True, dir_okay=False),
                  help="Sidecar VA map (raw_with_map)."),
     click.option("--pointer-width", type=click.Choice(["4", "8"]), default=None,
                  help="Override pointer width for raw dumps."),
     click.option("--alignment", type=click.IntRange(min=1), default=DEFAULT_ALIGNMENT,
                  show_default=True, help="Scan alignment step; use 1 for damaged dumps."),
-    click.option("--evidence-encrypted", type=click.Path(exists=True),
+    click.option("--evidence-encrypted", type=click.Path(exists=True, dir_okay=False),
                  help="One encrypted file to verify candidate keys against."),
-    click.option("--evidence-original", type=click.Path(exists=True),
+    click.option("--evidence-original", type=click.Path(exists=True, dir_okay=False),
                  help="The original (pre-infection) copy of that file."),
     click.option("--header-magic", is_flag=True,
                  help="Verify against known file-type headers instead of an original copy."),
@@ -251,13 +248,14 @@ def _recover_from_dump(
 
 
 @cli.command("recover-key")
-@click.option("--dump", required=True, type=click.Path(exists=True), help="Process memory dump.")
+@click.option("--dump", required=True, type=click.Path(exists=True, dir_okay=False),
+              help="Process memory dump.")
 @_key_source_options
-@click.option("--key-out", type=click.Path(), default="avaddon_session_key.hex",
+@click.option("--key-out", type=click.Path(dir_okay=False), default="avaddon_session_key.hex",
               show_default=True, help="Where to store the recovered key (mode 0600).")
 @click.option("--show-key", is_flag=True, help="Also print the key hex to the report.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
-@click.option("--out", type=click.Path(), help="Write the report to a file instead of stdout.")
+@_OUT_OPTION
 def cmd_recover_key(
     dump: str,
     fmt: str,
@@ -314,8 +312,10 @@ def cmd_recover_key(
 
 @cli.command("decrypt")
 @click.argument("paths", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--key-file", type=click.Path(exists=True), help="File holding the session key hex.")
-@click.option("--dump", type=click.Path(exists=True), help="Recover the key from this dump first.")
+@click.option("--key-file", type=click.Path(exists=True, dir_okay=False),
+              help="File holding the session key hex.")
+@click.option("--dump", type=click.Path(exists=True, dir_okay=False),
+              help="Recover the key from this dump first.")
 @_key_source_options
 @click.option("--no-verify", is_flag=True,
               help="Skip the key verification gate (only with --key-file).")
@@ -324,7 +324,7 @@ def cmd_recover_key(
 @click.option("--jobs", type=click.IntRange(min=1), default=os.cpu_count() or 1,
               show_default="CPU count", help="Worker threads; each restores one directory.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
-@click.option("--out", type=click.Path(), help="Write the report to a file instead of stdout.")
+@_OUT_OPTION
 def cmd_decrypt(
     paths: tuple[str, ...],
     key_file: str | None,
@@ -349,7 +349,7 @@ def cmd_decrypt(
 
     key_recovery: dict[str, Any] | None = None
     if key_file:
-        key = _read_key_file(key_file)
+        key = SessionKey.from_hex(Path(key_file).read_bytes())
         if no_verify:
             _status_note("key verification skipped (--no-verify)")
         else:
@@ -410,15 +410,16 @@ def cmd_decrypt(
               help="Extra allow-listed location (repeatable).")
 @click.option("--priority", "priority_paths", multiple=True, type=click.Path(),
               help="Folders to encrypt first, skipping the path whitelist (repeatable).")
-@click.option("--key-out", type=click.Path(), help="Store the session key hex (mode 0600).")
-@click.option("--operator-key-out", type=click.Path(),
+@click.option("--key-out", type=click.Path(dir_okay=False),
+              help="Store the session key hex (mode 0600).")
+@click.option("--operator-key-out", type=click.Path(dir_okay=False),
               help="Store the generated operator RSA private key PEM (mode 0600).")
-@click.option("--dump-out", type=click.Path(),
+@click.option("--dump-out", type=click.Path(dir_okay=False),
               help="Also write a synthetic memory dump embedding the session key.")
 @click.option("--dump-format", type=click.Choice(DUMP_FORMATS),
               default="minidump", show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
-@click.option("--out", type=click.Path(), help="Write the report to a file instead of stdout.")
+@_OUT_OPTION
 def cmd_emulate(
     sandbox: str,
     seed: int | None,
@@ -496,18 +497,14 @@ def cmd_emulate(
 
 
 @cli.command("strings")
-@click.option("--input", "input_path", required=True, type=click.Path(allow_dash=True),
+@click.option("--input", "batch", required=True, type=click.File("rb"),
               help="Batch file of identifier<TAB>base64 lines, or - for stdin.")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "json"]), default="tsv",
               show_default=True)
-@click.option("--out", type=click.Path(), help="Write the report to a file instead of stdout.")
-def cmd_strings(input_path: str, fmt: str, out: str | None) -> None:
+@_OUT_OPTION
+def cmd_strings(batch: BinaryIO, fmt: str, out: str | None) -> None:
     """Decode obfuscated strings in batch and label each row."""
-    if input_path == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(input_path).read_text()
-    rows = label_batch(parse_batch_input(text))
+    rows = label_batch(parse_batch_input(batch.read()))
     rendered = rows_to_json(rows) if fmt == "json" else rows_to_tsv(rows)
     _emit(rendered, out)
     failed = sum(1 for r in rows if r.status != "ok")
@@ -519,7 +516,7 @@ def cmd_strings(input_path: str, fmt: str, out: str | None) -> None:
 def main() -> None:
     try:
         cli(standalone_mode=True)
-    except AvaddonRescueError as exc:
+    except (AvaddonRescueError, OSError) as exc:
         _status_note(f"error: {exc}")
         raise SystemExit(ExitCode.ERROR)
 

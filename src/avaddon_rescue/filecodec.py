@@ -181,9 +181,9 @@ def encrypt_file(
         raise SandboxViolation(f"{path} is not inside the sandbox root {root}")
 
     try:
-        st = real.stat()
-        size = st.st_size
         with open(real, "rb") as src:
+            st = os.fstat(src.fileno())  # of the bytes read, even if the name is swapped
+            size = st.st_size
             trailer = classify_open(src, size).trailer
             if trailer is not None:
                 return FileRecoveryReport(
@@ -242,9 +242,9 @@ def decrypt_file(
     original_length: int | None = None
 
     try:
-        st = path.stat()
-        size = st.st_size
         with open(path, "rb") as src:
+            st = os.fstat(src.fileno())  # of the bytes read, even if the name is swapped
+            size = st.st_size
             found = classify_open(src, size)
             if found.trailer is None:
                 status = FileStatus.CORRUPT_TRAILER if found.damage else FileStatus.SKIPPED_CLEAN

@@ -31,7 +31,7 @@ from .cipher import SessionKey, decrypt_stream
 from .errors import DumpFormatError, EvidenceError
 from .minidump import SIGNATURE as MDMP_SIGNATURE
 from .minidump import MemoryRange, read_minidump
-from .trailer import APPENDIX_LEN, ENCRYPTED_PREFIX_LIMIT, ceil16, probe
+from .trailer import APPENDIX_LEN, ENCRYPTED_PREFIX_LIMIT, ceil16, classify_open
 
 log = logging.getLogger(__name__)
 
@@ -372,26 +372,29 @@ class Evidence:
     def challenge(self) -> tuple[bytes, bytes | None]:
         """(ciphertext prefix, plaintext it must decrypt to; None in header-magic mode).
 
-        Read from the evidence file once, on first use, so verifying many
-        candidates costs one small decrypt each. An `EvidenceError` is
-        not cached and is raised again on the next use.
+        Read from the evidence file once, on first use and through one
+        handle, so verifying many candidates costs one small decrypt each.
+        An `EvidenceError` is not cached and is raised again on the next use.
         """
-        trailer = probe(self.encrypted_path)
-        if trailer is None:
-            raise EvidenceError(f"{self.encrypted_path} is not an infected file")
-        body = os.stat(self.encrypted_path).st_size - APPENDIX_LEN
-        if body < 16:
-            raise EvidenceError(f"{self.encrypted_path} has an empty encrypted body")
-
-        want = None
-        ct_len = 16
-        if self.plaintext_prefix is not None:
-            want = self.plaintext_prefix[: trailer.original_length]
-            if len(want) < MIN_PLAINTEXT_MATCH:
-                raise EvidenceError("known plaintext shorter than the evidence file content")
-            ct_len = min(ceil16(len(want)), body, ENCRYPTED_PREFIX_LIMIT)
-
         with open(self.encrypted_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            found = classify_open(fh, size)
+            if found.damage:
+                raise EvidenceError(f"{self.encrypted_path} has a damaged trailer: {found.damage}")
+            if found.trailer is None:
+                raise EvidenceError(f"{self.encrypted_path} is not an infected file")
+            body = size - APPENDIX_LEN
+            if body < 16:
+                raise EvidenceError(f"{self.encrypted_path} has an empty encrypted body")
+
+            want = None
+            ct_len = 16
+            if self.plaintext_prefix is not None:
+                want = self.plaintext_prefix[: found.trailer.original_length]
+                if len(want) < MIN_PLAINTEXT_MATCH:
+                    raise EvidenceError("known plaintext shorter than the evidence file content")
+                ct_len = min(ceil16(len(want)), body, ENCRYPTED_PREFIX_LIMIT)
+            fh.seek(0)
             return fh.read(ct_len), want
 
 
@@ -406,13 +409,6 @@ def verify_key(key: SessionKey, evidence: Evidence) -> bool:
     if want is not None:
         return plain[: len(want)] == want
     return any(plain.startswith(magic) for _, magic in HEADER_MAGICS)
-
-
-def verify_candidate(candidate: KeyCandidate, evidence: Evidence) -> bool:
-    """Candidate wrapper around `verify_key`; keyless candidates never verify."""
-    if candidate.key is None:
-        return False
-    return verify_key(candidate.key, evidence)
 
 
 class RecoveryOutcome(str, Enum):
@@ -446,15 +442,15 @@ def recover_key(
 ) -> RecoveryResult:
     """Scan, verify, and rank; return the single verified key if any.
 
-    Never returns an unverified key. Two distinct keys both passing
-    verification is reported as ambiguous rather than guessing. The
-    outcome depends only on the verified set, so the key-handle chain
-    (a full pass over the dump per call) is looked for only behind
-    verified candidates; the rest keep `chain_confirmed=None`.
+    Never returns an unverified key; keyless candidates never verify. Two
+    distinct keys both passing verification is reported as ambiguous
+    rather than guessing. The outcome depends only on the verified set, so
+    the key-handle chain (a full pass over the dump per call) is looked for
+    only behind verified candidates; the rest keep `chain_confirmed=None`.
     """
     candidates = scan_key_candidates(dump, alignment=alignment)
     for cand in candidates:
-        cand.verified = verify_candidate(cand, evidence)
+        cand.verified = cand.key is not None and verify_key(cand.key, evidence)
         if cand.verified:
             cand.chain_confirmed = confirm_chain(dump, cand)
     candidates.sort(key=lambda c: (not c.verified, not c.chain_confirmed, c.struct_offset))

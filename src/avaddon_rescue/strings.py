@@ -13,7 +13,7 @@ import base64
 import binascii
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import StringCodecError
 
@@ -91,21 +91,30 @@ def label_batch(entries: Iterable[tuple[str, str]]) -> list[LabelRow]:
     return rows
 
 
-def parse_batch_input(text: str) -> Iterator[tuple[str, str]]:
-    """Parse the batch wire format: one `identifier<TAB>base64` per line.
+def parse_batch_input(data: bytes) -> list[tuple[str, str]]:
+    """Parse the batch wire format: UTF-8, one `identifier<TAB>base64` per line.
 
     Blank lines are skipped. A line without a tab is taken as a bare
     payload and given a line-number identifier, so plain string lists work
     too.
+
+    Raises:
+        StringCodecError: if `data` is not UTF-8.
     """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StringCodecError(f"batch input is not UTF-8: {exc}") from exc
+    entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if "\t" in line:
             identifier, _, b64 = line.partition("\t")
-            yield identifier, b64.strip()
+            entries.append((identifier, b64.strip()))
         else:
-            yield f"line{lineno}", line.strip()
+            entries.append((f"line{lineno}", line.strip()))
+    return entries
 
 
 def rows_to_tsv(rows: list[LabelRow]) -> str:

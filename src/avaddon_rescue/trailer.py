@@ -44,10 +44,6 @@ class Trailer:
     tail_d: bytes
 
     @property
-    def has_valid_magics(self) -> bool:
-        return self.magic_a == MAGIC_A and self.magic_b == MAGIC_B
-
-    @property
     def length_sane(self) -> bool:
         return 0 <= self.original_length <= MAX_ORIGINAL_LENGTH
 
@@ -167,20 +163,15 @@ def classify_open(fh: BinaryIO, size: int) -> Classification:
     return classify(size, fh.read(TRAILER_LEN))
 
 
-def probe(path: str | os.PathLike) -> Trailer | None:
-    """Return the trailer when `path` is an infected file, else None.
+def probe(path: str | os.PathLike) -> Classification:
+    """`classify` the file at `path`.
 
-    See `classify` for the rule; damaged trailers count as not infected
-    here. I/O problems propagate as OSError so callers can tell
-    "unreadable" from "clean".
+    One stat, and one open and 24-byte read only for files large enough
+    to carry the appendix. I/O problems propagate as OSError so callers
+    can tell "unreadable" from "clean".
     """
     size = os.stat(path).st_size
     if size < APPENDIX_LEN:  # cannot be infected; spare the open
-        return None
+        return classify(size, b"")
     with open(path, "rb") as fh:
-        return classify_open(fh, size).trailer
-
-
-def is_infected(path: str | os.PathLike) -> bool:
-    """Content-based infection check; see `probe` for the full rules."""
-    return probe(path) is not None
+        return classify_open(fh, size)

@@ -1,3 +1,5 @@
+import builtins
+import os
 import random
 from pathlib import Path
 
@@ -26,6 +28,19 @@ def make_tree(root: Path, files: dict[str, bytes]) -> dict[Path, bytes]:
         path.write_bytes(content)
         out[path] = content
     return out
+
+
+def deny_open(monkeypatch, target: Path) -> None:
+    """Make every builtin `open` of `target` fail with EACCES; root ignores
+    mode bits, so the denial is simulated."""
+    real_open = builtins.open
+
+    def flaky_open(file, *args, **kwargs):
+        if not isinstance(file, int) and os.fspath(file) == os.fspath(target):
+            raise PermissionError(13, "simulated denial", os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", flaky_open)
 
 
 def random_corpus(seed: int, n_files: int, min_size: int = 0, max_size: int = 4096) -> dict[str, bytes]:

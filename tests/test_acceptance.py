@@ -43,6 +43,7 @@ from avaddon_rescue.strings import decode_string, encode_string
 from avaddon_rescue.trailer import (
     VictimBlock,
     build_trailer,
+    classify,
     encrypted_file_size,
     parse_trailer,
     probe,
@@ -74,7 +75,9 @@ def test_criterion_1_golden_trailer():
     canonical = build_trailer(DOCUMENTED_LENGTH)
     assert canonical[:8] == DOCUMENTED_LENGTH.to_bytes(8, "little")
     assert parse_trailer(canonical).original_length == DOCUMENTED_LENGTH
-    assert parse_trailer(canonical).has_valid_magics
+    # and classifies as infected on a file of the matching size
+    infected_size = encrypted_file_size(DOCUMENTED_LENGTH)
+    assert classify(infected_size, canonical).trailer == parse_trailer(canonical)
 
 
 @pytest.mark.xfail(
@@ -155,7 +158,7 @@ def test_criterion_3_desk_scale_corpus(tmp_path):
     assert report.errors == 0
 
     # 100% detected
-    detected = [p for p in sorted(root.rglob("*")) if p.is_file() and probe(p) is not None]
+    detected = [p for p in sorted(root.rglob("*")) if p.is_file() and probe(p).trailer is not None]
     assert len(detected) == len(digests)
 
     # 100% byte-identically decrypted, inside the wall-time budget

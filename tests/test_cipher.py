@@ -107,6 +107,10 @@ def test_key_hex_round_trip(session_key):
     assert session_key.hex() not in repr(session_key)
     with pytest.raises(CipherError):
         SessionKey.from_hex("zz")
+    # a key file's bytes: ASCII hex, maybe with a newline
+    assert SessionKey.from_hex(session_key.hex().encode() + b"\n") == session_key
+    with pytest.raises(CipherError):
+        SessionKey.from_hex(b"\xff" * 64)
 
 
 def test_decrypt_requires_block_alignment(session_key):

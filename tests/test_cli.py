@@ -3,6 +3,7 @@ import logging
 import os
 import shutil
 import stat
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from click.testing import CliRunner
 
 import avaddon_rescue.cli as cli_mod
 import avaddon_rescue.trailer as trailer_mod
-from avaddon_rescue.cli import ExitCode, cli
+from avaddon_rescue.cli import ExitCode, cli, main
 from avaddon_rescue.emulator import (
     CONFIRM_TOKEN,
     emulate_infection,
@@ -20,8 +21,8 @@ from avaddon_rescue.emulator import (
 )
 from avaddon_rescue.filecodec import encrypt_file
 from avaddon_rescue.strings import encode_string
-from avaddon_rescue.trailer import TRAILER_LEN, VictimBlock, is_infected
-from conftest import make_tree, random_corpus
+from avaddon_rescue.trailer import APPENDIX_LEN, TRAILER_LEN, VictimBlock, build_trailer, probe
+from conftest import deny_open, make_tree, random_corpus
 
 
 @pytest.fixture
@@ -107,6 +108,28 @@ def test_detect_unreadable_file_partial_failure(runner, infected_sandbox, monkey
     assert any(r["status"] == "io_error" for r in payload["rows"])
 
 
+def test_detect_damaged_trailer_is_a_failed_row(runner, infected_sandbox):
+    root, _originals, report = infected_sandbox
+    damaged = root / "docs" / "file0.txt"
+    data = bytearray(damaged.read_bytes())
+    data[-TRAILER_LEN + 8] ^= 0xFF  # first byte of magic_a
+    damaged.write_bytes(bytes(data))
+
+    result = runner.invoke(cli, ["detect", str(root)])
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    assert f"corrupt_trailer  {damaged}" in result.output
+    assert f"{report.encrypted - 1} infected, 1 failed" in result.output
+
+    result = runner.invoke(cli, ["detect", str(root), "--json"])
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE
+    payload = json.loads(result.stdout)
+    (row,) = [r for r in payload["rows"] if r["path"] == str(damaged)]
+    assert row["status"] == "corrupt_trailer" and "one magic damaged" in row["detail"]
+    assert (payload["totals"]["infected"], payload["totals"]["failed"]) == (
+        report.encrypted - 1, 1
+    )
+
+
 def test_detect_report_to_file(runner, infected_sandbox, tmp_path):
     root, _o, _r = infected_sandbox
     out = tmp_path / "report.json"
@@ -159,7 +182,7 @@ def test_single_file_argument(runner, tmp_path, infected_sandbox, session_key):
     assert result.exit_code == ExitCode.OK, result.output
     assert json.loads(result.stdout)["totals"]["decrypted"] == 1
     assert target.read_bytes() == originals[target]
-    assert is_infected(untouched)
+    assert probe(untouched).trailer is not None
 
 
 def test_symlinks_never_reported_or_touched(runner, tmp_path, infected_sandbox, session_key):
@@ -213,7 +236,7 @@ def test_detect_nested_tree_rows_independent_of_walk_order(runner, tmp_path, ses
     )
     expected = []
     for path in listing:
-        trailer = cli_mod.probe(path)
+        trailer = cli_mod.probe(path).trailer
         if trailer is None:
             expected.append({"path": str(path), "status": "clean"})
         else:
@@ -285,7 +308,7 @@ def test_emulate_seeded_and_key_out(runner, tmp_path):
     assert (payload["schema_version"], payload["command"]) == (1, "emulate")
     assert payload["totals"]["encrypted"] == 2
     assert [r["status"] for r in payload["rows"]] == ["encrypted", "encrypted"]
-    assert is_infected(box / "a.txt")
+    assert probe(box / "a.txt").trailer is not None
 
     key_hex = generate_session_key(42).hex()
     assert key_out.read_text().strip() == key_hex
@@ -330,14 +353,7 @@ def test_emulate_key_files_private_from_the_start(runner, tmp_path, monkeypatch,
 def test_emulate_unreadable_file_is_an_io_error_row(runner, tmp_path, monkeypatch):
     box = tmp_path / "box"
     files = make_tree(box, {"a.txt": b"data" * 100, "b.txt": b"more" * 100})
-    real_stat = os.stat
-
-    def flaky_stat(path, *args, **kwargs):
-        if os.fspath(path).endswith("b.txt"):
-            raise PermissionError("simulated denial")
-        return real_stat(path, *args, **kwargs)
-
-    monkeypatch.setattr(os, "stat", flaky_stat)
+    deny_open(monkeypatch, (box / "b.txt").resolve())
     result = runner.invoke(
         cli,
         ["emulate", "--sandbox", str(box), "--seed", "3", "--i-understand-this-writes-files",
@@ -468,7 +484,7 @@ def test_recover_key_ambiguous(runner, tmp_path, evidence_files, session_key, ot
 
     import avaddon_rescue.memscan as memscan_mod
 
-    monkeypatch.setattr(memscan_mod, "verify_candidate", lambda cand, ev: cand.key is not None)
+    monkeypatch.setattr(memscan_mod, "verify_key", lambda key, ev: True)
     result = runner.invoke(
         cli,
         [
@@ -578,7 +594,7 @@ def test_decrypt_requires_exactly_one_key_source(
     ):
         result = runner.invoke(cli, ["decrypt", str(root), *extra])
         assert result.exit_code == 2, (extra, result.output)
-        assert all(is_infected(p) for p in originals if p.suffix == ".txt")
+        assert all(probe(p).trailer is not None for p in originals if p.suffix == ".txt")
 
 
 def test_decrypt_nothing_infected(runner, tmp_path, session_key):
@@ -695,7 +711,7 @@ def test_decrypt_write_failure_still_counts_as_infected(runner, tmp_path, sessio
     assert (totals["infected"], totals["decrypted"], totals["failed"]) == (3, 2, 1)
     (row,) = [r for r in payload["rows"] if r["status"] == "io_error"]
     assert (row["path"], row["original_length"]) == (str(failing), len(originals[failing]))
-    assert is_infected(failing)
+    assert probe(failing).trailer is not None
 
 
 def test_decrypt_damaged_trailer_is_a_failed_row(runner, tmp_path, infected_sandbox, session_key):
@@ -731,15 +747,7 @@ def test_decrypt_unreadable_file_is_a_failed_row(
     snapshot = unreadable.read_bytes()
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
-    real_stat = os.stat
-
-    # root ignores mode bits, so deny the stat itself
-    def flaky_stat(path, *args, **kwargs):
-        if str(path) == str(unreadable):
-            raise PermissionError(13, "simulated denial", str(path))
-        return real_stat(path, *args, **kwargs)
-
-    monkeypatch.setattr(os, "stat", flaky_stat)
+    deny_open(monkeypatch, unreadable)
     result = runner.invoke(
         cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
     )
@@ -785,6 +793,48 @@ def test_decrypt_classifies_each_walked_file_once(
     assert len(classified) == len(originals)
 
 
+def test_detect_and_decrypt_agree_on_every_row(runner, tmp_path, session_key, monkeypatch):
+    root = tmp_path / "tree"
+    letters = make_tree(
+        root, {f"{name}.txt": f"{name} letter ".encode() * 60
+               for name in ("infected", "flipped", "misfit", "denied")}
+    )
+    emulate_infection(root, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
+    make_tree(root, {"clean.bin": b"c" * 700, "short.bin": b"s" * (APPENDIX_LEN - 1)})
+    flipped = bytearray((root / "flipped.txt").read_bytes())
+    flipped[-TRAILER_LEN + 16] ^= 0xFF  # first byte of magic_b
+    (root / "flipped.txt").write_bytes(bytes(flipped))
+    misfit = root / "misfit.txt"
+    misfit.write_bytes(misfit.read_bytes()[:-TRAILER_LEN] + build_trailer(len(letters[misfit]) + 64))
+    deny_open(monkeypatch, root / "denied.txt")
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+
+    detect = runner.invoke(cli, ["detect", str(root), "--json"])
+    decrypt = runner.invoke(
+        cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
+    )
+    monkeypatch.undo()
+    assert (detect.exit_code, decrypt.exit_code) == (ExitCode.PARTIAL_FAILURE,) * 2
+    detected, restored = (json.loads(r.stdout) for r in (detect, decrypt))
+    assert {Path(r["path"]).name: r["status"] for r in detected["rows"]} == {
+        "clean.bin": "clean", "denied.txt": "io_error", "flipped.txt": "corrupt_trailer",
+        "infected.txt": "infected", "misfit.txt": "corrupt_trailer", "short.bin": "clean",
+    }
+    same_status = {"infected": "decrypted", "clean": "skipped_clean",
+                   "corrupt_trailer": "corrupt_trailer", "io_error": "io_error"}
+    assert len(detected["rows"]) == len(restored["rows"])
+    for seen, done in zip(detected["rows"], restored["rows"]):
+        assert seen["path"] == done["path"]
+        assert same_status[seen["status"]] == done["status"], done
+        if done["status"] in ("corrupt_trailer", "io_error"):
+            assert seen["detail"] == done["detail"]
+    for key in ("files_scanned", "infected", "failed"):
+        assert detected["totals"][key] == restored["totals"][key], key
+    assert detected["totals"]["failed"] == 3
+    assert (root / "infected.txt").read_bytes() == letters[root / "infected.txt"]
+
+
 def test_decrypt_side_by_side_flag(runner, tmp_path, session_key):
     box = tmp_path / "box"
     box.mkdir()
@@ -799,7 +849,7 @@ def test_decrypt_side_by_side_flag(runner, tmp_path, session_key):
     assert result.exit_code == ExitCode.OK, result.output
     for path, content in originals.items():
         if path.suffix == ".txt":
-            assert is_infected(path)  # source untouched
+            assert probe(path).trailer is not None  # source untouched
             sibling = path.with_name(path.name + ".decrypted")
             assert sibling.read_bytes() == content
 
@@ -808,3 +858,31 @@ def test_version_flag(runner):
     result = runner.invoke(cli, ["--version"])
     assert result.exit_code == 0
     assert "avaddon-rescue" in result.output
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["key_file_is_a_directory", "dump_is_a_directory", "key_file_not_ascii",
+     "batch_not_utf8", "report_directory_missing"],
+)
+def test_bad_command_inputs_end_without_a_traceback(tmp_path, monkeypatch, capsys, case):
+    # through `main`, whose error handler CliRunner never reaches
+    tree = tmp_path / "tree"
+    make_tree(tree, {"a.txt": b"a" * 700})
+    binary = tmp_path / "binary.bin"
+    binary.write_bytes(b"\xff\xfe\x00 not text")
+    argv = {
+        "key_file_is_a_directory": ["decrypt", str(tree), "--key-file", str(tmp_path),
+                                    "--no-verify"],
+        "dump_is_a_directory": ["recover-key", "--dump", str(tmp_path),
+                                "--evidence-encrypted", str(binary), "--header-magic"],
+        "key_file_not_ascii": ["decrypt", str(tree), "--key-file", str(binary), "--no-verify"],
+        "batch_not_utf8": ["strings", "--input", str(binary)],
+        "report_directory_missing": ["detect", str(tree), "--out",
+                                     str(tmp_path / "missing" / "report.json")],
+    }[case]
+    monkeypatch.setattr(sys, "argv", ["avaddon-rescue", *argv])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    assert stopped.value.code in (ExitCode.ERROR, 2)
+    assert "Traceback" not in capsys.readouterr().err

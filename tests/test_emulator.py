@@ -27,7 +27,7 @@ from avaddon_rescue.emulator import (
 from avaddon_rescue.errors import LayoutSpecError, SandboxViolation, WrapError
 from avaddon_rescue.filecodec import FileStatus, encrypt_file
 from avaddon_rescue.memscan import load_dump
-from avaddon_rescue.trailer import VICTIM_BLOCK_LEN, VictimBlock, is_infected
+from avaddon_rescue.trailer import VICTIM_BLOCK_LEN, VictimBlock, probe
 from conftest import make_tree
 
 
@@ -272,10 +272,10 @@ def test_emulate_counts_match_plan(tmp_path, session_key):
     assert report.bytes_encrypted == sum(
         len(v) for k, v in files.items() if not k.endswith(".exe")
     )
-    assert not is_infected(tmp_path / "skip/me.exe")
+    assert probe(tmp_path / "skip/me.exe").trailer is None
     for rel in files:
         if not rel.endswith(".exe"):
-            assert is_infected(tmp_path / rel)
+            assert probe(tmp_path / rel).trailer is not None
 
 
 def test_emulate_rerun_encrypts_nothing(tmp_path, session_key):

@@ -1,3 +1,4 @@
+import builtins
 import os
 import random
 import stat
@@ -17,7 +18,6 @@ from avaddon_rescue.trailer import (
     VictimBlock,
     build_trailer,
     encrypted_file_size,
-    is_infected,
     parse_trailer,
     probe,
 )
@@ -43,7 +43,7 @@ def test_round_trip_identity(tmp_path, session_key, size):
     assert enc.status is FileStatus.ENCRYPTED
     assert enc.original_length == size
     assert f.stat().st_size == encrypted_file_size(size)
-    assert is_infected(f)
+    assert probe(f).trailer is not None
     if size:
         assert f.read_bytes()[: min(16, size)] != content[: min(16, size)]
 
@@ -87,7 +87,7 @@ def test_empty_file_round_trip(tmp_path, session_key):
     f.write_bytes(b"")
     encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
     assert f.stat().st_size == APPENDIX_LEN
-    assert is_infected(f)
+    assert probe(f).trailer is not None
     dec = decrypt_file(f, session_key)
     assert dec.status is FileStatus.DECRYPTED
     assert f.read_bytes() == b""
@@ -207,6 +207,28 @@ def test_restore_drops_setid_bits_when_the_owner_cannot_be_copied(tmp_path, sess
     assert f.read_bytes() == content
 
 
+def test_restore_takes_the_mode_of_the_bytes_it_read(tmp_path, session_key, monkeypatch):
+    target, intruder = tmp_path / "target.txt", tmp_path / "intruder.txt"
+    write_sample(target, 3000, seed=41)
+    swapped_in = write_sample(intruder, 3000, seed=43)  # same size: only the mode tells
+    for f, mode in ((target, 0o644), (intruder, 0o640)):
+        encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
+        f.chmod(mode)
+    real_open = builtins.open
+
+    def swapping_open(file, *args, **kwargs):
+        # another infected file is renamed over the target just before the read
+        if file == target and intruder.exists():
+            os.rename(intruder, target)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", swapping_open)
+    assert decrypt_file(target, session_key).status is FileStatus.DECRYPTED
+    monkeypatch.undo()
+    assert target.read_bytes() == swapped_in
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
 @pytest.mark.skipif(os.geteuid() != 0, reason="giving a file to another account needs root")
 def test_restore_keeps_owner_and_group(tmp_path, session_key):
     f = tmp_path / "tool"
@@ -265,5 +287,5 @@ def test_probe_matches_reports(tmp_path, session_key):
     f = tmp_path / "sample.bin"
     write_sample(f, 1234, seed=23)
     encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
-    trailer = probe(f)
+    trailer = probe(f).trailer
     assert trailer is not None and trailer.original_length == 1234

@@ -2,18 +2,31 @@
 
 Dumps, sidecar maps and trailers come from the infected machine. Whatever
 their bytes, a parser either returns something consistent with its input or
-raises one of the package's own errors; nothing else may escape.
+raises one of the package's own errors; nothing else may escape. A file's
+bytes get one infection verdict, whichever path reads them.
 """
 
 import json
+import struct
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from avaddon_rescue.errors import AvaddonRescueError
+from avaddon_rescue.filecodec import FileStatus, decrypt_file
 from avaddon_rescue.memscan import DumpImage, confirm_chain, load_dump, scan_key_candidates
 from avaddon_rescue.minidump import read_minidump, write_minidump
-from avaddon_rescue.trailer import APPENDIX_LEN, TRAILER_LEN, classify, parse_trailer
+from avaddon_rescue.trailer import (
+    APPENDIX_LEN,
+    MAGIC_A,
+    MAGIC_B,
+    TRAILER_LEN,
+    VICTIM_BLOCK_LEN,
+    ceil16,
+    classify,
+    parse_trailer,
+    probe,
+)
 
 FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -123,3 +136,35 @@ def test_fuzz_parse_trailer(raw, size):
     assert trailer.tail_d == raw[20:]
     verdict = classify(size, raw)
     assert verdict.trailer is None or verdict.damage is None
+
+
+@st.composite
+def trailed_files(draw) -> bytes:
+    """A body, a victim block and a trailer whose magics and recorded length
+    are each right or a little off, so infected, damaged and clean all occur."""
+    original_length = draw(st.integers(0, 100))
+    body_length = draw(st.one_of(st.just(ceil16(original_length)), st.integers(0, 128)))
+    magic_a = draw(st.sampled_from([MAGIC_A, MAGIC_A ^ 1]))
+    magic_b = draw(st.sampled_from([MAGIC_B, MAGIC_B ^ 0x100, 0]))
+    tail_d = draw(st.binary(min_size=4, max_size=4))
+    body = draw(st.binary(min_size=body_length, max_size=body_length))
+    return body + bytes(VICTIM_BLOCK_LEN) + struct.pack(
+        "<QIII4s", original_length, magic_a, 1, magic_b, tail_d
+    )
+
+
+@FUZZ
+@given(data=st.one_of(st.binary(max_size=2 * APPENDIX_LEN), trailed_files()))
+@example(data=bytes(APPENDIX_LEN - 1))
+def test_fuzz_probe_and_decrypt_agree_with_classify(tmp_path, session_key, data):
+    f = tmp_path / "evidence.bin"
+    f.write_bytes(data)
+    verdict = classify(len(data), data[-TRAILER_LEN:])
+    assert probe(f) == verdict
+    want = (
+        FileStatus.DECRYPTED if verdict.trailer
+        else FileStatus.CORRUPT_TRAILER if verdict.damage
+        else FileStatus.SKIPPED_CLEAN
+    )
+    report = decrypt_file(f, session_key)
+    assert (report.status, report.detail) == (want, verdict.damage)

@@ -1,3 +1,4 @@
+import builtins
 import json
 import struct
 
@@ -22,11 +23,10 @@ from avaddon_rescue.memscan import (
     load_dump,
     recover_key,
     scan_key_candidates,
-    verify_candidate,
     verify_key,
 )
 from avaddon_rescue.minidump import write_minidump
-from avaddon_rescue.trailer import VictimBlock
+from avaddon_rescue.trailer import TRAILER_LEN, VictimBlock
 
 
 def simple_chain_spec(key, *, container="raw", pointer_width=4, decoys=(), fill="zero"):
@@ -345,12 +345,31 @@ def test_evidence_prefix_minimum(tmp_path):
         Evidence(enc, b"0123456789")  # under 16 bytes
 
 
-def test_verify_candidate_without_key(evidence_pair):
+def test_evidence_with_a_damaged_trailer_names_the_damage(evidence_pair, session_key):
     encrypted, original = evidence_pair
-    from avaddon_rescue.memscan import KeyCandidate
+    data = bytearray(encrypted.read_bytes())
+    data[-TRAILER_LEN + 16] ^= 0xFF  # first byte of magic_b
+    encrypted.write_bytes(bytes(data))
+    with pytest.raises(EvidenceError, match="damaged trailer: one magic damaged"):
+        verify_key(session_key, Evidence.from_original(encrypted, original))
 
-    cand = KeyCandidate(struct_offset=0, struct_va=0)
-    assert verify_candidate(cand, Evidence.from_original(encrypted, original)) is False
+
+def test_keyless_candidates_never_verify(tmp_path, session_key, evidence_pair, monkeypatch):
+    import avaddon_rescue.memscan as memscan_mod
+
+    encrypted, original = evidence_pair
+    spec = simple_chain_spec(session_key, decoys=[Decoy(kind="bad_pointer", key_data_va=0xA000)])
+    spec.chains.clear()
+    dump_path = tmp_path / "keyless.dmp"
+    write_synthetic_dump(spec, dump_path)
+    checked = []
+    monkeypatch.setattr(memscan_mod, "verify_key", lambda key, ev: checked.append(key) or True)
+    with load_dump(dump_path, "raw") as dump:
+        result = recover_key(dump, Evidence.from_original(encrypted, original))
+    assert [c.key for c in result.candidates] == [None]
+    assert (result.outcome, result.candidates[0].verified, checked) == (
+        RecoveryOutcome.NOT_FOUND, False, []
+    )
 
 
 # --- recover_key ---------------------------------------------------------------
@@ -417,7 +436,7 @@ def test_recover_key_ambiguous(tmp_path, session_key, other_key, evidence_pair, 
     write_synthetic_dump(spec, dump_path)
     import avaddon_rescue.memscan as memscan_mod
 
-    monkeypatch.setattr(memscan_mod, "verify_candidate", lambda cand, ev: cand.key is not None)
+    monkeypatch.setattr(memscan_mod, "verify_key", lambda key, ev: True)
     with load_dump(dump_path, "raw") as dump:
         result = recover_key(dump, Evidence.from_original(encrypted, original))
     assert result.outcome is RecoveryOutcome.AMBIGUOUS
@@ -512,16 +531,20 @@ def test_confirm_chain_record_above_pointer_range(tmp_path):
 
 
 def test_evidence_read_once(evidence_pair, session_key, other_key, monkeypatch):
-    import avaddon_rescue.memscan as memscan_mod
-
     encrypted, original = evidence_pair
     evidence = Evidence.from_original(encrypted, original)
-    probes = []
-    real_probe = memscan_mod.probe
-    monkeypatch.setattr(memscan_mod, "probe", lambda p: probes.append(p) or real_probe(p))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
     results = [verify_key(k, evidence) for k in (other_key, session_key) * 5]
+    monkeypatch.undo()
     assert results == [False, True] * 5
-    assert len(probes) == 1
+    assert opened == [encrypted]
 
 
 def _expected_recovery(dump, evidence, verify):

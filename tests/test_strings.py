@@ -104,9 +104,11 @@ def test_label_batch_preserves_order():
 
 
 def test_parse_batch_input():
-    text = "name1\tAAAA\n\nbare_payload\nname2\tBBBB\n"
-    entries = list(parse_batch_input(text))
+    data = b"name1\tAAAA\n\nbare_payload\nname2\tBBBB\n"
+    entries = parse_batch_input(data)
     assert entries == [("name1", "AAAA"), ("line3", "bare_payload"), ("name2", "BBBB")]
+    with pytest.raises(StringCodecError, match="not UTF-8"):
+        parse_batch_input(b"name1\t\xff\xfe\n")
 
 
 def test_row_serialization():

@@ -10,14 +10,15 @@ from avaddon_rescue.trailer import (
     MAGIC_B,
     MAX_ORIGINAL_LENGTH,
     TRAILER_LEN,
+    Classification,
     VictimBlock,
     build_trailer,
     ceil16,
+    classify,
     encrypted_file_size,
     expected_body_length,
     parse_trailer,
     probe,
-    is_infected,
     trailer_consistent_with_body,
 )
 
@@ -40,7 +41,6 @@ def test_observed_trailer_fields():
     assert t.magic_b == MAGIC_B == 0x01030307
     assert t.tail_d == bytes.fromhex("0101E202")
     assert t.original_length == le_u64(OBSERVED_TRAILER[:8])
-    assert t.has_valid_magics
 
 
 def test_zero_trailer_parses_but_is_not_valid():
@@ -48,14 +48,14 @@ def test_zero_trailer_parses_but_is_not_valid():
     assert t.original_length == 0
     assert t.magic_a == 0
     assert t.magic_b == 0
-    assert not t.has_valid_magics
+    assert classify(APPENDIX_LEN, bytes(24)) == Classification()
 
 
 @pytest.mark.parametrize("n", [0, 1, 20045, 0x100000])
 def test_round_trip_named_lengths(n):
     t = parse_trailer(build_trailer(n))
     assert t.original_length == n
-    assert t.has_valid_magics
+    assert (t.magic_a, t.magic_b) == (MAGIC_A, MAGIC_B)
     assert t.reserved_c == 1
     assert t.tail_d == bytes(4)
 
@@ -141,10 +141,9 @@ def test_ceil16():
 def test_small_files_never_infected(tmp_path):
     f = tmp_path / "small.bin"
     f.write_bytes(b"\xaa" * 100)
-    assert probe(f) is None
-    assert not is_infected(f)
+    assert probe(f) == Classification()
     f.write_bytes(b"\xaa" * (APPENDIX_LEN - 1))
-    assert not is_infected(f)
+    assert probe(f) == Classification()
 
 
 def test_infected_requires_magics_and_consistency(tmp_path):
@@ -152,22 +151,24 @@ def test_infected_requires_magics_and_consistency(tmp_path):
     f = tmp_path / "candidate.bin"
 
     f.write_bytes(body + bytes(512) + build_trailer(2560))
-    assert is_infected(f)
+    assert probe(f).trailer == parse_trailer(build_trailer(2560))
 
     # right magics, wrong recorded length
     f.write_bytes(body + bytes(512) + build_trailer(2550 - 16))
-    assert not is_infected(f)
+    found = probe(f)
+    assert found.trailer is None and "recorded length 2534" in found.damage
 
     # flipped last byte of magic_b breaks detection
     good = body + bytes(512) + build_trailer(2560)
     bad = good[:-5] + bytes([good[-5] ^ 0xFF]) + good[-4:]
     f.write_bytes(bad)
-    assert not is_infected(f)
+    found = probe(f)
+    assert found.trailer is None and "one magic damaged" in found.damage
 
     # the 4 opaque tail bytes are deliberately not checked
     tail_flip = good[:-1] + bytes([good[-1] ^ 0xFF])
     f.write_bytes(tail_flip)
-    assert is_infected(f)
+    assert probe(f).trailer is not None
 
 
 def test_probe_raises_on_missing_file(tmp_path):
@@ -179,4 +180,4 @@ def test_pristine_corpus_never_detected(tmp_path):
     from conftest import make_tree, random_corpus
 
     files = make_tree(tmp_path, random_corpus(seed=424, n_files=60, max_size=2000))
-    assert all(probe(p) is None for p in files)
+    assert all(probe(p) == Classification() for p in files)
