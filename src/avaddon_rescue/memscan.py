@@ -265,17 +265,41 @@ def _read_candidate_key(dump: DumpImage, key_ptr: int) -> tuple[SessionKey | Non
     return None, None
 
 
+#: Bytes of a range that `_find_aligned` searches before it releases them.
+_SCAN_WINDOW = 4 << 20
+
+
 def _find_aligned(dump: DumpImage, needle: bytes, alignment: int = DEFAULT_ALIGNMENT):
     """Yield (file offset, va) of every aligned occurrence of `needle`,
-    range by range in VA order; a match never spans two ranges."""
+    range by range in VA order; a match never spans two ranges.
+
+    Each range is searched in windows of `_SCAN_WINDOW` bytes. A window
+    yields the matches that start inside it, including one that runs on
+    into the next window, so every match is found exactly once. Behind
+    each window the scan drops its pages from the process: the mapping is
+    a shared read-only file mapping, where MADV_DONTNEED only removes
+    page-table entries, and a later read (a key pointer, a chain pass)
+    faults the same bytes back in from the page cache. So resident memory
+    stays near one window, whatever the size of the dump.
+    """
+    data = dump.data
+    release = isinstance(data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")
     for rng in dump.ranges:
         end = rng.offset + rng.length
-        pos = rng.offset
-        while (found := dump.data.find(needle, pos, end)) != -1:
-            pos = found + 1
-            va = rng.va + (found - rng.offset)
-            if alignment <= 1 or va % alignment == 0:
-                yield found, va
+        for start in range(rng.offset, end, _SCAN_WINDOW):
+            stop = min(start + _SCAN_WINDOW, end)
+            # a match found below this limit starts before `stop`
+            limit = min(end, stop + len(needle) - 1)
+            pos = start
+            while (found := data.find(needle, pos, limit)) != -1:
+                pos = found + 1
+                va = rng.va + (found - rng.offset)
+                if alignment <= 1 or va % alignment == 0:
+                    yield found, va
+            lo = start - start % mmap.PAGESIZE
+            hi = stop - stop % mmap.PAGESIZE
+            if release and hi > lo:
+                data.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def scan_key_candidates(
@@ -447,7 +471,10 @@ def recover_key(
     rather than guessing. The outcome depends only on the verified set, so
     the key-handle chain (a full pass over the dump per call) is looked for
     only behind verified candidates; the rest keep `chain_confirmed=None`.
+    Unusable evidence raises `EvidenceError` before the scan, whatever the
+    dump holds.
     """
+    evidence.challenge  # raises EvidenceError when the evidence is unusable
     candidates = scan_key_candidates(dump, alignment=alignment)
     for cand in candidates:
         cand.verified = cand.key is not None and verify_key(cand.key, evidence)

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import random
 import shutil
 import stat
 import sys
@@ -515,6 +516,51 @@ def test_recover_key_requires_evidence(runner, tmp_path, session_dump, evidence_
         )
         assert result.exit_code == 2, (alignment, result.output)
         assert not key_out.exists()
+
+
+@pytest.mark.parametrize("command", ["recover-key", "decrypt"])
+@pytest.mark.parametrize("dump_kind", ["no_keyed_candidate", "keyed_candidate"])
+@pytest.mark.parametrize("evidence_kind", ["clean", "damaged"])
+def test_unusable_evidence_fails_before_the_scan(
+    tmp_path, monkeypatch, capsys, session_key, command, dump_kind, evidence_kind
+):
+    """One answer whatever the dump holds: exit 1 naming the evidence, and
+    no pass over the dump."""
+    import avaddon_rescue.memscan as memscan_mod
+
+    dump_path = tmp_path / "proc.dmp"
+    if dump_kind == "keyed_candidate":
+        layout = random_dump_layout(17, container="raw", total_bytes=1 << 20)
+        layout.chains[0].key = session_key
+        write_synthetic_dump(layout, dump_path)
+    else:
+        dump_path.write_bytes(random.Random(7).randbytes(700))
+    evidence = tmp_path / "evidence.bin"
+    evidence.write_bytes(random.Random(8).randbytes(2000))
+    if evidence_kind == "damaged":
+        encrypt_file(evidence, session_key, VictimBlock.zeros(), sandbox_root=tmp_path)
+        damaged = bytearray(evidence.read_bytes())
+        damaged[-16] ^= 0xFF  # one trailer magic byte
+        evidence.write_bytes(bytes(damaged))
+    tree = tmp_path / "tree"
+    letters = make_tree(tree, {"a.txt": b"a" * 700})
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the dump was scanned with unusable evidence")
+
+    monkeypatch.setattr(memscan_mod, "scan_key_candidates", no_scan)
+    target = ["recover-key"] if command == "recover-key" else ["decrypt", str(tree)]
+    monkeypatch.setattr(sys, "argv", [
+        "avaddon-rescue", *target, "--dump", str(dump_path), "--format", "raw",
+        "--evidence-encrypted", str(evidence), "--header-magic",
+    ])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    assert stopped.value.code == ExitCode.ERROR
+    err = capsys.readouterr().err
+    want = "is not an infected file" if evidence_kind == "clean" else "has a damaged trailer"
+    assert f"error: {evidence} {want}" in err
+    assert {p: p.read_bytes() for p in letters} == letters
 
 
 # --- decrypt ---------------------------------------------------------------------

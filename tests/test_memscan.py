@@ -1,9 +1,16 @@
 import builtins
 import json
+import mmap
+import os
+import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import avaddon_rescue
 from avaddon_rescue.emulator import (
     Decoy,
     DumpLayoutSpec,
@@ -614,3 +621,131 @@ def test_recover_key_confirms_only_verified(
     assert [c.verified for c in result.candidates] == sorted(
         (c.verified for c in result.candidates), reverse=True
     )
+
+
+# --- windowed scan ---------------------------------------------------------------
+
+
+def _naive_find(dump, needle, alignment):
+    """Every aligned occurrence of `needle` inside one range, byte by byte."""
+    data = bytes(dump.data)
+    return [
+        (off, r.va + off - r.offset)
+        for r in dump.ranges
+        for off in range(r.offset, r.offset + r.length - len(needle) + 1)
+        if (r.va + off - r.offset) % alignment == 0 and data[off : off + len(needle)] == needle
+    ]
+
+
+def test_windowed_scan_edges(tmp_path, monkeypatch):
+    """One-page windows over a 64-bit multi-range dump with random fill:
+    patterns straddle window edges by 1 to 11 bytes, sit at each range's
+    first and last offset, and run across two ranges contiguous in VA and
+    in the file (no match). Range A starts off a page in the file, so its
+    aligned VAs sit at odd file offsets."""
+    import avaddon_rescue.memscan as memscan_mod
+
+    page = mmap.PAGESIZE
+    pw = 8
+    n = len(KEY_DATA_PATTERN)
+    ranges = {  # name: (va, length, file offset)
+        "A": (0x100000, 20 * page + 0x321, 0x123),
+        "B": (0x300000, 3 * page, 21 * page),
+        "C": (0x400000, page + 0x40, 24 * page),
+        "D": (0x400000 + page + 0x40, page, 25 * page + 0x40),
+    }
+    blob = bytearray(random.Random(3).randbytes(26 * page + 0x40))
+
+    def poke(va, data):
+        for rva, length, off in ranges.values():
+            if rva <= va and va + len(data) <= rva + length:
+                blob[off + va - rva : off + va - rva + len(data)] = data
+                return True
+        return False
+
+    a_va, a_len, _ = ranges["A"]
+    b_va, b_len, _ = ranges["B"]
+    c_va, c_len, _ = ranges["C"]
+    d_va, d_len, _ = ranges["D"]
+    planted = [a_va + d * page - d for d in range(1, n)]  # edge d of A, d bytes before it
+    planted += [a_va, a_va + a_len - n, b_va, b_va + b_len - n, c_va, d_va + d_len - n]
+    keyed = []
+    for i, va in enumerate(planted):
+        assert poke(va, KEY_DATA_PATTERN)
+        # a key pointer into range A's random bytes, where the range has room
+        if poke(va + n, (a_va + 0x40 * (i + 1)).to_bytes(pw, "little")) and va % 4 == 0:
+            keyed.append(va)
+    c_off = ranges["C"][2]  # C and D sit back to back in the file too
+    blob[c_off + c_len - 5 : c_off + c_len - 5 + n] = KEY_DATA_PATTERN  # across C|D: no match
+    # the chain behind the record at A's first offset, both cells straddling B's edges
+    magic_cell = b_va + page - 4
+    assert poke(magic_cell, (a_va - pw).to_bytes(pw, "little"))
+    assert poke(b_va + 2 * page - 4, (magic_cell ^ HANDLE_XOR_CONSTANT).to_bytes(pw, "little"))
+
+    f = tmp_path / "windows.dmp"
+    f.write_bytes(bytes(blob))
+    f.with_name("windows.dmp.map.json").write_text(
+        json.dumps([{"va": va, "length": n_, "offset": off} for va, n_, off in ranges.values()])
+    )
+    needles = [KEY_DATA_PATTERN, (a_va - pw).to_bytes(pw, "little"),
+               (magic_cell ^ HANDLE_XOR_CONSTANT).to_bytes(pw, "little")]
+    with load_dump(f, "raw_with_map", pointer_width=pw) as dump:
+        wide = scan_key_candidates(dump)
+        wide_chain = [confirm_chain(dump, c) for c in wide]
+        monkeypatch.setattr(memscan_mod, "_SCAN_WINDOW", page)
+        for alignment in (1, 4):
+            for needle in needles:
+                want = _naive_find(dump, needle, alignment)
+                assert list(memscan_mod._find_aligned(dump, needle, alignment)) == want
+        assert [va for _, va in _naive_find(dump, KEY_DATA_PATTERN, 1)] == sorted(planted)
+        narrow = scan_key_candidates(dump)
+        assert narrow == wide
+        assert sorted(c.struct_va for c in narrow if c.key is not None) == sorted(keyed)
+        assert [confirm_chain(dump, c) for c in narrow] == wide_chain
+    assert wide_chain == [c.struct_va == a_va for c in wide]
+
+
+# Linux carries a process's high-water mark across exec, so a child of this
+# (large) test process would report this process's peak as its own. A bare
+# interpreter spawns the command instead and reports its wait4 usage.
+_PEAK_RSS_OF = """
+import json, os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps({"exit": os.waitstatus_to_exitcode(status), "maxrss_kib": usage.ru_maxrss}))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "wait4") or not hasattr(mmap, "MADV_DONTNEED") or sys.platform != "linux",
+    reason="needs os.wait4, MADV_DONTNEED and Linux's ru_maxrss in KiB",
+)
+def test_recover_key_memory_does_not_grow_with_the_dump(tmp_path, session_key):
+    """`recover-key` over a 128 MiB dump, in a process whose own peak
+    resident set must stay below half the dump's size."""
+    layout = random_dump_layout(5, container="raw", total_bytes=128 << 20, fill="random")
+    layout.chains[0].key = session_key
+    dump_path = tmp_path / "big.dmp"
+    write_synthetic_dump(layout, dump_path)
+    original = tmp_path / "original.dat"
+    original.write_bytes(b"evidence plaintext block " * 8)
+    encrypted = tmp_path / "encrypted.dat"
+    encrypted.write_bytes(original.read_bytes())
+    encrypt_file(encrypted, session_key, VictimBlock.zeros(), sandbox_root=tmp_path)
+
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = tmp_path / "report.json"
+    measured = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_OF, "-m", "avaddon_rescue.cli", "recover-key",
+         "--dump", str(dump_path), "--format", "raw", "--evidence-encrypted", str(encrypted),
+         "--evidence-original", str(original), "--key-out", str(tmp_path / "key.hex"),
+         "--out", str(report)],
+        env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE, check=True,
+        timeout=120,
+    )
+    child = json.loads(measured.stdout)
+    assert child["exit"] == 0
+    assert json.loads(report.read_text())["key_recovery"]["outcome"] == "found"
+    peak_mib = child["maxrss_kib"] / 1024
+    assert peak_mib < 64, f"recover-key peaked at {peak_mib:.1f} MiB on a 128 MiB dump"
