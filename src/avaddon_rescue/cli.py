@@ -37,7 +37,6 @@ from .emulator import (
 from .errors import AvaddonRescueError, SandboxViolation
 from .filecodec import SIDE_BY_SIDE_SUFFIX, decrypt_file, replace_atomically, walk_files
 from .memscan import (
-    DEFAULT_ALIGNMENT,
     DUMP_FORMATS,
     Evidence,
     RecoveryOutcome,
@@ -105,8 +104,8 @@ def _write_key_file(path: str, data: bytes) -> None:
     replace_atomically(path, lambda fh: fh.write(data))
 
 
-def _totals(rows: list[dict[str, Any]], wall_time: float, **extra: int) -> dict[str, Any]:
-    out = {
+def _totals(rows: list[dict[str, Any]], wall_time: float) -> dict[str, Any]:
+    return {
         "files_scanned": len(rows),
         # detect and decrypt rows carry original_length only for infected files
         "infected": sum(1 for r in rows if r.get("original_length") is not None),
@@ -117,8 +116,6 @@ def _totals(rows: list[dict[str, Any]], wall_time: float, **extra: int) -> dict[
         "bytes": sum(r.get("bytes_processed") or 0 for r in rows),
         "wall_time": round(wall_time, 3),
     }
-    out.update(extra)
-    return out
 
 
 def _exit_by_rows(totals: dict[str, Any]) -> None:
@@ -212,8 +209,6 @@ _KEY_SOURCE_OPTIONS = (
                  help="Sidecar VA map (raw_with_map)."),
     click.option("--pointer-width", type=click.Choice(["4", "8"]), default=None,
                  help="Override pointer width for raw dumps."),
-    click.option("--alignment", type=click.IntRange(min=1), default=DEFAULT_ALIGNMENT,
-                 show_default=True, help="Scan alignment step; use 1 for damaged dumps."),
     click.option("--evidence-encrypted", type=click.Path(exists=True, dir_okay=False),
                  help="One encrypted file to verify candidate keys against."),
     click.option("--evidence-original", type=click.Path(exists=True, dir_okay=False),
@@ -235,7 +230,6 @@ def _recover_from_dump(
     fmt: str,
     map_path: str | None,
     pointer_width: str | None,
-    alignment: int,
     evidence: Evidence,
 ) -> RecoveryResult:
     width = int(pointer_width) if pointer_width else None
@@ -244,7 +238,7 @@ def _recover_from_dump(
             f"scanning {dump} ({image.format}, {len(image.ranges)} ranges, "
             f"{image.pointer_width * 8}-bit)"
         )
-        return recover_key(image, evidence, alignment=alignment)
+        return recover_key(image, evidence)
 
 
 @cli.command("recover-key")
@@ -261,7 +255,6 @@ def cmd_recover_key(
     fmt: str,
     map_path: str | None,
     pointer_width: str | None,
-    alignment: int,
     evidence_encrypted: str | None,
     evidence_original: str | None,
     header_magic: bool,
@@ -273,7 +266,7 @@ def cmd_recover_key(
     """Scan a memory dump for the AES-256 session key and verify it."""
     started = time.perf_counter()
     evidence = _evidence_from_flags(evidence_encrypted, evidence_original, header_magic)
-    result = _recover_from_dump(dump, fmt, map_path, pointer_width, alignment, evidence)
+    result = _recover_from_dump(dump, fmt, map_path, pointer_width, evidence)
 
     if result.outcome is RecoveryOutcome.FOUND:
         assert result.key is not None
@@ -285,7 +278,6 @@ def cmd_recover_key(
         parameters={
             "dump": dump,
             "format": fmt,
-            "alignment": alignment,
             "evidence_encrypted": evidence_encrypted,
             "evidence_original": evidence_original,
             "header_magic": header_magic,
@@ -332,7 +324,6 @@ def cmd_decrypt(
     fmt: str,
     map_path: str | None,
     pointer_width: str | None,
-    alignment: int,
     evidence_encrypted: str | None,
     evidence_original: str | None,
     header_magic: bool,
@@ -361,7 +352,7 @@ def cmd_decrypt(
         if no_verify:
             raise click.UsageError("--no-verify requires --key-file")
         evidence = _evidence_from_flags(evidence_encrypted, evidence_original, header_magic)
-        result = _recover_from_dump(dump, fmt, map_path, pointer_width, alignment, evidence)
+        result = _recover_from_dump(dump, fmt, map_path, pointer_width, evidence)
         key_recovery = result.to_dict(include_key=False)
         if result.outcome is RecoveryOutcome.AMBIGUOUS:
             raise SystemExit(ExitCode.AMBIGUOUS_KEY)

@@ -21,7 +21,7 @@ import secrets
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
@@ -200,7 +200,7 @@ def plan_traversal(
     return planned
 
 
-def allowed_sandbox_roots(extra: Iterable[str | os.PathLike] = ()) -> list[Path]:
+def allowed_sandbox_roots() -> list[Path]:
     """Locations a sandbox may live under.
 
     Defaults to the system temp directory; the env var points at a config
@@ -215,7 +215,6 @@ def allowed_sandbox_roots(extra: Iterable[str | os.PathLike] = ()) -> list[Path]
                 roots.append(Path(line))
     else:
         roots.append(Path(tempfile.gettempdir()))
-    roots.extend(Path(p) for p in extra)
     return [p.resolve() for p in roots]
 
 
@@ -375,9 +374,9 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
 
     The manifest (also written to `<path>.manifest.json`) records every
     planted VA and the final file offsets so tests can assert translation
-    correctness without re-deriving the layout. The planted chains are
-    read back from the finished buffers as a self-check before anything
-    hits disk.
+    correctness without re-deriving the layout. Every planted structure is
+    read back through the finished container's VA map as a self-check
+    before anything hits disk.
     """
     if spec.pointer_width not in (4, 8):
         raise LayoutSpecError("pointer width must be 4 or 8")
@@ -409,33 +408,11 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
     ):
         raise LayoutSpecError("a declared range covers the reserved bad-pointer value")
 
-    # collect structure extents, validate containment and collisions
-    extents: list[tuple[int, int, str]] = []
-
-    def claim(va: int | None, size: int, what: str) -> None:
-        if va is None:
-            return
-        if not any(rva <= va and va + size <= rva + rlen for rva, rlen in ranges):
-            raise LayoutSpecError(f"{what} at {va:#x} does not fit inside any range")
-        extents.append((va, va + size, what))
-
-    for i, chain in enumerate(spec.chains):
-        claim(chain.hcryptkey_va, 12 * pw, f"chain{i}.hcryptkey")
-        claim(chain.magic_s_va, pw, f"chain{i}.magic_s")
-        claim(chain.key_data_va, 2 * pw + 12, f"chain{i}.key_data")
-        claim(chain.key_va, 32, f"chain{i}.key")
     for i, decoy in enumerate(spec.decoys):
         if decoy.kind not in ("wrong_key", "bad_pointer"):
             raise LayoutSpecError(f"unknown decoy kind {decoy.kind!r}")
-        claim(decoy.key_data_va, 2 * pw + 12, f"decoy{i}.key_data")
-        if decoy.kind == "wrong_key":
-            if decoy.key_va is None:
-                raise LayoutSpecError(f"decoy{i} of kind wrong_key needs a key_va")
-            claim(decoy.key_va, 32, f"decoy{i}.key")
-    extents.sort()
-    for (s_a, e_a, what_a), (s_b, _e_b, what_b) in zip(extents, extents[1:]):
-        if s_b < e_a:
-            raise LayoutSpecError(f"{what_a} and {what_b} collide at {s_b:#x}")
+        if decoy.kind == "wrong_key" and decoy.key_va is None:
+            raise LayoutSpecError(f"decoy{i} of kind wrong_key needs a key_va")
 
     # build per-range buffers
     def filler(length: int) -> bytearray:
@@ -449,32 +426,35 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
         return buf
 
     buffers = [filler(length) for _, length in ranges]
+    planted: list[tuple[int, bytes, str]] = []
 
-    def poke(va: int, data: bytes) -> None:
+    def poke(va: int, data: bytes, what: str) -> None:
         for buf, (rva, rlen) in zip(buffers, ranges):
             if rva <= va and va + len(data) <= rva + rlen:
                 buf[va - rva : va - rva + len(data)] = data
+                planted.append((va, data, what))
                 return
-        raise LayoutSpecError(f"write at {va:#x} falls outside every range")
+        raise LayoutSpecError(f"{what} at {va:#x} does not fit inside any range")
 
     true_keys = {chain.key.key_bytes for chain in spec.chains}
-    for chain in spec.chains:
-        poke(chain.key_data_va, _key_data_bytes(pw, chain.key_va))
-        poke(chain.key_va, chain.key.key_bytes)
+    for i, chain in enumerate(spec.chains):
+        poke(chain.key_data_va, _key_data_bytes(pw, chain.key_va), f"chain{i}.key_data")
+        poke(chain.key_va, chain.key.key_bytes, f"chain{i}.key")
         if chain.magic_s_va is not None:
-            poke(chain.magic_s_va, chain.key_data_va.to_bytes(pw, "little"))
+            poke(chain.magic_s_va, chain.key_data_va.to_bytes(pw, "little"), f"chain{i}.magic_s")
             if chain.hcryptkey_va is not None:
-                poke(chain.hcryptkey_va, _hcryptkey_bytes(pw, chain.magic_s_va))
+                poke(chain.hcryptkey_va, _hcryptkey_bytes(pw, chain.magic_s_va),
+                     f"chain{i}.hcryptkey")
     decoy_rows = []
-    for decoy in spec.decoys:
+    for i, decoy in enumerate(spec.decoys):
         if decoy.kind == "wrong_key":
             garbage = rng.randbytes(32)
             while garbage in true_keys:
                 garbage = rng.randbytes(32)
-            poke(decoy.key_data_va, _key_data_bytes(pw, decoy.key_va))
-            poke(decoy.key_va, garbage)
+            poke(decoy.key_data_va, _key_data_bytes(pw, decoy.key_va), f"decoy{i}.key_data")
+            poke(decoy.key_va, garbage, f"decoy{i}.key")
         else:
-            poke(decoy.key_data_va, _key_data_bytes(pw, bad_pointer))
+            poke(decoy.key_data_va, _key_data_bytes(pw, bad_pointer), f"decoy{i}.key_data")
         decoy_rows.append({"kind": decoy.kind, "key_data_va": decoy.key_data_va,
                            "key_va": decoy.key_va})
 
@@ -491,17 +471,17 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
         for rva, payload in va_payloads:
             mapped.append(MemoryRange(rva, len(payload), offset))
             offset += len(payload)
-    image = DumpImage(path, blob, mapped, pw, spec.container)
+    image = DumpImage(blob, mapped, pw, spec.container)
     range_rows = [{"va": r.va, "length": r.length, "offset": r.offset} for r in image.ranges]
 
-    # self-check: every planted invariant must hold in the final blob
-    for chain in spec.chains:
-        if image.read_va(chain.key_va, 32) != chain.key.key_bytes:
-            raise LayoutSpecError("self-check failed: key bytes not at planted offset")
-        if chain.magic_s_va is not None and chain.hcryptkey_va is not None:
-            handle = image.read_va(chain.hcryptkey_va, 12 * pw)
-            if handle != _hcryptkey_bytes(pw, chain.magic_s_va):
-                raise LayoutSpecError("self-check failed: handle XOR link broken")
+    # self-check: a structure that does not read back either collides with
+    # one planted after it or sits in a range the container misplaced
+    for va, data, what in planted:
+        if image.read_va(va, len(data)) != data:
+            raise LayoutSpecError(
+                f"self-check failed: {what} at {va:#x} does not read back "
+                f"(it collides with a later structure, or its range is misplaced)"
+            )
 
     path.write_bytes(blob)
     if spec.container == "raw_with_map":

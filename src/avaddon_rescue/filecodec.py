@@ -78,11 +78,17 @@ def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
     """Regular files under `roots`, depth-first in lexicographic order.
 
     A regular-file root yields itself, and paths keep the form the caller
-    gave. Symlinks inside a tree are never followed or yielded.
-    Unreadable directories are logged and skipped.
+    gave. A root that equals an earlier root, or lies inside another, is
+    dropped, so overlapping roots yield each file once. Symlinks inside a
+    tree are never followed or yielded. Unreadable directories are logged
+    and skipped.
     """
-    for root in roots:
-        root = Path(root)
+    roots = [Path(root) for root in roots]
+    real = [root.resolve() for root in roots]  # once per root, never per file
+    for i, root in enumerate(roots):
+        if any(real[i].is_relative_to(other) and (j < i or real[i] != other)
+               for j, other in enumerate(real)):
+            continue
         if root.is_file() and not root.is_symlink():
             yield root
         else:

@@ -45,7 +45,8 @@ KEY_DATA_PATTERN = struct.pack("<III", ALG_AES_256, KEY_FLAGS, KEY_SIZE)
 #: Mask applied to the key handle's last pointer field.
 HANDLE_XOR_CONSTANT = 0xE35A172C
 
-DEFAULT_ALIGNMENT = 4
+#: Pointer cells sit on 4-byte boundaries; the chain search skips the rest.
+POINTER_CELL_ALIGNMENT = 4
 
 #: Dump containers `load_dump` reads and `write_synthetic_dump` writes.
 DUMP_FORMATS = ("raw", "raw_with_map", "minidump")
@@ -73,20 +74,16 @@ class DumpImage:
 
     def __init__(
         self,
-        path: Path,
         data,  # mmap.mmap | bytes
         ranges: list[MemoryRange],
         pointer_width: int,
         fmt: str,
-        _file=None,
     ) -> None:
         if pointer_width not in (4, 8):
             raise DumpFormatError(f"pointer width must be 4 or 8, got {pointer_width}")
-        self.path = path
         self.data = data
         self.pointer_width = pointer_width
         self.format = fmt
-        self._file = _file
         for r in ranges:
             if min(r.va, r.length, r.offset) < 0:
                 raise DumpFormatError(
@@ -117,9 +114,6 @@ class DumpImage:
     def close(self) -> None:
         if isinstance(self.data, mmap.mmap):
             self.data.close()
-        if self._file is not None:
-            self._file.close()
-            self._file = None
 
     def range_of(self, va: int) -> MemoryRange | None:
         i = bisect.bisect_right(self._starts, va) - 1
@@ -192,13 +186,11 @@ def load_dump(
     raw flavors; for minidumps it is read from the system-info stream.
     """
     path = Path(path)
-    size = path.stat().st_size
-    fh = open(path, "rb")
-    data: mmap.mmap | bytes = b""
+    # the mapping holds its own descriptor, so the file closes here
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
     try:
-        if size:
-            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-
         if fmt == "auto":
             if size >= 4 and bytes(data[:4]) == MDMP_SIGNATURE:
                 fmt = "minidump"
@@ -207,26 +199,25 @@ def load_dump(
             else:
                 fmt = "raw"
 
+        width = pointer_width
         if fmt == "raw":
             ranges = [MemoryRange(0, size, 0)]
-            return DumpImage(path, data, ranges, pointer_width or 4, fmt, _file=fh)
-        if fmt == "raw_with_map":
+        elif fmt == "raw_with_map":
             side = Path(map_path) if map_path else default_map_path(path)
             if not side.exists():
                 raise DumpFormatError(f"sidecar map not found: {side}")
             ranges = _load_sidecar_map(side)
-            return DumpImage(path, data, ranges, pointer_width or 4, fmt, _file=fh)
-        if fmt == "minidump":
+        elif fmt == "minidump":
             if size < 4 or bytes(data[:4]) != MDMP_SIGNATURE:
                 raise DumpFormatError(f"{path} does not start with the MDMP signature")
             ranges, parsed_width = read_minidump(data)
-            width = parsed_width or pointer_width or 4
-            return DumpImage(path, data, ranges, width, fmt, _file=fh)
-        raise ValueError(f"unknown dump format {fmt!r}")
+            width = parsed_width or pointer_width
+        else:
+            raise ValueError(f"unknown dump format {fmt!r}")
+        return DumpImage(data, ranges, width or 4, fmt)
     except BaseException:
         if isinstance(data, mmap.mmap):
             data.close()
-        fh.close()
         raise
 
 
@@ -269,7 +260,7 @@ def _read_candidate_key(dump: DumpImage, key_ptr: int) -> tuple[SessionKey | Non
 _SCAN_WINDOW = 4 << 20
 
 
-def _find_aligned(dump: DumpImage, needle: bytes, alignment: int = DEFAULT_ALIGNMENT):
+def _find_aligned(dump: DumpImage, needle: bytes, alignment: int):
     """Yield (file offset, va) of every aligned occurrence of `needle`,
     range by range in VA order; a match never spans two ranges.
 
@@ -294,7 +285,7 @@ def _find_aligned(dump: DumpImage, needle: bytes, alignment: int = DEFAULT_ALIGN
             while (found := data.find(needle, pos, limit)) != -1:
                 pos = found + 1
                 va = rng.va + (found - rng.offset)
-                if alignment <= 1 or va % alignment == 0:
+                if va % alignment == 0:
                     yield found, va
             lo = start - start % mmap.PAGESIZE
             hi = stop - stop % mmap.PAGESIZE
@@ -302,18 +293,18 @@ def _find_aligned(dump: DumpImage, needle: bytes, alignment: int = DEFAULT_ALIGN
                 data.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
-def scan_key_candidates(
-    dump: DumpImage, *, alignment: int = DEFAULT_ALIGNMENT
-) -> list[KeyCandidate]:
+def scan_key_candidates(dump: DumpImage) -> list[KeyCandidate]:
     """Single linear pass over all mapped ranges for the key-data triple.
 
-    Every aligned pattern hit becomes a candidate even when its key
-    pointer cannot be resolved; candidates with identical key bytes are
-    collapsed to the first occurrence. An empty list is a normal result.
+    The triple is searched at every byte offset: verification, not the
+    scan, culls false hits. Every pattern hit becomes a candidate even
+    when its key pointer cannot be resolved; candidates with identical key
+    bytes are collapsed to the first occurrence. An empty list is a normal
+    result.
     """
     pw = dump.pointer_width
     hits: list[KeyCandidate] = []
-    for found, va in _find_aligned(dump, KEY_DATA_PATTERN, alignment):
+    for found, va in _find_aligned(dump, KEY_DATA_PATTERN, 1):
         cand = KeyCandidate(struct_offset=found, struct_va=va)
         # by VA, so a pointer that runs on into the next range is still read
         ptr = dump.read_va(va + len(KEY_DATA_PATTERN), pw)
@@ -349,9 +340,10 @@ def confirm_chain(dump: DumpImage, candidate: KeyCandidate) -> bool:
     key_data_va = candidate.struct_va - pw
     if not 0 <= key_data_va <= mask:  # no pointer cell can hold it
         return False
-    for _, magic_cell_va in _find_aligned(dump, key_data_va.to_bytes(pw, "little")):
+    step = POINTER_CELL_ALIGNMENT
+    for _, magic_cell_va in _find_aligned(dump, key_data_va.to_bytes(pw, "little"), step):
         masked = (magic_cell_va ^ HANDLE_XOR_CONSTANT) & mask
-        if next(_find_aligned(dump, masked.to_bytes(pw, "little")), None):
+        if next(_find_aligned(dump, masked.to_bytes(pw, "little"), step), None):
             return True
     return False
 
@@ -458,12 +450,7 @@ class RecoveryResult:
         }
 
 
-def recover_key(
-    dump: DumpImage,
-    evidence: Evidence,
-    *,
-    alignment: int = DEFAULT_ALIGNMENT,
-) -> RecoveryResult:
+def recover_key(dump: DumpImage, evidence: Evidence) -> RecoveryResult:
     """Scan, verify, and rank; return the single verified key if any.
 
     Never returns an unverified key; keyless candidates never verify. Two
@@ -475,7 +462,7 @@ def recover_key(
     dump holds.
     """
     evidence.challenge  # raises EvidenceError when the evidence is unusable
-    candidates = scan_key_candidates(dump, alignment=alignment)
+    candidates = scan_key_candidates(dump)
     for cand in candidates:
         cand.verified = cand.key is not None and verify_key(cand.key, evidence)
         if cand.verified:

@@ -64,30 +64,30 @@ def read_minidump(data: bytes | memoryview) -> tuple[list[MemoryRange], int | No
         raise DumpFormatError("stream directory extends past end of file")
 
     pointer_width: int | None = None
-    mem64_entry: tuple[int, int] | None = None
-    mem32_entry: tuple[int, int] | None = None
+    mem64_rva: int | None = None
+    mem32_rva: int | None = None
     for i in range(n_streams):
-        stream_type, size, rva = _DIR_ENTRY.unpack_from(data, dir_rva + i * _DIR_ENTRY.size)
+        stream_type, _size, rva = _DIR_ENTRY.unpack_from(data, dir_rva + i * _DIR_ENTRY.size)
         if stream_type == STREAM_SYSTEM_INFO:
             if rva + 2 > len(data):
                 raise DumpFormatError("system-info stream truncated")
             (arch,) = struct.unpack_from("<H", data, rva)
             pointer_width = 8 if arch == _ARCH_AMD64 else 4
         elif stream_type == STREAM_MEMORY64_LIST:
-            mem64_entry = (size, rva)
+            mem64_rva = rva
         elif stream_type == STREAM_MEMORY_LIST:
-            mem32_entry = (size, rva)
+            mem32_rva = rva
 
-    if mem64_entry is not None:
-        ranges = _read_memory64_list(data, *mem64_entry)
-    elif mem32_entry is not None:
-        ranges = _read_memory_list(data, *mem32_entry)
+    if mem64_rva is not None:
+        ranges = _read_memory64_list(data, mem64_rva)
+    elif mem32_rva is not None:
+        ranges = _read_memory_list(data, mem32_rva)
     else:
         raise UnusableDumpError("no memory-list stream; nothing to scan")
     return ranges, pointer_width
 
 
-def _read_memory64_list(data: bytes | memoryview, size: int, rva: int) -> list[MemoryRange]:
+def _read_memory64_list(data: bytes | memoryview, rva: int) -> list[MemoryRange]:
     if rva + 16 > len(data):
         raise DumpFormatError("64-bit memory list truncated")
     count, base_rva = struct.unpack_from("<QQ", data, rva)
@@ -104,7 +104,7 @@ def _read_memory64_list(data: bytes | memoryview, size: int, rva: int) -> list[M
     return ranges
 
 
-def _read_memory_list(data: bytes | memoryview, size: int, rva: int) -> list[MemoryRange]:
+def _read_memory_list(data: bytes | memoryview, rva: int) -> list[MemoryRange]:
     if rva + 4 > len(data):
         raise DumpFormatError("memory list truncated")
     (count,) = struct.unpack_from("<I", data, rva)

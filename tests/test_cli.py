@@ -216,6 +216,32 @@ def test_symlinks_never_reported_or_touched(runner, tmp_path, infected_sandbox, 
     assert {p: p.read_bytes() for p in outside.rglob("*") if p.is_file()} == outside_snapshot
 
 
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+@pytest.mark.parametrize("roots", [("T", "T/sub"), ("T/sub", "T"), ("T", "T")])
+def test_overlapping_roots_are_walked_once(runner, tmp_path, session_key, command, roots):
+    tree = tmp_path / "T"
+    letters = make_tree(tree, {f"{d}letter{i}.txt": f"letter {i} ".encode() * 80
+                               for d in ("", "sub/") for i in range(3)})
+    report = emulate_infection(tree, session_key, None, VictimBlock.zeros(),
+                               confirm_token=CONFIRM_TOKEN)
+    assert report.encrypted == 6
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+
+    argv = [command, *(str(tmp_path / root) for root in roots), "--json"]
+    if command == "decrypt":
+        argv += ["--key-file", str(key_file), "--no-verify", "--jobs", "4"]
+    result = runner.invoke(cli, argv)
+    assert result.exit_code == ExitCode.OK, result.output
+    payload = json.loads(result.stdout)
+    assert sorted(r["path"] for r in payload["rows"]) == sorted(map(str, letters))
+    assert payload["totals"]["files_scanned"] == 6
+    assert payload["totals"]["infected"] == 6
+    if command == "decrypt":
+        assert {r["status"] for r in payload["rows"]} == {"decrypted"}
+        assert all(path.read_bytes() == content for path, content in letters.items())
+
+
 def test_detect_nested_tree_rows_independent_of_walk_order(runner, tmp_path, session_key):
     # random_corpus nests files beside directories named d0..d5, so a walk
     # that lists a directory's files before its subdirectories and one that
@@ -503,19 +529,19 @@ def test_recover_key_requires_evidence(runner, tmp_path, session_dump, evidence_
     result = runner.invoke(cli, ["recover-key", "--dump", str(session_dump)])
     assert result.exit_code == 2  # usage error
 
+    # the scan step is not an option: the triple is searched at every offset
     encrypted, original = evidence_files
     key_out = tmp_path / "k.hex"
-    for alignment in ("0", "-4"):
-        result = runner.invoke(
-            cli,
-            [
-                "recover-key", "--dump", str(session_dump), "--alignment", alignment,
-                "--evidence-encrypted", str(encrypted), "--evidence-original", str(original),
-                "--key-out", str(key_out),
-            ],
-        )
-        assert result.exit_code == 2, (alignment, result.output)
-        assert not key_out.exists()
+    result = runner.invoke(
+        cli,
+        [
+            "recover-key", "--dump", str(session_dump), "--alignment", "4",
+            "--evidence-encrypted", str(encrypted), "--evidence-original", str(original),
+            "--key-out", str(key_out),
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    assert not key_out.exists()
 
 
 @pytest.mark.parametrize("command", ["recover-key", "decrypt"])
@@ -625,7 +651,8 @@ def test_decrypt_requires_exactly_one_key_source(
     result = runner.invoke(cli, ["decrypt", str(tmp_path)])
     assert result.exit_code == 2
 
-    # a worker count or scan step below 1 is a usage error, not a silent default
+    # a worker count below 1 is a usage error, not a silent default, and
+    # there is no scan-step option
     root, originals, _report = infected_sandbox
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
@@ -636,7 +663,7 @@ def test_decrypt_requires_exactly_one_key_source(
     for extra in (
         [*from_key_file, "--jobs", "0"],
         [*from_key_file, "--jobs", "-2"],
-        [*from_dump, "--alignment", "0"],
+        [*from_dump, "--alignment", "4"],
     ):
         result = runner.invoke(cli, ["decrypt", str(root), *extra])
         assert result.exit_code == 2, (extra, result.output)

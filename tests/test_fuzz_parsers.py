@@ -71,10 +71,10 @@ def test_fuzz_read_minidump(data):
     assert all(r.offset >= 0 and r.offset + r.length <= len(data) for r in ranges)
     # what parsed must also load, scan and chain-walk without a foreign error
     try:
-        dump = DumpImage(None, data, ranges, width or 4, "minidump")
+        dump = DumpImage(data, ranges, width or 4, "minidump")
     except AvaddonRescueError:
         return
-    for cand in scan_key_candidates(dump, alignment=1):
+    for cand in scan_key_candidates(dump):
         confirm_chain(dump, cand)
 
 

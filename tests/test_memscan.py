@@ -117,6 +117,35 @@ def test_load_raw_with_map_requires_sidecar(tmp_path):
         load_dump(f, "raw_with_map")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("container", ["raw", "raw_with_map", "minidump"])
+def test_loaded_dump_holds_one_descriptor(tmp_path, session_key, container):
+    """The mapping keeps its own descriptor; the file opened to map it is
+    closed before `load_dump` returns, and `close()` releases the rest."""
+    dump_path = tmp_path / "proc.dmp"
+    write_synthetic_dump(simple_chain_spec(session_key, container=container), dump_path)
+
+    def descriptors_on_dump() -> int:
+        count = 0
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                count += os.readlink(f"/proc/self/fd/{fd}") == str(dump_path.resolve())
+            except OSError:  # the descriptor listdir itself used
+                pass
+        return count
+
+    image = load_dump(dump_path)
+    try:
+        assert image.format == container
+        assert descriptors_on_dump() == 1
+    finally:
+        image.close()
+    assert descriptors_on_dump() == 0
+    with pytest.raises(DumpFormatError):
+        load_dump(dump_path, "minidump" if container != "minidump" else "raw_with_map")
+    assert descriptors_on_dump() == 0
+
+
 def test_sidecar_map_overlap_rejected(tmp_path):
     f = tmp_path / "overlap.dmp"
     f.write_bytes(bytes(4096))
@@ -213,7 +242,7 @@ def test_scan_finds_planted_key(tmp_path, session_key):
 
 
 def test_scan_alignment_step(tmp_path, session_key):
-    # a pattern at an unaligned va is skipped at step 4, found at step 1
+    # the triple is searched at every byte offset, so an unaligned record is found
     blob = bytearray(0x4000)
     misaligned = 0x1001
     blob[misaligned : misaligned + 12] = KEY_DATA_PATTERN
@@ -222,10 +251,9 @@ def test_scan_alignment_step(tmp_path, session_key):
     f = tmp_path / "unaligned.dmp"
     f.write_bytes(bytes(blob))
     with load_dump(f, "raw") as dump:
-        assert scan_key_candidates(dump) == []
-        loose = scan_key_candidates(dump, alignment=1)
-    assert len(loose) == 1
-    assert loose[0].key == session_key
+        found = scan_key_candidates(dump)
+    assert [c.struct_va for c in found] == [misaligned]
+    assert found[0].key == session_key
 
 
 def test_scan_dedups_by_key(tmp_path, session_key):
@@ -673,7 +701,7 @@ def test_windowed_scan_edges(tmp_path, monkeypatch):
     for i, va in enumerate(planted):
         assert poke(va, KEY_DATA_PATTERN)
         # a key pointer into range A's random bytes, where the range has room
-        if poke(va + n, (a_va + 0x40 * (i + 1)).to_bytes(pw, "little")) and va % 4 == 0:
+        if poke(va + n, (a_va + 0x40 * (i + 1)).to_bytes(pw, "little")):
             keyed.append(va)
     c_off = ranges["C"][2]  # C and D sit back to back in the file too
     blob[c_off + c_len - 5 : c_off + c_len - 5 + n] = KEY_DATA_PATTERN  # across C|D: no match
