@@ -15,10 +15,9 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Callable, Iterable
 
 import click
 
@@ -35,7 +34,7 @@ from .emulator import (
     write_synthetic_dump,
 )
 from .errors import AvaddonRescueError, SandboxViolation
-from .filecodec import SIDE_BY_SIDE_SUFFIX, decrypt_file, replace_atomically, walk_files
+from .filecodec import decrypt_file, replace_atomically, walk_files
 from .memscan import (
     DUMP_FORMATS,
     Evidence,
@@ -62,29 +61,22 @@ class ExitCode(IntEnum):
     GATE_REFUSAL = 7
 
 
-@dataclass
-class RunReport:
-    """Machine-readable result of one command invocation."""
-
-    command: str
-    parameters: dict[str, Any]
-    rows: list[dict[str, Any]] = field(default_factory=list)
-    key_recovery: dict[str, Any] | None = None
-    totals: dict[str, Any] = field(default_factory=dict)
-    schema_version: int = REPORT_SCHEMA_VERSION
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "parameters": self.parameters,
-            "rows": self.rows,
-            "key_recovery": self.key_recovery,
-            "totals": self.totals,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+def _report(
+    command: str,
+    parameters: dict[str, Any],
+    rows: list[dict[str, Any]],
+    key_recovery: dict[str, Any] | None,
+    totals: dict[str, Any],
+) -> dict[str, Any]:
+    """The versioned, machine-readable result of one command invocation."""
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "command": command,
+        "parameters": parameters,
+        "rows": rows,
+        "key_recovery": key_recovery,
+        "totals": totals,
+    }
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -118,17 +110,49 @@ def _totals(rows: list[dict[str, Any]], wall_time: float) -> dict[str, Any]:
     }
 
 
-def _exit_by_rows(totals: dict[str, Any]) -> None:
-    """Exit 6 when any row failed, else 3 when no row is infected, else 0."""
+def _exit_by_rows(totals: dict[str, Any]) -> ExitCode:
+    """6 when any row failed, else 3 when no row is infected, else 0."""
     if totals["failed"]:
-        raise SystemExit(ExitCode.PARTIAL_FAILURE)
+        return ExitCode.PARTIAL_FAILURE
     if totals["infected"] == 0:
-        raise SystemExit(ExitCode.NOTHING_INFECTED)
-    raise SystemExit(ExitCode.OK)
+        return ExitCode.NOTHING_INFECTED
+    return ExitCode.OK
+
+
+def _finish(report: dict[str, Any], as_json: bool, out: str | None, summary: Iterable[str],
+            code: ExitCode) -> None:
+    """Write `report` as JSON (with --json or --out) or print the `summary`
+    lines, then exit. A lazy `summary` is never built for a JSON report."""
+    if as_json or out:
+        _emit(json.dumps(report, indent=2) + "\n", out)
+    else:
+        for line in summary:
+            click.echo(line)
+    raise SystemExit(code)
+
+
+def _tree_rows(
+    paths: tuple[str, ...],
+    row: Callable[[Path], dict[str, Any]],
+    started: float,
+    map_: Callable,
+) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    """`row` of every file under `paths`, sorted by path, and their totals.
+
+    The walk finishes before the first `row` call, so a run never walks
+    its own outputs. `map_` gets one task per run of files in one
+    directory: workers that share a directory contend for it in the kernel
+    when they create and rename.
+    """
+    runs = [list(run) for _, run in itertools.groupby(walk_files(paths), key=lambda p: p.parent)]
+    done = map_(lambda run: [row(path) for path in run], runs)
+    rows = sorted(itertools.chain.from_iterable(done), key=lambda r: r["path"])
+    return rows, _totals(rows, time.perf_counter() - started)
 
 
 _OUT_OPTION = click.option("--out", type=click.Path(dir_okay=False),
                            help="Write the report to a file instead of stdout.")
+_JSON_OPTION = click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
 
 
 @click.group()
@@ -145,45 +169,29 @@ def cli(verbose: bool) -> None:
 
 @cli.command("detect")
 @click.argument("paths", nargs=-1, required=True, type=click.Path(exists=True))
-@click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
+@_JSON_OPTION
 @_OUT_OPTION
 def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
     """Recursively scan PATHS and report infected files."""
-    started = time.perf_counter()
-    rows: list[dict[str, Any]] = []
-    for path in walk_files(paths):
-        try:
-            found = probe(path)
-        except OSError as exc:
-            rows.append({"path": str(path), "status": "io_error", "detail": str(exc)})
-            continue
-        if found.trailer is not None:
-            rows.append({"path": str(path), "status": "infected",
-                         "original_length": found.trailer.original_length})
-        elif found.damage:
-            rows.append({"path": str(path), "status": "corrupt_trailer", "detail": found.damage})
-        else:
-            rows.append({"path": str(path), "status": "clean"})
-    rows.sort(key=lambda r: r["path"])
-    report = RunReport(
-        command="detect",
-        parameters={"paths": list(paths)},
-        rows=rows,
-        totals=_totals(rows, time.perf_counter() - started),
-    )
+    rows, totals = _tree_rows(paths, _detect_row, time.perf_counter(), map)
+    flagged = (f"{row['status']:>10}  {row['path']}" for row in rows if row["status"] != "clean")
+    scanned = (f"scanned {totals['files_scanned']} files: {totals['infected']} infected, "
+               f"{totals['failed']} failed")
+    _finish(_report("detect", {"paths": list(paths)}, rows, None, totals), as_json, out,
+            itertools.chain(flagged, [scanned]), _exit_by_rows(totals))
 
-    if as_json or out:
-        _emit(report.to_json(), out)
-    else:
-        for row in rows:
-            if row["status"] != "clean":
-                click.echo(f"{row['status']:>10}  {row['path']}")
-        t = report.totals
-        click.echo(
-            f"scanned {t['files_scanned']} files: {t['infected']} infected, "
-            f"{t['failed']} failed"
-        )
-    _exit_by_rows(report.totals)
+
+def _detect_row(path: Path) -> dict[str, Any]:
+    try:
+        found = probe(path)
+    except OSError as exc:
+        return {"path": str(path), "status": "io_error", "detail": str(exc)}
+    if found.trailer is not None:
+        return {"path": str(path), "status": "infected",
+                "original_length": found.trailer.original_length}
+    if found.damage:
+        return {"path": str(path), "status": "corrupt_trailer", "detail": found.damage}
+    return {"path": str(path), "status": "clean"}
 
 
 def _evidence_from_flags(
@@ -248,7 +256,7 @@ def _recover_from_dump(
 @click.option("--key-out", type=click.Path(dir_okay=False), default="avaddon_session_key.hex",
               show_default=True, help="Where to store the recovered key (mode 0600).")
 @click.option("--show-key", is_flag=True, help="Also print the key hex to the report.")
-@click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
+@_JSON_OPTION
 @_OUT_OPTION
 def cmd_recover_key(
     dump: str,
@@ -268,38 +276,29 @@ def cmd_recover_key(
     evidence = _evidence_from_flags(evidence_encrypted, evidence_original, header_magic)
     result = _recover_from_dump(dump, fmt, map_path, pointer_width, evidence)
 
+    summary = [f"outcome: {result.outcome}", f"candidates: {len(result.candidates)}"]
+    code = ExitCode.KEY_NOT_FOUND
     if result.outcome is RecoveryOutcome.FOUND:
         assert result.key is not None
         _write_key_file(key_out, f"{result.key.hex()}\n".encode())
         _status_note(f"key recovered and written to {key_out}")
+        summary.append(f"key file: {key_out}")
+        if show_key:
+            summary.append(f"key: {result.key.hex()}")
+        code = ExitCode.OK
+    elif result.outcome is RecoveryOutcome.AMBIGUOUS:
+        code = ExitCode.AMBIGUOUS_KEY
 
-    report = RunReport(
-        command="recover-key",
-        parameters={
-            "dump": dump,
-            "format": fmt,
-            "evidence_encrypted": evidence_encrypted,
-            "evidence_original": evidence_original,
-            "header_magic": header_magic,
-        },
-        key_recovery=result.to_dict(include_key=show_key),
-        totals={"wall_time": round(time.perf_counter() - started, 3)},
-    )
-    if as_json or out:
-        _emit(report.to_json(), out)
-    else:
-        click.echo(f"outcome: {result.outcome}")
-        click.echo(f"candidates: {len(result.candidates)}")
-        if result.outcome is RecoveryOutcome.FOUND:
-            click.echo(f"key file: {key_out}")
-            if show_key:
-                click.echo(f"key: {result.key.hex()}")
-
-    if result.outcome is RecoveryOutcome.FOUND:
-        raise SystemExit(ExitCode.OK)
-    if result.outcome is RecoveryOutcome.AMBIGUOUS:
-        raise SystemExit(ExitCode.AMBIGUOUS_KEY)
-    raise SystemExit(ExitCode.KEY_NOT_FOUND)
+    parameters = {
+        "dump": dump,
+        "format": fmt,
+        "evidence_encrypted": evidence_encrypted,
+        "evidence_original": evidence_original,
+        "header_magic": header_magic,
+    }
+    totals = {"wall_time": round(time.perf_counter() - started, 3)}
+    _finish(_report("recover-key", parameters, [], result.to_dict(include_key=show_key), totals),
+            as_json, out, summary, code)
 
 
 @cli.command("decrypt")
@@ -315,7 +314,7 @@ def cmd_recover_key(
               help="Replace infected files atomically, or write .decrypted copies.")
 @click.option("--jobs", type=click.IntRange(min=1), default=os.cpu_count() or 1,
               show_default="CPU count", help="Worker threads; each restores one directory.")
-@click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
+@_JSON_OPTION
 @_OUT_OPTION
 def cmd_decrypt(
     paths: tuple[str, ...],
@@ -360,35 +359,21 @@ def cmd_decrypt(
             raise SystemExit(ExitCode.KEY_NOT_FOUND)
         key = result.key
 
-    targets = [p for p in walk_files(paths) if not p.name.endswith(SIDE_BY_SIDE_SUFFIX)]
     policy = "in_place" if in_place else "side_by_side"
-    # one task per run of files in one directory: workers that share a
-    # directory contend for it in the kernel when they create and rename
-    runs = [list(run) for _, run in itertools.groupby(targets, key=lambda p: p.parent)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        done = pool.map(lambda run: [decrypt_file(p, key, policy).to_dict() for p in run], runs)
-        rows = sorted(itertools.chain.from_iterable(done), key=lambda r: r["path"])
-    report = RunReport(
-        command="decrypt",
-        parameters={
-            "paths": list(paths),
-            "output_policy": policy,
-            "jobs": jobs,
-            "key_source": "key_file" if key_file else "dump",
-        },
-        rows=rows,
-        key_recovery=key_recovery,
-        totals=_totals(rows, time.perf_counter() - started),
-    )
-    if as_json or out:
-        _emit(report.to_json(), out)
-    else:
-        t = report.totals
-        click.echo(
-            f"decrypted {t['decrypted']}/{t['infected']} infected files, {t['failed']} failed "
-            f"({t['bytes']} ciphertext bytes, {t['wall_time']}s)"
-        )
-    _exit_by_rows(report.totals)
+        rows, totals = _tree_rows(paths, lambda path: decrypt_file(path, key, policy).to_dict(),
+                                  started, pool.map)
+    parameters = {
+        "paths": list(paths),
+        "output_policy": policy,
+        "jobs": jobs,
+        "key_source": "key_file" if key_file else "dump",
+    }
+    summary = (f"decrypted {totals['decrypted']}/{totals['infected']} infected files, "
+               f"{totals['failed']} failed ({totals['bytes']} ciphertext bytes, "
+               f"{totals['wall_time']}s)")
+    _finish(_report("decrypt", parameters, rows, key_recovery, totals), as_json, out, [summary],
+            _exit_by_rows(totals))
 
 
 @cli.command("emulate")
@@ -409,7 +394,7 @@ def cmd_decrypt(
               help="Also write a synthetic memory dump embedding the session key.")
 @click.option("--dump-format", type=click.Choice(DUMP_FORMATS),
               default="minidump", show_default=True)
-@click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
+@_JSON_OPTION
 @_OUT_OPTION
 def cmd_emulate(
     sandbox: str,
@@ -461,30 +446,19 @@ def cmd_emulate(
         _status_note(f"synthetic dump written to {dump_out}")
 
     # no seed in the parameters: it derives the session key
-    report = RunReport(
-        command="emulate",
-        parameters={
-            "sandbox": infection.sandbox_root,
-            "priority_paths": list(priority_paths),
-            "dump_out": dump_out,
-            "dump_format": dump_format,
-        },
-        rows=[row.to_dict() for row in infection.rows],
-        totals={
-            **infection.totals(),
-            "wall_time": round(time.perf_counter() - started, 3),
-        },
-    )
-    if as_json or out:
-        _emit(report.to_json(), out)
-    else:
-        t = report.totals
-        click.echo(
-            f"encrypted {t['encrypted']}/{t['planned']} planned files "
-            f"({t['bytes_encrypted']} bytes, {t['wall_time']}s); "
-            f"{t['skipped_infected']} already infected, {t['errors']} errors"
-        )
-    raise SystemExit(ExitCode.PARTIAL_FAILURE if infection.errors else ExitCode.OK)
+    parameters = {
+        "sandbox": infection.sandbox_root,
+        "priority_paths": list(priority_paths),
+        "dump_out": dump_out,
+        "dump_format": dump_format,
+    }
+    totals = {**infection.totals(), "wall_time": round(time.perf_counter() - started, 3)}
+    summary = (f"encrypted {totals['encrypted']}/{totals['planned']} planned files "
+               f"({totals['bytes_encrypted']} bytes, {totals['wall_time']}s); "
+               f"{totals['skipped_infected']} already infected, {totals['errors']} errors")
+    rows = [row.to_dict() for row in infection.rows]
+    _finish(_report("emulate", parameters, rows, None, totals), as_json, out, [summary],
+            ExitCode.PARTIAL_FAILURE if infection.errors else ExitCode.OK)
 
 
 @cli.command("strings")

@@ -31,6 +31,7 @@ from .trailer import (
     VictimBlock,
     build_trailer,
     classify_open,
+    read_exact,
 )
 
 log = logging.getLogger(__name__)
@@ -78,10 +79,13 @@ def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
     """Regular files under `roots`, depth-first in lexicographic order.
 
     A regular-file root yields itself, and paths keep the form the caller
-    gave. A root that equals an earlier root, or lies inside another, is
-    dropped, so overlapping roots yield each file once. Symlinks inside a
-    tree are never followed or yielded. Unreadable directories are logged
-    and skipped.
+    gave. A root that is a symlink is followed, to a directory or to a
+    file; a file link yields its resolved target, so that a restore
+    replaces the target and the link keeps pointing at it. A root that
+    equals an earlier root, or lies inside another, is dropped, so
+    overlapping roots yield each file once. Symlinks inside a tree are
+    never followed or yielded. Unreadable directories are logged and
+    skipped.
     """
     roots = [Path(root) for root in roots]
     real = [root.resolve() for root in roots]  # once per root, never per file
@@ -89,10 +93,12 @@ def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
         if any(real[i].is_relative_to(other) and (j < i or real[i] != other)
                for j, other in enumerate(real)):
             continue
-        if root.is_file() and not root.is_symlink():
-            yield root
-        else:
+        if not root.is_file():
             yield from _walk_dir(root)
+        elif root.is_symlink():
+            yield real[i]
+        else:
+            yield root
 
 
 def _walk_dir(directory: Path) -> Iterator[Path]:
@@ -118,17 +124,10 @@ def _walk_dir(directory: Path) -> Iterator[Path]:
             yield child
 
 
-def _read_exact(src: BinaryIO, n: int) -> bytes:
-    data = src.read(n)
-    if len(data) != n:
-        raise OSError(f"file shrank while being read: wanted {n} bytes, got {len(data)}")
-    return data
-
-
 def _copy_exact(src: BinaryIO, dst: BinaryIO, n: int) -> None:
     """Copy the next `n` bytes of `src` to `dst`, 1 MiB at a time."""
     while n:
-        chunk = _read_exact(src, min(n, 1 << 20))
+        chunk = read_exact(src, min(n, 1 << 20))
         dst.write(chunk)
         n -= len(chunk)
 
@@ -205,7 +204,7 @@ def encrypt_file(
 
             def write_body(dst: BinaryIO) -> None:
                 nonlocal processed
-                processed = dst.write(encrypt_stream(key, _read_exact(src, prefix_len)))
+                processed = dst.write(encrypt_stream(key, read_exact(src, prefix_len)))
                 _copy_exact(src, dst, size - prefix_len)
                 dst.write(victim_block.data)
                 dst.write(build_trailer(size))
@@ -270,7 +269,7 @@ def decrypt_file(
             def write_body(dst: BinaryIO) -> None:
                 # classify checked the recorded length against the body, so
                 # the slice drops exactly the zero padding
-                dst.write(decrypt_stream(key, _read_exact(src, enc_prefix))[:original_length])
+                dst.write(decrypt_stream(key, read_exact(src, enc_prefix))[:original_length])
                 # untouched middle of a large file; stop before the appendix
                 _copy_exact(src, dst, body - enc_prefix)
 

@@ -82,11 +82,6 @@ def expected_body_length(original_length: int) -> int:
     return original_length
 
 
-def encrypted_file_size(original_length: int) -> int:
-    """Total on-disk size of an infected file with the given original length."""
-    return expected_body_length(original_length) + APPENDIX_LEN
-
-
 def parse_trailer(raw: bytes) -> Trailer:
     """Decode 24 trailer bytes.
 
@@ -157,10 +152,24 @@ def classify(size: int, tail: bytes) -> Classification:
     return Classification(trailer=trailer)
 
 
+def read_exact(fh: BinaryIO, n: int) -> bytes:
+    """The next `n` bytes of `fh`; OSError if the file ends first."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise OSError(f"file shrank while being read: wanted {n} bytes, got {len(data)}")
+    return data
+
+
 def classify_open(fh: BinaryIO, size: int) -> Classification:
-    """`classify` an open binary file of `size` bytes; moves its position."""
-    fh.seek(max(0, size - TRAILER_LEN))
-    return classify(size, fh.read(TRAILER_LEN))
+    """`classify` an open binary file of `size` bytes; moves its position.
+
+    Raises:
+        OSError: if the file is now shorter than `size`.
+    """
+    if size < APPENDIX_LEN:  # cannot be infected; spare the read
+        return classify(size, b"")
+    fh.seek(size - TRAILER_LEN)
+    return classify(size, read_exact(fh, TRAILER_LEN))
 
 
 def probe(path: str | os.PathLike) -> Classification:

@@ -41,10 +41,11 @@ from avaddon_rescue.memscan import (
 )
 from avaddon_rescue.strings import decode_string, encode_string
 from avaddon_rescue.trailer import (
+    APPENDIX_LEN,
     VictimBlock,
     build_trailer,
     classify,
-    encrypted_file_size,
+    expected_body_length,
     parse_trailer,
     probe,
 )
@@ -76,7 +77,7 @@ def test_criterion_1_golden_trailer():
     assert canonical[:8] == DOCUMENTED_LENGTH.to_bytes(8, "little")
     assert parse_trailer(canonical).original_length == DOCUMENTED_LENGTH
     # and classifies as infected on a file of the matching size
-    infected_size = encrypted_file_size(DOCUMENTED_LENGTH)
+    infected_size = expected_body_length(DOCUMENTED_LENGTH) + APPENDIX_LEN
     assert classify(infected_size, canonical).trailer == parse_trailer(canonical)
 
 
@@ -106,7 +107,7 @@ def test_criterion_2_round_trip_suite(tmp_path):
         f.write_bytes(content)
         enc = encrypt_file(f, key, BLOCK, sandbox_root=tmp_path)
         assert enc.status is FileStatus.ENCRYPTED
-        assert f.stat().st_size == encrypted_file_size(size), f"size law at {size}"
+        assert f.stat().st_size == expected_body_length(size) + APPENDIX_LEN, f"size law at {size}"
         dec = decrypt_file(f, key)
         assert dec.status is FileStatus.DECRYPTED
         assert f.read_bytes() == content, f"round trip at {size}"

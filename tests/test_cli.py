@@ -216,6 +216,76 @@ def test_symlinks_never_reported_or_touched(runner, tmp_path, infected_sandbox, 
     assert {p: p.read_bytes() for p in outside.rglob("*") if p.is_file()} == outside_snapshot
 
 
+def test_symlink_root_to_a_file_is_followed(runner, tmp_path, infected_sandbox, session_key):
+    root, originals, _report = infected_sandbox
+    target = root / "docs" / "file0.txt"
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+
+    result = runner.invoke(cli, ["detect", str(link), "--json"])
+    assert result.exit_code == ExitCode.OK, result.output
+    assert json.loads(result.stdout)["rows"] == [
+        {"path": str(target), "status": "infected", "original_length": len(originals[target])}
+    ]
+
+    result = runner.invoke(
+        cli, ["decrypt", str(link), "--key-file", str(key_file), "--no-verify", "--json"]
+    )
+    assert result.exit_code == ExitCode.OK, result.output
+    payload = json.loads(result.stdout)
+    assert [(r["path"], r["status"]) for r in payload["rows"]] == [(str(target), "decrypted")]
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == originals[target]
+    assert runner.invoke(cli, ["detect", str(link)]).exit_code == ExitCode.NOTHING_INFECTED
+
+
+def shrink_after_stat(monkeypatch, victim: Path) -> None:
+    """Truncate `victim` to 0 bytes right after the first stat that sees it
+    whole, as another process writing to it would."""
+    before = victim.stat()
+    for name in ("stat", "fstat"):
+        real = getattr(os, name)
+
+        def shrinking(*args, _real=real, **kwargs):
+            st = _real(*args, **kwargs)
+            if (st.st_dev, st.st_ino) == (before.st_dev, before.st_ino) and st.st_size:
+                os.truncate(victim, 0)
+            return st
+
+        monkeypatch.setattr(os, name, shrinking)
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_file_that_shrinks_while_read_is_an_io_error_row(runner, tmp_path, session_key,
+                                                         monkeypatch, command):
+    tree = tmp_path / "tree"
+    letters = make_tree(tree, {f"{name}.txt": f"{name} letter ".encode() * 60
+                               for name in ("a", "b", "c")})
+    emulate_infection(tree, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    argv = [command, str(tree), "--json"]
+    if command == "decrypt":
+        argv += ["--key-file", str(key_file), "--no-verify", "--jobs", "1"]
+
+    shrink_after_stat(monkeypatch, tree / "b.txt")
+    result = runner.invoke(cli, argv)
+    monkeypatch.undo()
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    payload = json.loads(result.stdout)
+    rows = {Path(r["path"]).name: r for r in payload["rows"]}
+    assert rows["b.txt"]["status"] == "io_error"
+    assert "file shrank" in rows["b.txt"]["detail"]
+    done = "decrypted" if command == "decrypt" else "infected"
+    assert (rows["a.txt"]["status"], rows["c.txt"]["status"]) == (done, done)
+    assert (payload["totals"]["files_scanned"], payload["totals"]["failed"]) == (3, 1)
+    if command == "decrypt":
+        for name in ("a.txt", "c.txt"):
+            assert (tree / name).read_bytes() == letters[tree / name]
+
+
 @pytest.mark.parametrize("command", ["detect", "decrypt"])
 @pytest.mark.parametrize("roots", [("T", "T/sub"), ("T/sub", "T"), ("T", "T")])
 def test_overlapping_roots_are_walked_once(runner, tmp_path, session_key, command, roots):
@@ -872,6 +942,7 @@ def test_detect_and_decrypt_agree_on_every_row(runner, tmp_path, session_key, mo
         root, {f"{name}.txt": f"{name} letter ".encode() * 60
                for name in ("infected", "flipped", "misfit", "denied")}
     )
+    letters |= make_tree(root, {"report.decrypted": b"an earlier run's output " * 60})
     emulate_infection(root, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
     make_tree(root, {"clean.bin": b"c" * 700, "short.bin": b"s" * (APPENDIX_LEN - 1)})
     flipped = bytearray((root / "flipped.txt").read_bytes())
@@ -893,6 +964,7 @@ def test_detect_and_decrypt_agree_on_every_row(runner, tmp_path, session_key, mo
     assert {Path(r["path"]).name: r["status"] for r in detected["rows"]} == {
         "clean.bin": "clean", "denied.txt": "io_error", "flipped.txt": "corrupt_trailer",
         "infected.txt": "infected", "misfit.txt": "corrupt_trailer", "short.bin": "clean",
+        "report.decrypted": "infected",
     }
     same_status = {"infected": "decrypted", "clean": "skipped_clean",
                    "corrupt_trailer": "corrupt_trailer", "io_error": "io_error"}
@@ -905,7 +977,8 @@ def test_detect_and_decrypt_agree_on_every_row(runner, tmp_path, session_key, mo
     for key in ("files_scanned", "infected", "failed"):
         assert detected["totals"][key] == restored["totals"][key], key
     assert detected["totals"]["failed"] == 3
-    assert (root / "infected.txt").read_bytes() == letters[root / "infected.txt"]
+    for name in ("infected.txt", "report.decrypted"):
+        assert (root / name).read_bytes() == letters[root / name]
 
 
 def test_decrypt_side_by_side_flag(runner, tmp_path, session_key):
@@ -915,16 +988,24 @@ def test_decrypt_side_by_side_flag(runner, tmp_path, session_key):
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
 
-    result = runner.invoke(
-        cli,
-        ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", "--side-by-side"],
-    )
+    argv = ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", "--side-by-side"]
+    result = runner.invoke(cli, argv)
     assert result.exit_code == ExitCode.OK, result.output
+    siblings = {}
     for path, content in originals.items():
         if path.suffix == ".txt":
             assert probe(path).trailer is not None  # source untouched
-            sibling = path.with_name(path.name + ".decrypted")
-            assert sibling.read_bytes() == content
+            siblings[path.with_name(path.name + ".decrypted")] = content
+    assert all(sibling.read_bytes() == content for sibling, content in siblings.items())
+
+    # a second run walks the first run's outputs, finds them clean, and
+    # writes no output of an output
+    result = runner.invoke(cli, [*argv, "--json"])
+    assert result.exit_code == ExitCode.OK, result.output
+    statuses = {r["path"]: r["status"] for r in json.loads(result.stdout)["rows"]}
+    assert {statuses[str(sibling)] for sibling in siblings} == {"skipped_clean"}
+    assert all(sibling.read_bytes() == content for sibling, content in siblings.items())
+    assert not list(box.rglob("*.decrypted.decrypted"))
 
 
 def test_version_flag(runner):

@@ -17,7 +17,7 @@ from avaddon_rescue.trailer import (
     ENCRYPTED_PREFIX_LIMIT,
     VictimBlock,
     build_trailer,
-    encrypted_file_size,
+    expected_body_length,
     parse_trailer,
     probe,
 )
@@ -42,7 +42,7 @@ def test_round_trip_identity(tmp_path, session_key, size):
     enc = encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
     assert enc.status is FileStatus.ENCRYPTED
     assert enc.original_length == size
-    assert f.stat().st_size == encrypted_file_size(size)
+    assert f.stat().st_size == expected_body_length(size) + APPENDIX_LEN
     assert probe(f).trailer is not None
     if size:
         assert f.read_bytes()[: min(16, size)] != content[: min(16, size)]

@@ -15,7 +15,6 @@ from avaddon_rescue.trailer import (
     build_trailer,
     ceil16,
     classify,
-    encrypted_file_size,
     expected_body_length,
     parse_trailer,
     probe,
@@ -121,7 +120,6 @@ def test_victim_block_length():
 )
 def test_expected_body_length(original, expected_body):
     assert expected_body_length(original) == expected_body
-    assert encrypted_file_size(original) == expected_body + APPENDIX_LEN
 
 
 def test_consistency_rule():
