@@ -16,6 +16,7 @@ ever disagrees, only this module's defaults need to change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -53,16 +54,18 @@ class SessionKey:
     def __repr__(self) -> str:  # keep key material out of logs and tracebacks
         return "SessionKey(<32 bytes>)"
 
+    @cached_property
+    def _zero_iv_cbc(self) -> Cipher:
+        """This key's zero-IV CBC cipher, built once; every stream takes a
+        fresh encryptor or decryptor from it, so none shares chaining state."""
+        return Cipher(algorithms.AES(self.key_bytes), modes.CBC(_ZERO_IV))
+
 
 def zero_pad16(data: bytes) -> bytes:
     """Zero-pad to the next block boundary (identity for aligned input)."""
     if len(data) % BLOCK_LEN == 0:
         return data
     return data + bytes(ceil16(len(data)) - len(data))
-
-
-def _zero_iv_cbc(key: SessionKey) -> Cipher:
-    return Cipher(algorithms.AES(key.key_bytes), modes.CBC(_ZERO_IV))
 
 
 def encrypt_stream(key: SessionKey, plaintext: bytes) -> bytes:
@@ -77,7 +80,7 @@ def encrypt_stream(key: SessionKey, plaintext: bytes) -> bytes:
             f"plaintext length {len(plaintext)} exceeds the encrypted prefix "
             f"limit {ENCRYPTED_PREFIX_LIMIT:#x}"
         )
-    return _zero_iv_cbc(key).encryptor().update(zero_pad16(plaintext))
+    return key._zero_iv_cbc.encryptor().update(zero_pad16(plaintext))
 
 
 def decrypt_stream(key: SessionKey, ciphertext: bytes) -> bytes:
@@ -88,4 +91,4 @@ def decrypt_stream(key: SessionKey, ciphertext: bytes) -> bytes:
     """
     if len(ciphertext) % BLOCK_LEN != 0:
         raise CipherError(f"ciphertext length {len(ciphertext)} is not a multiple of {BLOCK_LEN}")
-    return _zero_iv_cbc(key).decryptor().update(ciphertext)
+    return key._zero_iv_cbc.decryptor().update(ciphertext)

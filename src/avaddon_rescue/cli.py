@@ -93,7 +93,7 @@ def _status_note(message: str) -> None:
 def _write_key_file(path: str, data: bytes) -> None:
     """Write key material to a new mode-0600 sibling, then rename it over `path`,
     so that a reader holding an existing file there open never sees the key."""
-    replace_atomically(path, lambda fh: fh.write(data))
+    replace_atomically(path, [data])
 
 
 def _totals(rows: list[dict[str, Any]], wall_time: float) -> dict[str, Any]:
@@ -103,7 +103,7 @@ def _totals(rows: list[dict[str, Any]], wall_time: float) -> dict[str, Any]:
         "infected": sum(1 for r in rows if r.get("original_length") is not None),
         "decrypted": sum(1 for r in rows if r.get("status") == "decrypted"),
         "failed": sum(
-            1 for r in rows if r.get("status") in ("io_error", "corrupt_trailer")
+            1 for r in rows if r.get("status") in ("io_error", "corrupt_trailer", "wrong_key")
         ),
         "bytes": sum(r.get("bytes_processed") or 0 for r in rows),
         "wall_time": round(wall_time, 3),

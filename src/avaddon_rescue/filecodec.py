@@ -3,8 +3,10 @@
 Encryption touches only the first 0x100000 bytes of a file, leaves the
 remainder untouched, and appends the 512-byte victim block plus the
 24-byte trailer. Recovery reverses that: decrypt the encrypted prefix,
-drop its zero padding past the recorded original length, copy the
-remainder, and leave out the 536-byte appendix.
+check that its padding past the recorded original length is zero and
+drop it, copy the remainder, and leave out the 536-byte appendix. Every
+read is a `pread` on one raw descriptor and every write an `os.write` to
+one exclusively created temp file.
 
 Both directions write to a temporary sibling and replace atomically, so a
 crash mid-operation never leaves a half-written file as the only copy. The
@@ -13,15 +15,15 @@ replacement keeps the source file's owner, group, mode, atime and mtime.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import stat
-import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .cipher import SessionKey, decrypt_stream, encrypt_stream
 from .errors import SandboxViolation
@@ -30,13 +32,15 @@ from .trailer import (
     ENCRYPTED_PREFIX_LIMIT,
     VictimBlock,
     build_trailer,
-    classify_open,
-    read_exact,
+    classify_fd,
+    read_at,
 )
 
 log = logging.getLogger(__name__)
 
 _TMP_SUFFIX = ".avrescue-tmp"
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+_CHUNK_LEN = 1 << 20
 SIDE_BY_SIDE_SUFFIX = ".decrypted"
 
 
@@ -46,6 +50,7 @@ class FileStatus(str, Enum):
     SKIPPED_CLEAN = "skipped_clean"
     SKIPPED_INFECTED = "skipped_infected"
     CORRUPT_TRAILER = "corrupt_trailer"
+    WRONG_KEY = "wrong_key"
     IO_ERROR = "io_error"
 
     def __str__(self) -> str:
@@ -84,8 +89,9 @@ def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
     replaces the target and the link keeps pointing at it. A root that
     equals an earlier root, or lies inside another, is dropped, so
     overlapping roots yield each file once. Symlinks inside a tree are
-    never followed or yielded. Unreadable directories are logged and
-    skipped.
+    never followed or yielded. A root that is neither a regular file nor a
+    directory (a FIFO or a device), and unreadable directories, are logged
+    and skipped.
     """
     roots = [Path(root) for root in roots]
     real = [root.resolve() for root in roots]  # once per root, never per file
@@ -93,8 +99,15 @@ def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
         if any(real[i].is_relative_to(other) and (j < i or real[i] != other)
                for j, other in enumerate(real)):
             continue
-        if not root.is_file():
+        try:
+            mode = os.stat(root).st_mode
+        except OSError as exc:
+            log.warning("cannot stat %s: %s", root, exc)
+            continue
+        if stat.S_ISDIR(mode):
             yield from _walk_dir(root)
+        elif not stat.S_ISREG(mode):
+            log.warning("skipping %s: not a regular file or directory", root)
         elif root.is_symlink():
             yield real[i]
         else:
@@ -124,34 +137,41 @@ def _walk_dir(directory: Path) -> Iterator[Path]:
             yield child
 
 
-def _copy_exact(src: BinaryIO, dst: BinaryIO, n: int) -> None:
-    """Copy the next `n` bytes of `src` to `dst`, 1 MiB at a time."""
-    while n:
-        chunk = read_exact(src, min(n, 1 << 20))
-        dst.write(chunk)
-        n -= len(chunk)
+def _read_span(fd: int, start: int, end: int) -> Iterator[bytes]:
+    """Bytes `start` to `end` of the file open on `fd`, in 1 MiB `pread`s."""
+    for offset in range(start, end, _CHUNK_LEN):
+        yield read_at(fd, min(_CHUNK_LEN, end - offset), offset)
 
 
 def replace_atomically(
     path: str | os.PathLike,
-    write_body: Callable[[BinaryIO], object],
+    chunks: Iterable[bytes],
     source: os.stat_result | None = None,
 ) -> None:
-    """Write a replacement for `path` to a new temp sibling, then rename over it.
+    """Write `chunks` to a new temp sibling of `path`, then rename it over `path`.
 
-    `mkstemp` creates the temp `.<name>.<random><_TMP_SUFFIX>` with O_EXCL
-    and mode 0600, so it never follows a planted link. With `source`, the
-    stat result of the file the replacement was made from, the replacement
-    gets its owner, group, mode, atime and mtime; where the owner cannot be
-    copied, the set-id and sticky bits are dropped.
+    The temp `.<name>.<random hex><_TMP_SUFFIX>` is created exclusively,
+    with mode 0600 and without following a link, so a planted link or file
+    under its name is never written through. With `source`, the stat
+    result of the file the replacement was made from, the replacement gets
+    its owner, group, mode, atime and mtime; where the owner cannot be
+    copied, the set-id and sticky bits are dropped. Any failure removes
+    the temp.
     """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=_TMP_SUFFIX)
+    directory, name = os.path.split(os.fspath(path))
+    while True:
+        tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}{_TMP_SUFFIX}")
+        try:
+            fd = os.open(tmp, _TMP_FLAGS, 0o600)
+            break
+        except FileExistsError:
+            continue
     try:
-        with open(fd, "wb") as dst:
-            write_body(dst)
-            if source is not None:
-                dst.flush()  # so that no later write moves the mtime
+        try:
+            for chunk in chunks:
+                while chunk:
+                    chunk = chunk[os.write(fd, chunk):]
+            if source is not None:  # after the last write, so that none moves the mtime
                 mode = stat.S_IMODE(source.st_mode)
                 try:
                     os.fchown(fd, source.st_uid, source.st_gid)
@@ -159,10 +179,25 @@ def replace_atomically(
                     mode &= 0o777
                 os.fchmod(fd, mode)
                 os.utime(fd, ns=(source.st_atime_ns, source.st_mtime_ns))
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+
+
+def _row(
+    path: Path,
+    status: FileStatus,
+    started: float,
+    original_length: int | None = None,
+    processed: int = 0,
+    detail: str | None = None,
+) -> FileRecoveryReport:
+    """The report row of one file, timed from `started`."""
+    return FileRecoveryReport(str(path), status, original_length, processed,
+                              time.perf_counter() - started, detail)
 
 
 def encrypt_file(
@@ -186,46 +221,25 @@ def encrypt_file(
         raise SandboxViolation(f"{path} is not inside the sandbox root {root}")
 
     try:
-        with open(real, "rb") as src:
-            st = os.fstat(src.fileno())  # of the bytes read, even if the name is swapped
+        fd = os.open(real, os.O_RDONLY)
+        try:
+            st = os.fstat(fd)  # of the bytes read, even if the name is swapped
             size = st.st_size
-            trailer = classify_open(src, size).trailer
+            trailer = classify_fd(fd, size).trailer
             if trailer is not None:
-                return FileRecoveryReport(
-                    str(path),
-                    FileStatus.SKIPPED_INFECTED,
-                    original_length=trailer.original_length,
-                    duration_s=time.perf_counter() - started,
-                )
-
-            src.seek(0)
+                return _row(path, FileStatus.SKIPPED_INFECTED, started, trailer.original_length)
             prefix_len = min(size, ENCRYPTED_PREFIX_LIMIT)
-            processed = 0
-
-            def write_body(dst: BinaryIO) -> None:
-                nonlocal processed
-                processed = dst.write(encrypt_stream(key, read_exact(src, prefix_len)))
-                _copy_exact(src, dst, size - prefix_len)
-                dst.write(victim_block.data)
-                dst.write(build_trailer(size))
-
-            replace_atomically(real, write_body, st)
+            ciphertext = encrypt_stream(key, read_at(fd, prefix_len, 0))
+            appendix = [victim_block.data, build_trailer(size)]
+            replace_atomically(
+                real, itertools.chain([ciphertext], _read_span(fd, prefix_len, size), appendix), st
+            )
+        finally:
+            os.close(fd)
     except OSError as exc:
         log.warning("could not encrypt %s: %s", path, exc)
-        return FileRecoveryReport(
-            str(path),
-            FileStatus.IO_ERROR,
-            duration_s=time.perf_counter() - started,
-            detail=str(exc),
-        )
-
-    return FileRecoveryReport(
-        str(path),
-        FileStatus.ENCRYPTED,
-        original_length=size,
-        bytes_processed=processed,
-        duration_s=time.perf_counter() - started,
-    )
+        return _row(path, FileStatus.IO_ERROR, started, detail=str(exc))
+    return _row(path, FileStatus.ENCRYPTED, started, size, len(ciphertext))
 
 
 def decrypt_file(
@@ -237,8 +251,12 @@ def decrypt_file(
 
     `output_policy` is "in_place" (atomic replace of the infected file) or
     "side_by_side" (write `<name>.decrypted` next to it, source untouched).
-    Key validity is not judged here; a wrong key yields garbage content
-    with correct structure. Verification belongs to the memory-scan side.
+    The key is judged here only by the zero padding of a prefix shorter
+    than 1 MiB: padding that decrypts to anything but zeros proves the key
+    wrong, and the file is left untouched with a `wrong_key` row. A file
+    with no pad bytes (its length a multiple of 16, or at least 1 MiB)
+    cannot be checked, and a wrong key restores it to garbage with correct
+    structure. Verification belongs to the memory-scan side.
     """
     if output_policy not in ("in_place", "side_by_side"):
         raise ValueError(f"unknown output policy {output_policy!r}")
@@ -247,51 +265,35 @@ def decrypt_file(
     original_length: int | None = None
 
     try:
-        with open(path, "rb") as src:
-            st = os.fstat(src.fileno())  # of the bytes read, even if the name is swapped
-            size = st.st_size
-            found = classify_open(src, size)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            st = os.fstat(fd)  # of the bytes read, even if the name is swapped
+            found = classify_fd(fd, st.st_size)
             if found.trailer is None:
                 status = FileStatus.CORRUPT_TRAILER if found.damage else FileStatus.SKIPPED_CLEAN
-                return FileRecoveryReport(
-                    str(path),
-                    status,
-                    duration_s=time.perf_counter() - started,
-                    detail=found.damage,
-                )
+                return _row(path, status, started, detail=found.damage)
 
             original_length = found.trailer.original_length
-            body = size - APPENDIX_LEN
+            body = st.st_size - APPENDIX_LEN
             enc_prefix = min(body, ENCRYPTED_PREFIX_LIMIT)
-            src.seek(0)
-            processed = enc_prefix
-
-            def write_body(dst: BinaryIO) -> None:
-                # classify checked the recorded length against the body, so
-                # the slice drops exactly the zero padding
-                dst.write(decrypt_stream(key, read_exact(src, enc_prefix))[:original_length])
-                # untouched middle of a large file; stop before the appendix
-                _copy_exact(src, dst, body - enc_prefix)
-
+            plaintext = decrypt_stream(key, read_at(fd, enc_prefix, 0))
+            # classify checked the recorded length against the body, so
+            # what lies past it is exactly the zero padding
+            padding = plaintext[original_length:]
+            if any(padding):
+                return _row(path, FileStatus.WRONG_KEY, started, original_length,
+                            detail="padding past the recorded length is not zero")
             if output_policy == "in_place":
                 out_path = path
             else:
                 out_path = path.with_name(path.name + SIDE_BY_SIDE_SUFFIX)
-            replace_atomically(out_path, write_body, st)
+            # the untouched middle of a large file follows; stop before the appendix
+            rest = _read_span(fd, enc_prefix, body)
+            replace_atomically(out_path, itertools.chain([plaintext[:original_length]], rest), st)
+        finally:
+            os.close(fd)
     except OSError as exc:
         log.warning("could not decrypt %s: %s", path, exc)
-        return FileRecoveryReport(
-            str(path),
-            FileStatus.IO_ERROR,
-            original_length=original_length,
-            duration_s=time.perf_counter() - started,
-            detail=str(exc),
-        )
-
-    return FileRecoveryReport(
-        str(path),
-        FileStatus.DECRYPTED,
-        original_length=original_length,
-        bytes_processed=processed,
-        duration_s=time.perf_counter() - started,
-    )
+        return _row(path, FileStatus.IO_ERROR, started, original_length, detail=str(exc))
+    return _row(path, FileStatus.DECRYPTED, started, original_length, enc_prefix,
+                None if padding else "no pad bytes to check")

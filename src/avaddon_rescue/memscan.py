@@ -31,7 +31,7 @@ from .cipher import SessionKey, decrypt_stream
 from .errors import DumpFormatError, EvidenceError
 from .minidump import SIGNATURE as MDMP_SIGNATURE
 from .minidump import MemoryRange, read_minidump
-from .trailer import APPENDIX_LEN, ENCRYPTED_PREFIX_LIMIT, ceil16, classify_open
+from .trailer import APPENDIX_LEN, ENCRYPTED_PREFIX_LIMIT, ceil16, classify_fd, read_at
 
 log = logging.getLogger(__name__)
 
@@ -389,12 +389,13 @@ class Evidence:
         """(ciphertext prefix, plaintext it must decrypt to; None in header-magic mode).
 
         Read from the evidence file once, on first use and through one
-        handle, so verifying many candidates costs one small decrypt each.
+        descriptor, so verifying many candidates costs one small decrypt each.
         An `EvidenceError` is not cached and is raised again on the next use.
         """
-        with open(self.encrypted_path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            found = classify_open(fh, size)
+        fd = os.open(self.encrypted_path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            found = classify_fd(fd, size)
             if found.damage:
                 raise EvidenceError(f"{self.encrypted_path} has a damaged trailer: {found.damage}")
             if found.trailer is None:
@@ -410,8 +411,9 @@ class Evidence:
                 if len(want) < MIN_PLAINTEXT_MATCH:
                     raise EvidenceError("known plaintext shorter than the evidence file content")
                 ct_len = min(ceil16(len(want)), body, ENCRYPTED_PREFIX_LIMIT)
-            fh.seek(0)
-            return fh.read(ct_len), want
+            return read_at(fd, ct_len, 0), want
+        finally:
+            os.close(fd)
 
 
 def verify_key(key: SessionKey, evidence: Evidence) -> bool:

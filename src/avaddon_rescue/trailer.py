@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO
 
 from .errors import TrailerError
 
@@ -152,35 +151,37 @@ def classify(size: int, tail: bytes) -> Classification:
     return Classification(trailer=trailer)
 
 
-def read_exact(fh: BinaryIO, n: int) -> bytes:
-    """The next `n` bytes of `fh`; OSError if the file ends first."""
-    data = fh.read(n)
+def read_at(fd: int, n: int, offset: int) -> bytes:
+    """`n` bytes of the open descriptor `fd` from `offset`; OSError if the file ends first."""
+    data = os.pread(fd, n, offset)
     if len(data) != n:
         raise OSError(f"file shrank while being read: wanted {n} bytes, got {len(data)}")
     return data
 
 
-def classify_open(fh: BinaryIO, size: int) -> Classification:
-    """`classify` an open binary file of `size` bytes; moves its position.
+def classify_fd(fd: int, size: int) -> Classification:
+    """`classify` the file open on `fd`, of `size` bytes: one `pread` of its tail.
 
     Raises:
         OSError: if the file is now shorter than `size`.
     """
     if size < APPENDIX_LEN:  # cannot be infected; spare the read
         return classify(size, b"")
-    fh.seek(size - TRAILER_LEN)
-    return classify(size, read_exact(fh, TRAILER_LEN))
+    return classify(size, read_at(fd, TRAILER_LEN, size - TRAILER_LEN))
 
 
 def probe(path: str | os.PathLike) -> Classification:
     """`classify` the file at `path`.
 
-    One stat, and one open and 24-byte read only for files large enough
-    to carry the appendix. I/O problems propagate as OSError so callers
-    can tell "unreadable" from "clean".
+    One stat, and an open, one 24-byte `pread` and a close only for files
+    large enough to carry the appendix. I/O problems propagate as OSError
+    so callers can tell "unreadable" from "clean".
     """
     size = os.stat(path).st_size
     if size < APPENDIX_LEN:  # cannot be infected; spare the open
         return classify(size, b"")
-    with open(path, "rb") as fh:
-        return classify_open(fh, size)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return classify_fd(fd, size)
+    finally:
+        os.close(fd)

@@ -1,4 +1,3 @@
-import builtins
 import os
 import random
 from pathlib import Path
@@ -31,16 +30,32 @@ def make_tree(root: Path, files: dict[str, bytes]) -> dict[Path, bytes]:
 
 
 def deny_open(monkeypatch, target: Path) -> None:
-    """Make every builtin `open` of `target` fail with EACCES; root ignores
+    """Make every `os.open` of `target` fail with EACCES; root ignores
     mode bits, so the denial is simulated."""
-    real_open = builtins.open
+    real_open = os.open
 
     def flaky_open(file, *args, **kwargs):
-        if not isinstance(file, int) and os.fspath(file) == os.fspath(target):
+        if os.fspath(file) == os.fspath(target):
             raise PermissionError(13, "simulated denial", os.fspath(file))
         return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(builtins, "open", flaky_open)
+    monkeypatch.setattr(os, "open", flaky_open)
+
+
+def shrink_after_stat(monkeypatch, victim: Path) -> None:
+    """Truncate `victim` to 0 bytes right after the first stat that sees it
+    whole, as another process writing to it would."""
+    before = victim.stat()
+    for name in ("stat", "fstat"):
+        real = getattr(os, name)
+
+        def shrinking(*args, _real=real, **kwargs):
+            st = _real(*args, **kwargs)
+            if (st.st_dev, st.st_ino) == (before.st_dev, before.st_ino) and st.st_size:
+                os.truncate(victim, 0)
+            return st
+
+        monkeypatch.setattr(os, name, shrinking)
 
 
 def random_corpus(seed: int, n_files: int, min_size: int = 0, max_size: int = 4096) -> dict[str, bytes]:

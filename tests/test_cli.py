@@ -23,7 +23,7 @@ from avaddon_rescue.emulator import (
 from avaddon_rescue.filecodec import encrypt_file
 from avaddon_rescue.strings import encode_string
 from avaddon_rescue.trailer import APPENDIX_LEN, TRAILER_LEN, VictimBlock, build_trailer, probe
-from conftest import deny_open, make_tree, random_corpus
+from conftest import deny_open, make_tree, random_corpus, shrink_after_stat
 
 
 @pytest.fixture
@@ -164,6 +164,19 @@ def test_detect_unreadable_dir_is_logged(runner, infected_sandbox, monkeypatch, 
     )
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_root_is_skipped_with_its_cause(runner, tmp_path, caplog):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    with caplog.at_level(logging.WARNING):
+        result = runner.invoke(cli, ["detect", str(pipe)])
+    assert result.exit_code == ExitCode.NOTHING_INFECTED, result.output
+    assert "scanned 0 files" in result.stdout
+    assert [r.getMessage() for r in caplog.records if str(pipe) in r.getMessage()] == [
+        f"skipping {pipe}: not a regular file or directory"
+    ]
+
+
 def test_single_file_argument(runner, tmp_path, infected_sandbox, session_key):
     root, originals, _report = infected_sandbox
     target = root / "docs" / "file0.txt"
@@ -239,22 +252,6 @@ def test_symlink_root_to_a_file_is_followed(runner, tmp_path, infected_sandbox, 
     assert link.is_symlink() and link.resolve() == target
     assert target.read_bytes() == originals[target]
     assert runner.invoke(cli, ["detect", str(link)]).exit_code == ExitCode.NOTHING_INFECTED
-
-
-def shrink_after_stat(monkeypatch, victim: Path) -> None:
-    """Truncate `victim` to 0 bytes right after the first stat that sees it
-    whole, as another process writing to it would."""
-    before = victim.stat()
-    for name in ("stat", "fstat"):
-        real = getattr(os, name)
-
-        def shrinking(*args, _real=real, **kwargs):
-            st = _real(*args, **kwargs)
-            if (st.st_dev, st.st_ino) == (before.st_dev, before.st_ino) and st.st_size:
-                os.truncate(victim, 0)
-            return st
-
-        monkeypatch.setattr(os, name, shrinking)
 
 
 @pytest.mark.parametrize("command", ["detect", "decrypt"])
@@ -705,6 +702,40 @@ def test_decrypt_wrong_key_gate_refusal(runner, tmp_path, infected_sandbox, othe
     )
     assert result.exit_code == ExitCode.GATE_REFUSAL
     assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == infected_snapshot
+
+
+def test_decrypt_no_verify_wrong_key_refuses_padded_files(runner, tmp_path, session_key,
+                                                          other_key, monkeypatch):
+    # 1,020 and 3,001 bytes carry 4 and 7 pad bytes, which only the right key
+    # decrypts to zeros
+    tree = tmp_path / "tree"
+    make_tree(tree, {"a.txt": b"alpha " * 170, "sub/b.txt": b"b" * 3001})
+    emulate_infection(tree, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
+    infected = {p: p.read_bytes() for p in tree.rglob("*.txt")}
+    key_file = tmp_path / "wrong.hex"
+    key_file.write_text(other_key.hex())
+    created = []
+    real_open = os.open
+
+    def recording_open(file, flags, *args, **kwargs):
+        if flags & os.O_CREAT:
+            created.append(file)
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    result = runner.invoke(
+        cli, ["decrypt", str(tree), "--key-file", str(key_file), "--no-verify", "--json"]
+    )
+    monkeypatch.undo()
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    payload = json.loads(result.stdout)
+    assert {Path(r["path"]).name: r["status"] for r in payload["rows"]} == {
+        "a.txt": "wrong_key", "b.txt": "wrong_key"
+    }
+    totals = payload["totals"]
+    assert (totals["infected"], totals["decrypted"], totals["failed"]) == (2, 0, 2)
+    assert {p: p.read_bytes() for p in tree.rglob("*.txt")} == infected
+    assert created == []
 
 
 def test_decrypt_no_verify_requires_key_file(runner, tmp_path, session_dump):

@@ -1,26 +1,29 @@
-import builtins
 import os
 import random
 import stat
+from pathlib import Path
 
 import pytest
 
-from avaddon_rescue.errors import SandboxViolation
+from avaddon_rescue.errors import EvidenceError, SandboxViolation
 from avaddon_rescue.filecodec import (
     FileStatus,
     SIDE_BY_SIDE_SUFFIX,
     decrypt_file,
     encrypt_file,
 )
+from avaddon_rescue.memscan import Evidence
 from avaddon_rescue.trailer import (
     APPENDIX_LEN,
     ENCRYPTED_PREFIX_LIMIT,
     VictimBlock,
     build_trailer,
     expected_body_length,
+    TRAILER_LEN,
     parse_trailer,
     probe,
 )
+from conftest import deny_open, shrink_after_stat
 
 BLOCK = VictimBlock.zeros()
 
@@ -128,12 +131,15 @@ def test_decrypt_skips_clean_file(tmp_path, session_key):
 
 
 def test_decrypt_wrong_key_is_structural_only(tmp_path, session_key, other_key):
+    # a whole number of blocks carries no pad bytes, so no padding can
+    # prove the key wrong
     f = tmp_path / "sample.bin"
-    content = write_sample(f, 5000, seed=13)
+    content = write_sample(f, 4096, seed=13)
     encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
     report = decrypt_file(f, other_key)
     assert report.status is FileStatus.DECRYPTED
-    assert f.stat().st_size == 5000
+    assert report.detail == "no pad bytes to check"
+    assert f.stat().st_size == 4096
     assert f.read_bytes() != content
 
 
@@ -214,7 +220,7 @@ def test_restore_takes_the_mode_of_the_bytes_it_read(tmp_path, session_key, monk
     for f, mode in ((target, 0o644), (intruder, 0o640)):
         encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
         f.chmod(mode)
-    real_open = builtins.open
+    real_open = os.open
 
     def swapping_open(file, *args, **kwargs):
         # another infected file is renamed over the target just before the read
@@ -222,7 +228,7 @@ def test_restore_takes_the_mode_of_the_bytes_it_read(tmp_path, session_key, monk
             os.rename(intruder, target)
         return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(builtins, "open", swapping_open)
+    monkeypatch.setattr(os, "open", swapping_open)
     assert decrypt_file(target, session_key).status is FileStatus.DECRYPTED
     monkeypatch.undo()
     assert target.read_bytes() == swapped_in
@@ -289,3 +295,93 @@ def test_probe_matches_reports(tmp_path, session_key):
     encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
     trailer = probe(f).trailer
     assert trailer is not None and trailer.original_length == 1234
+
+
+# --- no descriptor outlives a call ------------------------------------------------
+
+FD_DIR = Path("/proc/self/fd")
+KINDS = ["clean", "short", "damaged", "infected"]
+
+
+def make_kind(tmp_path, key, kind):
+    """One file of `kind`: clean, too short to be infected, damaged trailer, or infected."""
+    f = tmp_path / f"{kind}.bin"
+    write_sample(f, APPENDIX_LEN - 1 if kind == "short" else 3000, seed=51)
+    if kind in ("damaged", "infected"):
+        encrypt_file(f, key, BLOCK, sandbox_root=tmp_path)
+    if kind == "damaged":
+        raw = bytearray(f.read_bytes())
+        raw[-TRAILER_LEN + 16] ^= 0xFF  # first byte of magic_b
+        f.write_bytes(bytes(raw))
+    return f
+
+
+def assert_closes_what_it_opens(call):
+    """`call()`, or the `EvidenceError` it raised, after checking that it
+    left as many descriptors open as it found."""
+    before = len(os.listdir(FD_DIR))
+    try:
+        result = call()
+    except EvidenceError as exc:
+        result = exc
+    assert len(os.listdir(FD_DIR)) == before
+    return result
+
+
+def fail(monkeypatch, name):
+    def boom(*args, **kwargs):
+        raise OSError(f"simulated {name} failure")
+
+    monkeypatch.setattr(os, name, boom)
+
+
+needs_fd_dir = pytest.mark.skipif(not FD_DIR.is_dir(), reason="needs /proc/self/fd")
+
+
+@needs_fd_dir
+@pytest.mark.parametrize("kind", KINDS)
+def test_probe_closes_every_descriptor(tmp_path, session_key, kind):
+    f = make_kind(tmp_path, session_key, kind)
+    assert_closes_what_it_opens(lambda: probe(f))
+
+
+@needs_fd_dir
+@pytest.mark.parametrize("outcome, status", [
+    ("clean", "skipped_clean"), ("short", "skipped_clean"), ("damaged", "corrupt_trailer"),
+    ("infected", "decrypted"), ("wrong_key", "wrong_key"), ("denied", "io_error"),
+    ("shrinks", "io_error"), ("write", "io_error"), ("utime", "io_error"), ("replace", "io_error"),
+])
+def test_decrypt_file_closes_every_descriptor(tmp_path, session_key, other_key, monkeypatch,
+                                              outcome, status):
+    f = make_kind(tmp_path, session_key, outcome if outcome in KINDS else "infected")
+    key = other_key if outcome == "wrong_key" else session_key
+    if outcome == "denied":
+        deny_open(monkeypatch, f)
+    elif outcome == "shrinks":
+        shrink_after_stat(monkeypatch, f)
+    elif status == "io_error":
+        fail(monkeypatch, outcome)
+    assert assert_closes_what_it_opens(lambda: decrypt_file(f, key)).status == status
+    monkeypatch.undo()
+    assert list(tmp_path.glob("*avrescue-tmp*")) == []
+
+
+@needs_fd_dir
+@pytest.mark.parametrize("outcome, status", [
+    ("clean", "encrypted"), ("infected", "skipped_infected"), ("write", "io_error"),
+])
+def test_encrypt_file_closes_every_descriptor(tmp_path, session_key, monkeypatch, outcome,
+                                              status):
+    f = make_kind(tmp_path, session_key, "infected" if outcome == "infected" else "clean")
+    if outcome == "write":
+        fail(monkeypatch, "write")
+    row = assert_closes_what_it_opens(lambda: encrypt_file(f, session_key, BLOCK,
+                                                           sandbox_root=tmp_path))
+    assert row.status == status
+
+
+@needs_fd_dir
+@pytest.mark.parametrize("kind", KINDS)
+def test_evidence_challenge_closes_every_descriptor(tmp_path, session_key, kind):
+    f = make_kind(tmp_path, session_key, kind)
+    assert_closes_what_it_opens(lambda: Evidence.from_header_magics(f).challenge)

@@ -12,6 +12,7 @@ import struct
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from avaddon_rescue.cipher import decrypt_stream
 from avaddon_rescue.errors import AvaddonRescueError
 from avaddon_rescue.filecodec import FileStatus, decrypt_file
 from avaddon_rescue.memscan import DumpImage, confirm_chain, load_dump, scan_key_candidates
@@ -161,10 +162,14 @@ def test_fuzz_probe_and_decrypt_agree_with_classify(tmp_path, session_key, data)
     f.write_bytes(data)
     verdict = classify(len(data), data[-TRAILER_LEN:])
     assert probe(f) == verdict
-    want = (
-        FileStatus.DECRYPTED if verdict.trailer
-        else FileStatus.CORRUPT_TRAILER if verdict.damage
-        else FileStatus.SKIPPED_CLEAN
-    )
     report = decrypt_file(f, session_key)
-    assert (report.status, report.detail) == (want, verdict.damage)
+    if verdict.trailer is None:
+        want = FileStatus.CORRUPT_TRAILER if verdict.damage else FileStatus.SKIPPED_CLEAN
+        assert (report.status, report.detail) == (want, verdict.damage)
+        return
+    # an infected file is restored unless its padding proves the key wrong
+    # (every body here is shorter than the encrypted-prefix limit)
+    n = verdict.trailer.original_length
+    padding = decrypt_stream(session_key, data[: len(data) - APPENDIX_LEN])[n:]
+    want = FileStatus.WRONG_KEY if any(padding) else FileStatus.DECRYPTED
+    assert (report.status, report.original_length) == (want, n)

@@ -1,4 +1,3 @@
-import builtins
 import json
 import mmap
 import os
@@ -569,13 +568,13 @@ def test_evidence_read_once(evidence_pair, session_key, other_key, monkeypatch):
     encrypted, original = evidence_pair
     evidence = Evidence.from_original(encrypted, original)
     opened = []
-    real_open = builtins.open
+    real_open = os.open
 
     def counting_open(file, *args, **kwargs):
         opened.append(file)
         return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(os, "open", counting_open)
     results = [verify_key(k, evidence) for k in (other_key, session_key) * 5]
     monkeypatch.undo()
     assert results == [False, True] * 5
