@@ -34,7 +34,14 @@ from .emulator import (
     write_synthetic_dump,
 )
 from .errors import AvaddonRescueError, SandboxViolation
-from .filecodec import decrypt_file, replace_atomically, walk_files
+from .filecodec import (
+    FileRecoveryReport,
+    FileStatus,
+    Run,
+    decrypt_file,
+    replace_atomically,
+    walk_runs,
+)
 from .memscan import (
     DUMP_FORMATS,
     Evidence,
@@ -48,6 +55,8 @@ from .strings import label_batch, parse_batch_input, rows_to_json, rows_to_tsv
 from .trailer import probe
 
 REPORT_SCHEMA_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 
 class ExitCode(IntEnum):
@@ -119,35 +128,84 @@ def _exit_by_rows(totals: dict[str, Any]) -> ExitCode:
     return ExitCode.OK
 
 
+def _render(report: dict[str, Any]) -> str:
+    """`report` as indented JSON with one row per line, each row written by
+    the C encoder; it parses to the same object as `json.dumps(report)`."""
+    fields = []
+    for key, value in report.items():
+        if key == "rows" and value:
+            text = "[\n" + ",\n".join("    " + json.dumps(row) for row in value) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 def _finish(report: dict[str, Any], as_json: bool, out: str | None, summary: Iterable[str],
             code: ExitCode) -> None:
     """Write `report` as JSON (with --json or --out) or print the `summary`
     lines, then exit. A lazy `summary` is never built for a JSON report."""
     if as_json or out:
-        _emit(json.dumps(report, indent=2) + "\n", out)
+        _emit(_render(report), out)
     else:
         for line in summary:
             click.echo(line)
     raise SystemExit(code)
 
 
+#: How `_run_rows` opens a run's directory: never through a link at its
+#: last component, and `_run_rows` checks the rest by the inode
+_DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
+
+RowFn = Callable[[str, str, int], dict[str, Any]]
+FailedFn = Callable[[str, str], dict[str, Any]]
+
+
 def _tree_rows(
     paths: tuple[str, ...],
-    row: Callable[[Path], dict[str, Any]],
+    row: RowFn,
+    failed: FailedFn,
     started: float,
     map_: Callable,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-    """`row` of every file under `paths`, sorted by path, and their totals.
+    """The rows of every file under `paths`, sorted by path, and their totals.
 
-    The walk finishes before the first `row` call, so a run never walks
-    its own outputs. `map_` gets one task per run of files in one
+    `row(path, name, dir_fd)` gives a file's row, with `name` relative to
+    its directory open on `dir_fd`; `failed(path, detail)` gives a failed
+    row. The walk finishes before the first `row` call, so a run never
+    walks its own outputs. `map_` gets one task per run of files in one
     directory: workers that share a directory contend for it in the kernel
     when they create and rename.
     """
-    runs = [list(run) for _, run in itertools.groupby(walk_files(paths), key=lambda p: p.parent)]
-    done = map_(lambda run: [row(path) for path in run], runs)
+    runs = list(walk_runs(paths))
+    done = map_(lambda run: _run_rows(run, row, failed), runs)
     rows = sorted(itertools.chain.from_iterable(done), key=lambda r: r["path"])
     return rows, _totals(rows, time.perf_counter() - started)
+
+
+def _run_rows(run: Run, row: RowFn, failed: FailedFn) -> list[dict[str, Any]]:
+    """The rows of one run, its directory open on one descriptor throughout.
+
+    A directory that cannot be opened, or is no longer the one the walk
+    listed (swapped for a link or for another directory), fails every
+    file of the run, and nothing inside it is opened.
+    """
+    rows = [failed(path, detail) for path, detail in run.failures]
+    if not run.names:
+        return rows
+    paths = [os.path.join(run.directory, name) for name in run.names]
+    try:
+        dir_fd = os.open(run.opened, _DIR_FLAGS)
+    except OSError as exc:
+        return rows + [failed(path, str(exc)) for path in paths]
+    try:
+        st = os.fstat(dir_fd)
+        if (st.st_dev, st.st_ino) != run.identity:
+            detail = f"{run.directory} is no longer the directory that was listed"
+            return rows + [failed(path, detail) for path in paths]
+        return rows + [row(path, name, dir_fd) for path, name in zip(paths, run.names)]
+    finally:
+        os.close(dir_fd)
 
 
 _OUT_OPTION = click.option("--out", type=click.Path(dir_okay=False),
@@ -173,7 +231,7 @@ def cli(verbose: bool) -> None:
 @_OUT_OPTION
 def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
     """Recursively scan PATHS and report infected files."""
-    rows, totals = _tree_rows(paths, _detect_row, time.perf_counter(), map)
+    rows, totals = _tree_rows(paths, _detect_row, _detect_failed, time.perf_counter(), map)
     flagged = (f"{row['status']:>10}  {row['path']}" for row in rows if row["status"] != "clean")
     scanned = (f"scanned {totals['files_scanned']} files: {totals['infected']} infected, "
                f"{totals['failed']} failed")
@@ -181,17 +239,21 @@ def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
             itertools.chain(flagged, [scanned]), _exit_by_rows(totals))
 
 
-def _detect_row(path: Path) -> dict[str, Any]:
+def _detect_row(path: str, name: str, dir_fd: int) -> dict[str, Any]:
     try:
-        found = probe(path)
+        found = probe(name, dir_fd=dir_fd)
     except OSError as exc:
-        return {"path": str(path), "status": "io_error", "detail": str(exc)}
+        return _detect_failed(path, str(exc))
     if found.trailer is not None:
-        return {"path": str(path), "status": "infected",
+        return {"path": path, "status": "infected",
                 "original_length": found.trailer.original_length}
     if found.damage:
-        return {"path": str(path), "status": "corrupt_trailer", "detail": found.damage}
-    return {"path": str(path), "status": "clean"}
+        return {"path": path, "status": "corrupt_trailer", "detail": found.damage}
+    return {"path": path, "status": "clean"}
+
+
+def _detect_failed(path: str, detail: str) -> dict[str, Any]:
+    return {"path": path, "status": "io_error", "detail": detail}
 
 
 def _evidence_from_flags(
@@ -360,9 +422,20 @@ def cmd_decrypt(
         key = result.key
 
     policy = "in_place" if in_place else "side_by_side"
+
+    def row(path: str, name: str, dir_fd: int) -> dict[str, Any]:
+        report = decrypt_file(name, key, policy, dir_fd=dir_fd)
+        report.path = path
+        if report.status is FileStatus.IO_ERROR:
+            log.warning("could not decrypt %s: %s", path, report.detail)
+        return report.to_dict()
+
+    def failed(path: str, detail: str) -> dict[str, Any]:
+        log.warning("could not decrypt %s: %s", path, detail)
+        return FileRecoveryReport(path, FileStatus.IO_ERROR, detail=detail).to_dict()
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows, totals = _tree_rows(paths, lambda path: decrypt_file(path, key, policy).to_dict(),
-                                  started, pool.map)
+        rows, totals = _tree_rows(paths, row, failed, started, pool.map)
     parameters = {
         "paths": list(paths),
         "output_policy": policy,

@@ -15,15 +15,18 @@ replacement keeps the source file's owner, group, mode, atime and mtime.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import itertools
 import logging
 import os
+import re
 import stat
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .cipher import SessionKey, decrypt_stream, encrypt_stream
 from .errors import SandboxViolation
@@ -39,7 +42,11 @@ from .trailer import (
 log = logging.getLogger(__name__)
 
 _TMP_SUFFIX = ".avrescue-tmp"
+#: `.<name>.<12 hex>.avrescue-tmp`, the name `replace_atomically` gives its temp
+_TMP_NAME = re.compile(r"\..+\.[0-9a-f]{12}" + re.escape(_TMP_SUFFIX), re.DOTALL)
+_STALE_TEMP_DETAIL = "leftover temp file of an interrupted restore; not probed"
 _TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+_READ_FLAGS = os.O_RDONLY | os.O_NOFOLLOW | os.O_CLOEXEC
 _CHUNK_LEN = 1 << 20
 SIDE_BY_SIDE_SUFFIX = ".decrypted"
 
@@ -80,18 +87,39 @@ class FileRecoveryReport:
         }
 
 
-def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
-    """Regular files under `roots`, depth-first in lexicographic order.
+class Run(NamedTuple):
+    """What the walk found in one directory, up to its next subdirectory.
 
-    A regular-file root yields itself, and paths keep the form the caller
-    gave. A root that is a symlink is followed, to a directory or to a
-    file; a file link yields its resolved target, so that a restore
+    `directory` is the directory as the caller wrote it, so a row's path is
+    `os.path.join(directory, name)`. `opened` is the same directory with
+    every link resolved when it was listed, and `identity` its
+    `(st_dev, st_ino)` then: a restore opens `opened` and checks that it
+    is still that directory. `names` are its regular files, in name order.
+    `failures` pairs a path with why it gets a failed row and no probe: a
+    directory that could not be listed, or a leftover temp file of an
+    interrupted restore.
+    """
+
+    directory: str
+    opened: str
+    identity: tuple[int, int] | None
+    names: list[str]
+    failures: list[tuple[str, str]]
+
+
+def walk_runs(roots: Iterable[str | os.PathLike]) -> Iterator[Run]:
+    """The files under `roots`, depth-first in lexicographic order, as runs
+    of files that share a directory.
+
+    A regular-file root is a run of itself, and paths keep the form the
+    caller gave. A root that is a symlink is followed, to a directory or to
+    a file; a file link yields its resolved target, so that a restore
     replaces the target and the link keeps pointing at it. A root that
     equals an earlier root, or lies inside another, is dropped, so
     overlapping roots yield each file once. Symlinks inside a tree are
     never followed or yielded. A root that is neither a regular file nor a
-    directory (a FIFO or a device), and unreadable directories, are logged
-    and skipped.
+    directory (a FIFO or a device) is logged and skipped; an unreadable
+    directory is logged and becomes a failure.
     """
     roots = [Path(root) for root in roots]
     real = [root.resolve() for root in roots]  # once per root, never per file
@@ -105,36 +133,60 @@ def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
             log.warning("cannot stat %s: %s", root, exc)
             continue
         if stat.S_ISDIR(mode):
-            yield from _walk_dir(root)
+            yield from _walk_dir(str(root), str(real[i]))
         elif not stat.S_ISREG(mode):
             log.warning("skipping %s: not a regular file or directory", root)
-        elif root.is_symlink():
-            yield real[i]
         else:
-            yield root
+            directory, name = os.path.split(real[i] if root.is_symlink() else root)
+            st = os.stat(real[i].parent)
+            yield Run(directory, str(real[i].parent), (st.st_dev, st.st_ino), [name], [])
 
 
-def _walk_dir(directory: Path) -> Iterator[Path]:
+def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
+    """The regular files of `walk_runs(roots)`, one path each; the failures
+    (unreadable directories, leftover temps) are left out."""
+    for run in walk_runs(roots):
+        for name in run.names:
+            yield Path(run.directory, name)
+
+
+def _walk_dir(directory: str, opened: str) -> Iterator[Run]:
     try:
-        with os.scandir(directory) as it:
+        st = os.stat(opened, follow_symlinks=False)
+        if not stat.S_ISDIR(st.st_mode):  # swapped for a link since its parent was listed
+            raise NotADirectoryError(errno.ENOTDIR, "no longer a directory", opened)
+        with os.scandir(opened) as it:
             entries = sorted(it, key=lambda e: e.name)
     except OSError as exc:
         log.warning("cannot list %s: %s", directory, exc)
+        yield Run(directory, opened, None, [], [(directory, f"cannot list directory: {exc}")])
         return
+    identity = (st.st_dev, st.st_ino)
+    names: list[str] = []
+    failures: list[tuple[str, str]] = []
     for entry in entries:
-        child = Path(entry.path)
         try:
             if entry.is_symlink():
                 continue
             is_dir = entry.is_dir(follow_symlinks=False)
             is_file = entry.is_file(follow_symlinks=False)
         except OSError as exc:
-            log.warning("cannot stat %s: %s", child, exc)
+            log.warning("cannot stat %s: %s", os.path.join(directory, entry.name), exc)
             continue
         if is_dir:
-            yield from _walk_dir(child)
-        elif is_file:
-            yield child
+            if names or failures:
+                yield Run(directory, opened, identity, names, failures)
+                names, failures = [], []
+            yield from _walk_dir(os.path.join(directory, entry.name),
+                                 os.path.join(opened, entry.name))
+        elif not is_file:
+            continue
+        elif entry.name.endswith(_TMP_SUFFIX) and _TMP_NAME.fullmatch(entry.name):
+            failures.append((os.path.join(directory, entry.name), _STALE_TEMP_DETAIL))
+        else:
+            names.append(entry.name)
+    if names or failures:
+        yield Run(directory, opened, identity, names, failures)
 
 
 def _read_span(fd: int, start: int, end: int) -> Iterator[bytes]:
@@ -147,6 +199,9 @@ def replace_atomically(
     path: str | os.PathLike,
     chunks: Iterable[bytes],
     source: os.stat_result | None = None,
+    *,
+    dir_fd: int | None = None,
+    overwrite: bool = True,
 ) -> None:
     """Write `chunks` to a new temp sibling of `path`, then rename it over `path`.
 
@@ -155,14 +210,17 @@ def replace_atomically(
     under its name is never written through. With `source`, the stat
     result of the file the replacement was made from, the replacement gets
     its owner, group, mode, atime and mtime; where the owner cannot be
-    copied, the set-id and sticky bits are dropped. Any failure removes
-    the temp.
+    copied, the set-id and sticky bits are dropped. Without `overwrite`,
+    the temp is published by a hard link that fails with FileExistsError
+    if `path` exists, which then keeps its bytes. As in `os`, a relative
+    `path` is taken relative to the directory open on `dir_fd`. Any
+    failure removes the temp.
     """
-    directory, name = os.path.split(os.fspath(path))
+    directory, name = os.path.split(path)
     while True:
         tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}{_TMP_SUFFIX}")
         try:
-            fd = os.open(tmp, _TMP_FLAGS, 0o600)
+            fd = os.open(tmp, _TMP_FLAGS, 0o600, dir_fd=dir_fd)
             break
         except FileExistsError:
             continue
@@ -181,14 +239,23 @@ def replace_atomically(
                 os.utime(fd, ns=(source.st_atime_ns, source.st_mtime_ns))
         finally:
             os.close(fd)
-        os.replace(tmp, path)
+        if overwrite:
+            os.replace(tmp, path, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
+        else:
+            try:
+                os.link(tmp, path, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
+            except FileExistsError:
+                raise FileExistsError(errno.EEXIST, "exists already; left as it was",
+                                      os.fspath(path)) from None
+            os.unlink(tmp, dir_fd=dir_fd)
     except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp, dir_fd=dir_fd)
         raise
 
 
 def _row(
-    path: Path,
+    path: str | os.PathLike,
     status: FileStatus,
     started: float,
     original_length: int | None = None,
@@ -246,26 +313,32 @@ def decrypt_file(
     path: str | os.PathLike,
     key: SessionKey,
     output_policy: str = "in_place",
+    *,
+    dir_fd: int | None = None,
 ) -> FileRecoveryReport:
     """Recover one infected file.
 
     `output_policy` is "in_place" (atomic replace of the infected file) or
-    "side_by_side" (write `<name>.decrypted` next to it, source untouched).
+    "side_by_side" (write `<name>.decrypted` next to it, source untouched;
+    an existing `<name>.decrypted` is never replaced, and the row fails).
     The key is judged here only by the zero padding of a prefix shorter
     than 1 MiB: padding that decrypts to anything but zeros proves the key
     wrong, and the file is left untouched with a `wrong_key` row. A file
     with no pad bytes (its length a multiple of 16, or at least 1 MiB)
     cannot be checked, and a wrong key restores it to garbage with correct
     structure. Verification belongs to the memory-scan side.
+
+    As in `os`, a relative `path` is taken relative to the directory open
+    on `dir_fd`, and every call on the file names it that way. A link at
+    `path` is never followed: it is an `io_error` row.
     """
     if output_policy not in ("in_place", "side_by_side"):
         raise ValueError(f"unknown output policy {output_policy!r}")
     started = time.perf_counter()
-    path = Path(path)
     original_length: int | None = None
 
     try:
-        fd = os.open(path, os.O_RDONLY)
+        fd = os.open(path, _READ_FLAGS, dir_fd=dir_fd)
         try:
             st = os.fstat(fd)  # of the bytes read, even if the name is swapped
             found = classify_fd(fd, st.st_size)
@@ -283,17 +356,17 @@ def decrypt_file(
             if any(padding):
                 return _row(path, FileStatus.WRONG_KEY, started, original_length,
                             detail="padding past the recorded length is not zero")
-            if output_policy == "in_place":
-                out_path = path
-            else:
-                out_path = path.with_name(path.name + SIDE_BY_SIDE_SUFFIX)
             # the untouched middle of a large file follows; stop before the appendix
             rest = _read_span(fd, enc_prefix, body)
-            replace_atomically(out_path, itertools.chain([plaintext[:original_length]], rest), st)
+            chunks = itertools.chain([plaintext[:original_length]], rest)
+            if output_policy == "in_place":
+                replace_atomically(path, chunks, st, dir_fd=dir_fd)
+            else:
+                replace_atomically(os.fspath(path) + SIDE_BY_SIDE_SUFFIX, chunks, st,
+                                   dir_fd=dir_fd, overwrite=False)
         finally:
             os.close(fd)
     except OSError as exc:
-        log.warning("could not decrypt %s: %s", path, exc)
         return _row(path, FileStatus.IO_ERROR, started, original_length, detail=str(exc))
     return _row(path, FileStatus.DECRYPTED, started, original_length, enc_prefix,
                 None if padding else "no pad bytes to check")

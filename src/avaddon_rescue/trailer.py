@@ -10,6 +10,7 @@ content-based only; file names and extensions are never consulted.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -170,18 +171,21 @@ def classify_fd(fd: int, size: int) -> Classification:
     return classify(size, read_at(fd, TRAILER_LEN, size - TRAILER_LEN))
 
 
-def probe(path: str | os.PathLike) -> Classification:
-    """`classify` the file at `path`.
+def probe(path: str | os.PathLike, *, dir_fd: int | None = None) -> Classification:
+    """`classify` the file at `path`, relative to the directory open on
+    `dir_fd` as in `os`.
 
-    One stat, and an open, one 24-byte `pread` and a close only for files
-    large enough to carry the appendix. I/O problems propagate as OSError
-    so callers can tell "unreadable" from "clean".
+    One `stat` that does not follow a link, and an open, one 24-byte
+    `pread` and a close for all but a regular file too small to carry the
+    appendix. The open does not follow a link either, so a link at `path`
+    raises. I/O problems propagate as OSError so callers can tell
+    "unreadable" from "clean".
     """
-    size = os.stat(path).st_size
-    if size < APPENDIX_LEN:  # cannot be infected; spare the open
-        return classify(size, b"")
-    fd = os.open(path, os.O_RDONLY)
+    st = os.stat(path, dir_fd=dir_fd, follow_symlinks=False)
+    if st.st_size < APPENDIX_LEN and stat.S_ISREG(st.st_mode):  # cannot be infected
+        return classify(st.st_size, b"")
+    fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_CLOEXEC, dir_fd=dir_fd)
     try:
-        return classify_fd(fd, size)
+        return classify_fd(fd, st.st_size)
     finally:
         os.close(fd)

@@ -30,14 +30,20 @@ def make_tree(root: Path, files: dict[str, bytes]) -> dict[Path, bytes]:
 
 
 def deny_open(monkeypatch, target: Path) -> None:
-    """Make every `os.open` of `target` fail with EACCES; root ignores
-    mode bits, so the denial is simulated."""
-    real_open = os.open
+    """Make every `os.open` of `target`, by its path or by a name relative
+    to a `dir_fd`, fail with EACCES; root ignores mode bits, so the denial
+    is simulated."""
+    real_open, real_stat = os.open, os.stat
+    before = real_stat(target)
 
-    def flaky_open(file, *args, **kwargs):
-        if os.fspath(file) == os.fspath(target):
+    def flaky_open(file, *args, dir_fd=None, **kwargs):
+        try:
+            st = real_stat(file, dir_fd=dir_fd, follow_symlinks=False)
+        except OSError:
+            st = None
+        if st is not None and (st.st_dev, st.st_ino) == (before.st_dev, before.st_ino):
             raise PermissionError(13, "simulated denial", os.fspath(file))
-        return real_open(file, *args, **kwargs)
+        return real_open(file, *args, dir_fd=dir_fd, **kwargs)
 
     monkeypatch.setattr(os, "open", flaky_open)
 

@@ -97,10 +97,10 @@ def test_detect_unreadable_file_partial_failure(runner, infected_sandbox, monkey
     root, _originals, _report = infected_sandbox
     real_probe = cli_mod.probe
 
-    def flaky_probe(path):
-        if path.name == "file0.txt":
+    def flaky_probe(path, **kwargs):
+        if os.path.basename(path) == "file0.txt":
             raise PermissionError("simulated denial")
-        return real_probe(path)
+        return real_probe(path, **kwargs)
 
     monkeypatch.setattr(cli_mod, "probe", flaky_probe)
     result = runner.invoke(cli, ["detect", str(root), "--json"])
@@ -152,12 +152,14 @@ def test_detect_unreadable_dir_is_logged(runner, infected_sandbox, monkeypatch, 
     monkeypatch.setattr(os, "scandir", flaky_scandir)
     with caplog.at_level(logging.WARNING):
         result = runner.invoke(cli, ["detect", str(root), "--json"])
-    assert result.exit_code == ExitCode.OK
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE
     payload = json.loads(result.stdout)
     assert [r["path"] for r in payload["rows"]] == sorted(
-        str(p) for p in (root / "docs").iterdir()
+        str(p) for p in [*(root / "docs").iterdir(), root / "keep"]
     )
-    assert payload["totals"]["infected"] == report.encrypted
+    (row,) = [r for r in payload["rows"] if r["path"] == str(root / "keep")]
+    assert row["status"] == "io_error" and "cannot list directory" in row["detail"]
+    assert (payload["totals"]["infected"], payload["totals"]["failed"]) == (report.encrypted, 1)
     assert any(
         "cannot list" in r.getMessage() and str(root / "keep") in r.getMessage()
         for r in caplog.records
@@ -254,6 +256,28 @@ def test_symlink_root_to_a_file_is_followed(runner, tmp_path, infected_sandbox, 
     assert runner.invoke(cli, ["detect", str(link)]).exit_code == ExitCode.NOTHING_INFECTED
 
 
+def test_symlink_root_to_a_directory_keeps_the_link_in_row_paths(runner, tmp_path,
+                                                                   infected_sandbox, session_key):
+    # the restore opens each directory without following a link at its
+    # last component, so it must go through the root link's target
+    root, originals, _report = infected_sandbox
+    link = tmp_path / "link"
+    link.symlink_to(root, target_is_directory=True)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+
+    result = runner.invoke(
+        cli, ["decrypt", str(link), "--key-file", str(key_file), "--no-verify", "--json"]
+    )
+    assert result.exit_code == ExitCode.OK, result.output
+    rows = {r["path"]: r["status"] for r in json.loads(result.stdout)["rows"]}
+    assert rows == {str(link / path.relative_to(root)):
+                    "decrypted" if path.suffix == ".txt" else "skipped_clean"
+                    for path in originals}
+    assert all(path.read_bytes() == content for path, content in originals.items())
+    assert link.is_symlink()
+
+
 @pytest.mark.parametrize("command", ["detect", "decrypt"])
 def test_file_that_shrinks_while_read_is_an_io_error_row(runner, tmp_path, session_key,
                                                          monkeypatch, command):
@@ -343,6 +367,145 @@ def test_detect_nested_tree_rows_independent_of_walk_order(runner, tmp_path, ses
     assert (totals["files_scanned"], totals["infected"], totals["failed"]) == (
         len(listing), report.encrypted, 0
     )
+
+
+def after_the_walk(monkeypatch, action):
+    """Run `action` once `detect` or `decrypt` has walked its tree, before it
+    opens anything in it: both hand the walk's runs to a map."""
+    pool = cli_mod.ThreadPoolExecutor
+
+    def walked_map(fn, runs):
+        runs = list(runs)
+        action()
+        return map(fn, runs)
+
+    class WalkedPool(pool):
+        def map(self, fn, runs):
+            runs = list(runs)
+            action()
+            return super().map(fn, runs)
+
+    monkeypatch.setattr(cli_mod, "map", walked_map, raising=False)
+    monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", WalkedPool)
+
+
+def infected_letters(root, session_key, rels, text="letter"):
+    letters = make_tree(root, {rel: f"{text} {rel} ".encode() * 80 for rel in rels})
+    emulate_infection(root, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
+    return letters
+
+
+@pytest.mark.parametrize("swap", ["symlink", "directory"])
+def test_restore_never_enters_a_directory_swapped_after_the_walk(runner, tmp_path, session_key,
+                                                                 monkeypatch, swap):
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt", "sub/a.txt", "sub/b.txt"])
+    # an infected file of the same name outside the evidence tree
+    outside = tmp_path / "outside"
+    infected_letters(outside, session_key, ["a.txt"], text="outside")
+    outside_bytes = (outside / "a.txt").read_bytes()
+    sub_bytes = {p.name: p.read_bytes() for p in (tree / "sub").iterdir()}
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+
+    def swap_sub():
+        (tree / "sub").rename(tmp_path / "moved")
+        if swap == "symlink":
+            (tree / "sub").symlink_to(outside, target_is_directory=True)
+        else:
+            outside.rename(tree / "sub")
+
+    after_the_walk(monkeypatch, swap_sub)
+    result = runner.invoke(
+        cli, ["decrypt", str(tree), "--key-file", str(key_file), "--no-verify", "--json"]
+    )
+    monkeypatch.undo()
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    rows = {os.path.relpath(r["path"], tree): r for r in json.loads(result.stdout)["rows"]}
+    assert {rel: r["status"] for rel, r in rows.items()} == {
+        "a.txt": "decrypted", "sub/a.txt": "io_error", "sub/b.txt": "io_error"
+    }
+    assert (tree / "a.txt").read_bytes() == letters[tree / "a.txt"]
+    now_outside = outside if swap == "symlink" else tree / "sub"
+    assert {p.name: p.read_bytes() for p in now_outside.iterdir()} == {"a.txt": outside_bytes}
+    assert {p.name: p.read_bytes() for p in (tmp_path / "moved").iterdir()} == sub_bytes
+    assert not list(tmp_path.rglob("*.avrescue-tmp"))
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_walked_file_swapped_for_a_link_is_an_io_error_row(runner, tmp_path, session_key,
+                                                           monkeypatch, command):
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt", "b.txt"])
+    outside = tmp_path / "outside"
+    infected_letters(outside, session_key, ["target.txt"], text="outside")
+    target_bytes = (outside / "target.txt").read_bytes()
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    argv = [command, str(tree), "--json"]
+    if command == "decrypt":
+        argv += ["--key-file", str(key_file), "--no-verify"]
+
+    def swap_b():
+        (tree / "b.txt").unlink()
+        (tree / "b.txt").symlink_to(outside / "target.txt")
+
+    after_the_walk(monkeypatch, swap_b)
+    result = runner.invoke(cli, argv)
+    monkeypatch.undo()
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    rows = {Path(r["path"]).name: r for r in json.loads(result.stdout)["rows"]}
+    done = "decrypted" if command == "decrypt" else "infected"
+    assert (rows["a.txt"]["status"], rows["b.txt"]["status"]) == (done, "io_error")
+    assert "Too many levels of symbolic links" in rows["b.txt"]["detail"]
+    assert (tree / "b.txt").is_symlink()
+    assert (outside / "target.txt").read_bytes() == target_bytes
+    if command == "decrypt":
+        assert (tree / "a.txt").read_bytes() == letters[tree / "a.txt"]
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_stale_temps_and_unlistable_directories_are_failed_rows(runner, tmp_path, session_key,
+                                                                monkeypatch, command):
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt", "locked/b.txt"])
+    # what an interrupted restore can leave: a temp that still carries a
+    # valid trailer, which must never be probed or restored
+    stale = tree / ".a.txt.0123456789ab.avrescue-tmp"
+    shutil.copyfile(tree / "a.txt", stale)
+    stale_bytes = stale.read_bytes()
+    locked_bytes = (tree / "locked" / "b.txt").read_bytes()
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    argv = [command, str(tree), "--json"]
+    if command == "decrypt":
+        argv += ["--key-file", str(key_file), "--no-verify"]
+    real_scandir = os.scandir
+
+    def flaky_scandir(path):
+        if str(path).endswith("locked"):  # root ignores mode bits: simulate the denial
+            raise PermissionError(13, "simulated denial", str(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", flaky_scandir)
+    result = runner.invoke(cli, argv)
+    monkeypatch.undo()
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    payload = json.loads(result.stdout)
+    rows = {os.path.relpath(r["path"], tree): r for r in payload["rows"]}
+    done = "decrypted" if command == "decrypt" else "infected"
+    assert {rel: r["status"] for rel, r in rows.items()} == {
+        "a.txt": done, "locked": "io_error", stale.name: "io_error"
+    }
+    assert "cannot list directory" in rows["locked"]["detail"]
+    assert "simulated denial" in rows["locked"]["detail"]
+    assert "leftover temp file" in rows[stale.name]["detail"]
+    totals = payload["totals"]
+    assert (totals["files_scanned"], totals["infected"], totals["failed"]) == (3, 1, 2)
+    assert stale.read_bytes() == stale_bytes
+    assert (tree / "locked" / "b.txt").read_bytes() == locked_bytes
+    if command == "decrypt":
+        assert (tree / "a.txt").read_bytes() == letters[tree / "a.txt"]
 
 
 # --- strings -----------------------------------------------------------------
@@ -846,10 +1009,10 @@ def test_decrypt_partial_failure_exit_code(runner, tmp_path, session_key, monkey
     from avaddon_rescue.filecodec import FileRecoveryReport, FileStatus
     real_decrypt = cli_mod.decrypt_file
 
-    def flaky_decrypt(path, key, policy):
-        if path.name == "file1.txt":
+    def flaky_decrypt(path, key, policy, **kwargs):
+        if os.path.basename(path) == "file1.txt":
             return FileRecoveryReport(str(path), FileStatus.IO_ERROR, detail="simulated")
-        return real_decrypt(path, key, policy)
+        return real_decrypt(path, key, policy, **kwargs)
 
     monkeypatch.setattr(cli_mod, "decrypt_file", flaky_decrypt)
     result = runner.invoke(
@@ -870,10 +1033,10 @@ def test_decrypt_write_failure_still_counts_as_infected(runner, tmp_path, sessio
     failing = box / "docs" / "file1.txt"
     real_replace = os.replace
 
-    def flaky_replace(src, dst):
-        if Path(dst) == failing:
+    def flaky_replace(src, dst, **kwargs):
+        if os.path.basename(dst) == failing.name:
             raise OSError("simulated disk full")
-        return real_replace(src, dst)
+        return real_replace(src, dst, **kwargs)
 
     monkeypatch.setattr(os, "replace", flaky_replace)
     result = runner.invoke(
@@ -1030,13 +1193,22 @@ def test_decrypt_side_by_side_flag(runner, tmp_path, session_key):
     assert all(sibling.read_bytes() == content for sibling, content in siblings.items())
 
     # a second run walks the first run's outputs, finds them clean, and
-    # writes no output of an output
+    # writes no output of an output; it never replaces an output either,
+    # so the operator's edits to one survive, and each source whose output
+    # exists is a failed row that names it
+    edited = next(iter(siblings))
+    edited.write_bytes(b"the operator's notes")
+    siblings[edited] = b"the operator's notes"
     result = runner.invoke(cli, [*argv, "--json"])
-    assert result.exit_code == ExitCode.OK, result.output
-    statuses = {r["path"]: r["status"] for r in json.loads(result.stdout)["rows"]}
-    assert {statuses[str(sibling)] for sibling in siblings} == {"skipped_clean"}
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    rows = {r["path"]: r for r in json.loads(result.stdout)["rows"]}
+    assert {rows[str(sibling)]["status"] for sibling in siblings} == {"skipped_clean"}
+    for sibling in siblings:
+        row = rows[str(sibling)[:-len(".decrypted")]]
+        assert row["status"] == "io_error" and sibling.name in row["detail"], row
     assert all(sibling.read_bytes() == content for sibling, content in siblings.items())
     assert not list(box.rglob("*.decrypted.decrypted"))
+    assert not list(box.rglob("*.avrescue-tmp"))
 
 
 def test_version_flag(runner):

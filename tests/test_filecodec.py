@@ -1,10 +1,14 @@
+import json
 import os
 import random
 import stat
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from avaddon_rescue.cli import ExitCode, cli
+from avaddon_rescue.emulator import CONFIRM_TOKEN, emulate_infection
 from avaddon_rescue.errors import EvidenceError, SandboxViolation
 from avaddon_rescue.filecodec import (
     FileStatus,
@@ -23,7 +27,7 @@ from avaddon_rescue.trailer import (
     parse_trailer,
     probe,
 )
-from conftest import deny_open, shrink_after_stat
+from conftest import deny_open, make_tree, shrink_after_stat
 
 BLOCK = VictimBlock.zeros()
 
@@ -385,3 +389,34 @@ def test_encrypt_file_closes_every_descriptor(tmp_path, session_key, monkeypatch
 def test_evidence_challenge_closes_every_descriptor(tmp_path, session_key, kind):
     f = make_kind(tmp_path, session_key, kind)
     assert_closes_what_it_opens(lambda: Evidence.from_header_magics(f).challenge)
+
+
+@needs_fd_dir
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_tree_commands_close_every_descriptor(tmp_path, session_key, monkeypatch, command):
+    # one descriptor per directory: 40 of them, one of which fails to open
+    tree = tmp_path / "tree"
+    make_tree(tree, {f"d{i:02d}/f{j}.txt": f"file {i}.{j} ".encode() * 60
+                     for i in range(40) for j in range(2)})
+    emulate_infection(tree, session_key, None, BLOCK, confirm_token=CONFIRM_TOKEN)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    argv = [command, str(tree), "--json"]
+    if command == "decrypt":
+        argv += ["--key-file", str(key_file), "--no-verify"]
+    real_open = os.open
+
+    def flaky_open(file, flags, *args, **kwargs):
+        if flags & os.O_DIRECTORY and os.fspath(file).endswith("d07"):
+            raise PermissionError(13, "simulated denial", os.fspath(file))
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", flaky_open)
+    result = assert_closes_what_it_opens(lambda: CliRunner().invoke(cli, argv))
+    monkeypatch.undo()
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    rows = json.loads(result.stdout)["rows"]
+    failed = {Path(r["path"]).relative_to(tree).as_posix() for r in rows
+              if r["status"] == "io_error"}
+    assert failed == {"d07/f0.txt", "d07/f1.txt"}
+    assert len(rows) == 80
