@@ -8,16 +8,18 @@ unless --show-key is passed.
 
 from __future__ import annotations
 
-import itertools
+import collections
+import contextlib
+import functools
 import json
 import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from enum import IntEnum
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import click
 
@@ -70,29 +72,111 @@ class ExitCode(IntEnum):
     GATE_REFUSAL = 7
 
 
-def _report(
-    command: str,
-    parameters: dict[str, Any],
-    rows: list[dict[str, Any]],
-    key_recovery: dict[str, Any] | None,
-    totals: dict[str, Any],
-) -> dict[str, Any]:
-    """The versioned, machine-readable result of one command invocation."""
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "rows": rows,
-        "key_recovery": key_recovery,
-        "totals": totals,
-    }
+#: Row statuses that count as failed
+_FAILED = ("io_error", "corrupt_trailer", "wrong_key")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        click.echo(text, nl=False)
+def _field(key: str, value: Any) -> str:
+    """One top-level field of a report, as `json.dumps(..., indent=2)` writes it."""
+    return f"  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+class _Report:
+    """One command's report, written while the command runs.
+
+    With --json or --out it is the versioned JSON envelope: the head when
+    the report opens, each row on its own line (by the C encoder) as it
+    arrives, then `key_recovery` and the totals. The text parses to the
+    same object as `json.dumps` of the whole report, and a run killed
+    midway leaves a truncated report that holds every row written. Without
+    either flag, `line(row)` gives the line a row prints, if any, and the
+    summary follows. `counts` are the tree commands' totals so far.
+
+    The --out file is opened when the report is, before any tree is
+    walked: a report that cannot be written stops the command before it
+    touches a file, and `outside` keeps the report out of its own rows.
+    """
+
+    def __init__(self, command: str, parameters: dict[str, Any], as_json: bool,
+                 out: str | None, line: Callable[[dict[str, Any]], str | None] | None = None
+                 ) -> None:
+        self.counts = {"files_scanned": 0, "infected": 0, "decrypted": 0, "failed": 0, "bytes": 0}
+        self._line = line
+        self._json = as_json or bool(out)
+        self._file = open(out, "w") if out else None
+        if self._json:
+            head = [_field("schema_version", REPORT_SCHEMA_VERSION), _field("command", command),
+                    _field("parameters", parameters)]
+            try:
+                self._write("{\n" + ",\n".join(head) + ',\n  "rows": [')
+            except BaseException:
+                self.__exit__()
+                raise
+
+    def __enter__(self) -> "_Report":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._file is not None:
+            self._file.close()
+
+    def _write(self, text: str) -> None:
+        # click.echo flushes, so a killed run leaves every row written so far
+        click.echo(text, file=self._file, nl=False)
+
+    def outside(self, runs: Iterable[Run]) -> Iterator[Run]:
+        """`runs` without the report file: the name it has in the directory
+        it was opened in, while that name is its (st_dev, st_ino)."""
+        if self._file is None:
+            yield from runs
+            return
+        st = os.fstat(self._file.fileno())
+        own = (st.st_dev, st.st_ino)
+        directory, name = os.path.split(os.path.realpath(self._file.name))
+        st = os.stat(directory)
+        for run in runs:
+            if run.identity == (st.st_dev, st.st_ino) and name in run.names:
+                with contextlib.suppress(OSError):  # gone: its row will say so
+                    found = os.stat(os.path.join(run.opened, name), follow_symlinks=False)
+                    if (found.st_dev, found.st_ino) == own:
+                        run = run._replace(names=[n for n in run.names if n != name])
+            if run.names or run.failures:
+                yield run
+
+    def add(self, rows: list[dict[str, Any]]) -> None:
+        """Write `rows` and count them into the totals."""
+        counts = self.counts
+        written = counts["files_scanned"]
+        for row in rows:
+            counts["files_scanned"] += 1
+            # detect and decrypt rows carry original_length only for infected files
+            counts["infected"] += row.get("original_length") is not None
+            counts["decrypted"] += row["status"] == "decrypted"
+            counts["failed"] += row["status"] in _FAILED
+            counts["bytes"] += row.get("bytes_processed") or 0
+        if self._json:
+            if rows:
+                lead = ",\n    " if written else "\n    "
+                self._write(lead + ",\n    ".join(map(json.dumps, rows)))
+        elif self._line is not None:
+            for row in rows:
+                if (text := self._line(row)) is not None:
+                    click.echo(text)
+
+    def totals(self, started: float) -> dict[str, Any]:
+        """The counts so far, and the wall time since `started`."""
+        return {**self.counts, "wall_time": round(time.perf_counter() - started, 3)}
+
+    def finish(self, key_recovery: dict[str, Any] | None, totals: dict[str, Any],
+               summary: Iterable[str]) -> None:
+        """Close the envelope with `key_recovery` and `totals`, or print `summary`."""
+        if self._json:
+            self._write(("\n  ]" if self.counts["files_scanned"] else "]") + ",\n"
+                        + _field("key_recovery", key_recovery) + ",\n"
+                        + _field("totals", totals) + "\n}\n")
+        else:
+            for line in summary:
+                click.echo(line)
 
 
 def _status_note(message: str) -> None:
@@ -105,20 +189,6 @@ def _write_key_file(path: str, data: bytes) -> None:
     replace_atomically(path, [data])
 
 
-def _totals(rows: list[dict[str, Any]], wall_time: float) -> dict[str, Any]:
-    return {
-        "files_scanned": len(rows),
-        # detect and decrypt rows carry original_length only for infected files
-        "infected": sum(1 for r in rows if r.get("original_length") is not None),
-        "decrypted": sum(1 for r in rows if r.get("status") == "decrypted"),
-        "failed": sum(
-            1 for r in rows if r.get("status") in ("io_error", "corrupt_trailer", "wrong_key")
-        ),
-        "bytes": sum(r.get("bytes_processed") or 0 for r in rows),
-        "wall_time": round(wall_time, 3),
-    }
-
-
 def _exit_by_rows(totals: dict[str, Any]) -> ExitCode:
     """6 when any row failed, else 3 when no row is infected, else 0."""
     if totals["failed"]:
@@ -128,34 +198,17 @@ def _exit_by_rows(totals: dict[str, Any]) -> ExitCode:
     return ExitCode.OK
 
 
-def _render(report: dict[str, Any]) -> str:
-    """`report` as indented JSON with one row per line, each row written by
-    the C encoder; it parses to the same object as `json.dumps(report)`."""
-    fields = []
-    for key, value in report.items():
-        if key == "rows" and value:
-            text = "[\n" + ",\n".join("    " + json.dumps(row) for row in value) + "\n  ]"
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
-
-
-def _finish(report: dict[str, Any], as_json: bool, out: str | None, summary: Iterable[str],
-            code: ExitCode) -> None:
-    """Write `report` as JSON (with --json or --out) or print the `summary`
-    lines, then exit. A lazy `summary` is never built for a JSON report."""
-    if as_json or out:
-        _emit(_render(report), out)
-    else:
-        for line in summary:
-            click.echo(line)
-    raise SystemExit(code)
-
-
 #: How `_run_rows` opens a run's directory: never through a link at its
 #: last component, and `_run_rows` checks the rest by the inode
 _DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
+
+#: Files that `decrypt` keeps in flight: in runs handed to its pool whose
+#: rows are not written yet. A run's rows wait for every run before it, so
+#: this bounds the rows held in memory, while a run that is slow to finish
+#: still leaves the workers other runs to take. On 2 cores, windows of 128
+#: to 4,096 files restored as fast as one unbounded window, and 16 lost a
+#: quarter of the speed.
+_FILES_IN_FLIGHT = 1024
 
 RowFn = Callable[[str, str, int], dict[str, Any]]
 FailedFn = Callable[[str, str], dict[str, Any]]
@@ -165,45 +218,87 @@ def _tree_rows(
     paths: tuple[str, ...],
     row: RowFn,
     failed: FailedFn,
-    started: float,
     map_: Callable,
-) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-    """The rows of every file under `paths`, sorted by path, and their totals.
+    report: _Report,
+) -> Iterator[list[dict[str, Any]]]:
+    """The rows of every file under `paths` but the report's own, in path
+    order, in lists of one or more runs.
 
     `row(path, name, dir_fd)` gives a file's row, with `name` relative to
     its directory open on `dir_fd`; `failed(path, detail)` gives a failed
-    row. The walk finishes before the first `row` call, so a run never
-    walks its own outputs. `map_` gets one task per run of files in one
-    directory: workers that share a directory contend for it in the kernel
-    when they create and rename.
+    row. Each directory is listed whole before any of its files is
+    opened, so a run never walks its own outputs. `map_` gets one task
+    per run of files in one directory: workers that share a directory
+    contend for it in the kernel when they create and rename.
     """
-    runs = list(walk_runs(paths))
-    done = map_(lambda run: _run_rows(run, row, failed), runs)
-    rows = sorted(itertools.chain.from_iterable(done), key=lambda r: r["path"])
-    return rows, _totals(rows, time.perf_counter() - started)
+    runs = report.outside(walk_runs(paths))
+    return map_(lambda run: _run_rows(run, row, failed), runs)
+
+
+def _in_order(pool: ThreadPoolExecutor, fn: Callable[[Run], list[dict[str, Any]]],
+              runs: Iterable[Run]) -> Iterator[list[dict[str, Any]]]:
+    """The rows `fn` gives for each of `runs`, run on `pool`, in order.
+
+    Runs are handed out until they hold `_FILES_IN_FLIGHT` files; then the
+    older runs, down to half that, are waited for together and their rows
+    yielded as one list. So the caller, which writes the rows, wakes and
+    takes the interpreter lock from the workers once per batch, not once
+    per run, which cost a fifth more user CPU time.
+    """
+    window: collections.deque = collections.deque()  # (future, files), oldest first
+    held = 0
+    try:
+        for run in runs:
+            files = len(run.names) + len(run.failures)
+            window.append((pool.submit(fn, run), files))
+            held += files
+            if held >= _FILES_IN_FLIGHT:
+                batch = []
+                while held > _FILES_IN_FLIGHT // 2:
+                    future, files = window.popleft()
+                    held -= files
+                    batch.append(future)
+                yield _rows_of(batch)
+        yield _rows_of([future for future, _files in window])
+    finally:  # a report that cannot be written starts no more restores
+        for future, _files in window:
+            future.cancel()
+
+
+def _rows_of(futures: list[Future]) -> list[dict[str, Any]]:
+    """The rows of `futures`, in order, once every one of them is done."""
+    wait(futures)
+    return [row for future in futures for row in future.result()]
 
 
 def _run_rows(run: Run, row: RowFn, failed: FailedFn) -> list[dict[str, Any]]:
-    """The rows of one run, its directory open on one descriptor throughout.
+    """The rows of one run in path order, its directory open on one
+    descriptor throughout.
 
     A directory that cannot be opened, or is no longer the one the walk
     listed (swapped for a link or for another directory), fails every
     file of the run, and nothing inside it is opened.
     """
     rows = [failed(path, detail) for path, detail in run.failures]
-    if not run.names:
-        return rows
+    if run.names:
+        rows += _file_rows(run, row, failed)
+    if run.failures:
+        rows.sort(key=lambda r: r["path"])
+    return rows
+
+
+def _file_rows(run: Run, row: RowFn, failed: FailedFn) -> list[dict[str, Any]]:
     paths = [os.path.join(run.directory, name) for name in run.names]
     try:
         dir_fd = os.open(run.opened, _DIR_FLAGS)
     except OSError as exc:
-        return rows + [failed(path, str(exc)) for path in paths]
+        return [failed(path, str(exc)) for path in paths]
     try:
         st = os.fstat(dir_fd)
         if (st.st_dev, st.st_ino) != run.identity:
             detail = f"{run.directory} is no longer the directory that was listed"
-            return rows + [failed(path, detail) for path in paths]
-        return rows + [row(path, name, dir_fd) for path, name in zip(paths, run.names)]
+            return [failed(path, detail) for path in paths]
+        return [row(path, name, dir_fd) for path, name in zip(paths, run.names)]
     finally:
         os.close(dir_fd)
 
@@ -231,12 +326,18 @@ def cli(verbose: bool) -> None:
 @_OUT_OPTION
 def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
     """Recursively scan PATHS and report infected files."""
-    rows, totals = _tree_rows(paths, _detect_row, _detect_failed, time.perf_counter(), map)
-    flagged = (f"{row['status']:>10}  {row['path']}" for row in rows if row["status"] != "clean")
-    scanned = (f"scanned {totals['files_scanned']} files: {totals['infected']} infected, "
-               f"{totals['failed']} failed")
-    _finish(_report("detect", {"paths": list(paths)}, rows, None, totals), as_json, out,
-            itertools.chain(flagged, [scanned]), _exit_by_rows(totals))
+    started = time.perf_counter()
+    with _Report("detect", {"paths": list(paths)}, as_json, out, _flagged) as report:
+        for rows in _tree_rows(paths, _detect_row, _detect_failed, map, report):
+            report.add(rows)
+        totals = report.totals(started)
+        report.finish(None, totals, [f"scanned {totals['files_scanned']} files: "
+                                     f"{totals['infected']} infected, {totals['failed']} failed"])
+    raise SystemExit(_exit_by_rows(totals))
+
+
+def _flagged(row: dict[str, Any]) -> str | None:
+    return None if row["status"] == "clean" else f"{row['status']:>10}  {row['path']}"
 
 
 def _detect_row(path: str, name: str, dir_fd: int) -> dict[str, Any]:
@@ -358,9 +459,10 @@ def cmd_recover_key(
         "evidence_original": evidence_original,
         "header_magic": header_magic,
     }
-    totals = {"wall_time": round(time.perf_counter() - started, 3)}
-    _finish(_report("recover-key", parameters, [], result.to_dict(include_key=show_key), totals),
-            as_json, out, summary, code)
+    with _Report("recover-key", parameters, as_json, out) as report:
+        report.finish(result.to_dict(include_key=show_key),
+                      {"wall_time": round(time.perf_counter() - started, 3)}, summary)
+    raise SystemExit(code)
 
 
 @cli.command("decrypt")
@@ -434,19 +536,22 @@ def cmd_decrypt(
         log.warning("could not decrypt %s: %s", path, detail)
         return FileRecoveryReport(path, FileStatus.IO_ERROR, detail=detail).to_dict()
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows, totals = _tree_rows(paths, row, failed, started, pool.map)
     parameters = {
         "paths": list(paths),
         "output_policy": policy,
         "jobs": jobs,
         "key_source": "key_file" if key_file else "dump",
     }
-    summary = (f"decrypted {totals['decrypted']}/{totals['infected']} infected files, "
-               f"{totals['failed']} failed ({totals['bytes']} ciphertext bytes, "
-               f"{totals['wall_time']}s)")
-    _finish(_report("decrypt", parameters, rows, key_recovery, totals), as_json, out, [summary],
-            _exit_by_rows(totals))
+    with (_Report("decrypt", parameters, as_json, out) as report,
+          ThreadPoolExecutor(max_workers=jobs) as pool):
+        for rows in _tree_rows(paths, row, failed, functools.partial(_in_order, pool), report):
+            report.add(rows)
+        totals = report.totals(started)
+        report.finish(key_recovery, totals, [
+            f"decrypted {totals['decrypted']}/{totals['infected']} infected files, "
+            f"{totals['failed']} failed ({totals['bytes']} ciphertext bytes, "
+            f"{totals['wall_time']}s)"])
+    raise SystemExit(_exit_by_rows(totals))
 
 
 @cli.command("emulate")
@@ -529,9 +634,10 @@ def cmd_emulate(
     summary = (f"encrypted {totals['encrypted']}/{totals['planned']} planned files "
                f"({totals['bytes_encrypted']} bytes, {totals['wall_time']}s); "
                f"{totals['skipped_infected']} already infected, {totals['errors']} errors")
-    rows = [row.to_dict() for row in infection.rows]
-    _finish(_report("emulate", parameters, rows, None, totals), as_json, out, [summary],
-            ExitCode.PARTIAL_FAILURE if infection.errors else ExitCode.OK)
+    with _Report("emulate", parameters, as_json, out) as report:
+        report.add([row.to_dict() for row in infection.rows])
+        report.finish(None, totals, [summary])
+    raise SystemExit(ExitCode.PARTIAL_FAILURE if infection.errors else ExitCode.OK)
 
 
 @cli.command("strings")
@@ -544,7 +650,10 @@ def cmd_strings(batch: BinaryIO, fmt: str, out: str | None) -> None:
     """Decode obfuscated strings in batch and label each row."""
     rows = label_batch(parse_batch_input(batch.read()))
     rendered = rows_to_json(rows) if fmt == "json" else rows_to_tsv(rows)
-    _emit(rendered, out)
+    if out:
+        Path(out).write_text(rendered)
+    else:
+        click.echo(rendered, nl=False)
     failed = sum(1 for r in rows if r.status != "ok")
     if failed:
         _status_note(f"{failed}/{len(rows)} rows failed to decode")

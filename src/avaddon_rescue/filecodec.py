@@ -36,6 +36,7 @@ from .trailer import (
     VictimBlock,
     build_trailer,
     classify_fd,
+    open_classified,
     read_at,
 )
 
@@ -46,7 +47,6 @@ _TMP_SUFFIX = ".avrescue-tmp"
 _TMP_NAME = re.compile(r"\..+\.[0-9a-f]{12}" + re.escape(_TMP_SUFFIX), re.DOTALL)
 _STALE_TEMP_DETAIL = "leftover temp file of an interrupted restore; not probed"
 _TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
-_READ_FLAGS = os.O_RDONLY | os.O_NOFOLLOW | os.O_CLOEXEC
 _CHUNK_LEN = 1 << 20
 SIDE_BY_SIDE_SUFFIX = ".decrypted"
 
@@ -96,8 +96,10 @@ class Run(NamedTuple):
     `(st_dev, st_ino)` then: a restore opens `opened` and checks that it
     is still that directory. `names` are its regular files, in name order.
     `failures` pairs a path with why it gets a failed row and no probe: a
-    directory that could not be listed, or a leftover temp file of an
-    interrupted restore.
+    subdirectory that could not be listed, or a leftover temp file of an
+    interrupted restore. Sorted together, the paths of `names` and
+    `failures` follow the paths of the run before and precede those of
+    the run after.
     """
 
     directory: str
@@ -108,8 +110,15 @@ class Run(NamedTuple):
 
 
 def walk_runs(roots: Iterable[str | os.PathLike]) -> Iterator[Run]:
-    """The files under `roots`, depth-first in lexicographic order, as runs
-    of files that share a directory.
+    """The files under `roots`, depth-first in path order, as runs of files
+    that share a directory.
+
+    Path order is the order of the paths as strings: a directory's files
+    and subdirectories are visited as their paths sort, a subdirectory as
+    its name plus "/", so `a.txt` comes before `a/`, and roots go in the
+    order of their paths too. Each directory is listed whole before its
+    runs are yielded, and a subdirectory is listed where its own path
+    sorts, so that one which cannot be listed is a failure in path order.
 
     A regular-file root is a run of itself, and paths keep the form the
     caller gave. A root that is a symlink is followed, to a directory or to
@@ -123,6 +132,7 @@ def walk_runs(roots: Iterable[str | os.PathLike]) -> Iterator[Run]:
     """
     roots = [Path(root) for root in roots]
     real = [root.resolve() for root in roots]  # once per root, never per file
+    kept = []
     for i, root in enumerate(roots):
         if any(real[i].is_relative_to(other) and (j < i or real[i] != other)
                for j, other in enumerate(real)):
@@ -133,13 +143,24 @@ def walk_runs(roots: Iterable[str | os.PathLike]) -> Iterator[Run]:
             log.warning("cannot stat %s: %s", root, exc)
             continue
         if stat.S_ISDIR(mode):
-            yield from _walk_dir(str(root), str(real[i]))
+            kept.append((os.path.join(root, ""), str(root), real[i], True))
         elif not stat.S_ISREG(mode):
             log.warning("skipping %s: not a regular file or directory", root)
         else:
-            directory, name = os.path.split(real[i] if root.is_symlink() else root)
-            st = os.stat(real[i].parent)
-            yield Run(directory, str(real[i].parent), (st.st_dev, st.st_ino), [name], [])
+            path = str(real[i] if root.is_symlink() else root)
+            kept.append((path, path, real[i], False))
+    for _key, path, resolved, is_dir in sorted(kept):
+        if is_dir:
+            try:
+                listing = _list_dir(path, str(resolved))
+            except OSError as exc:
+                yield Run(path, str(resolved), None, [], [_unlistable(path, exc)])
+            else:
+                yield from _walk_dir(path, str(resolved), listing)
+        else:
+            st = os.stat(resolved.parent)
+            yield Run(os.path.dirname(path), str(resolved.parent), (st.st_dev, st.st_ino),
+                      [os.path.basename(path)], [])
 
 
 def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
@@ -150,41 +171,71 @@ def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
             yield Path(run.directory, name)
 
 
-def _walk_dir(directory: str, opened: str) -> Iterator[Run]:
-    try:
-        st = os.stat(opened, follow_symlinks=False)
-        if not stat.S_ISDIR(st.st_mode):  # swapped for a link since its parent was listed
-            raise NotADirectoryError(errno.ENOTDIR, "no longer a directory", opened)
-        with os.scandir(opened) as it:
-            entries = sorted(it, key=lambda e: e.name)
-    except OSError as exc:
-        log.warning("cannot list %s: %s", directory, exc)
-        yield Run(directory, opened, None, [], [(directory, f"cannot list directory: {exc}")])
-        return
-    identity = (st.st_dev, st.st_ino)
+# what a directory entry is to the walk, by where its path sorts
+_FILE, _STALE_TEMP, _SUBDIR, _DESCEND = range(4)
+
+_Listing = tuple[tuple[int, int], list[tuple[str, str, int]]]
+
+
+def _list_dir(directory: str, opened: str) -> _Listing:
+    """The `(st_dev, st_ino)` of `directory`, open at `opened`, and its entries
+    as (sort key, name, kind), sorted by key. A subdirectory is two
+    entries: `_SUBDIR` under its name, where a failure to list it sorts,
+    and `_DESCEND` under its name plus "/", where its files sort."""
+    st = os.stat(opened, follow_symlinks=False)
+    if not stat.S_ISDIR(st.st_mode):  # swapped for a link since its parent was listed
+        raise NotADirectoryError(errno.ENOTDIR, "no longer a directory", opened)
+    entries = []
+    with os.scandir(opened) as it:
+        for entry in it:
+            name = entry.name
+            try:
+                if entry.is_symlink():
+                    continue
+                is_dir = entry.is_dir(follow_symlinks=False)
+                is_file = entry.is_file(follow_symlinks=False)
+            except OSError as exc:
+                log.warning("cannot stat %s: %s", os.path.join(directory, name), exc)
+                continue
+            if is_dir:
+                entries += [(name, name, _SUBDIR), (name + "/", name, _DESCEND)]
+            elif not is_file:
+                continue
+            elif name.endswith(_TMP_SUFFIX) and _TMP_NAME.fullmatch(name):
+                entries.append((name, name, _STALE_TEMP))
+            else:
+                entries.append((name, name, _FILE))
+    entries.sort()
+    return (st.st_dev, st.st_ino), entries
+
+
+def _unlistable(directory: str, exc: OSError) -> tuple[str, str]:
+    log.warning("cannot list %s: %s", directory, exc)
+    return directory, f"cannot list directory: {exc}"
+
+
+def _walk_dir(directory: str, opened: str, listing: _Listing) -> Iterator[Run]:
+    identity, entries = listing
     names: list[str] = []
     failures: list[tuple[str, str]] = []
-    for entry in entries:
-        try:
-            if entry.is_symlink():
-                continue
-            is_dir = entry.is_dir(follow_symlinks=False)
-            is_file = entry.is_file(follow_symlinks=False)
-        except OSError as exc:
-            log.warning("cannot stat %s: %s", os.path.join(directory, entry.name), exc)
-            continue
-        if is_dir:
+    listed: dict[str, _Listing] = {}  # subdirectories listed, not yet walked
+    for _key, name, kind in entries:
+        if kind == _FILE:
+            names.append(name)
+        elif kind == _STALE_TEMP:
+            failures.append((os.path.join(directory, name), _STALE_TEMP_DETAIL))
+        elif kind == _SUBDIR:
+            path = os.path.join(directory, name)
+            try:
+                listed[name] = _list_dir(path, os.path.join(opened, name))
+            except OSError as exc:
+                failures.append(_unlistable(path, exc))
+        elif name in listed:
             if names or failures:
                 yield Run(directory, opened, identity, names, failures)
                 names, failures = [], []
-            yield from _walk_dir(os.path.join(directory, entry.name),
-                                 os.path.join(opened, entry.name))
-        elif not is_file:
-            continue
-        elif entry.name.endswith(_TMP_SUFFIX) and _TMP_NAME.fullmatch(entry.name):
-            failures.append((os.path.join(directory, entry.name), _STALE_TEMP_DETAIL))
-        else:
-            names.append(entry.name)
+            yield from _walk_dir(os.path.join(directory, name), os.path.join(opened, name),
+                                 listed.pop(name))
     if names or failures:
         yield Run(directory, opened, identity, names, failures)
 
@@ -328,9 +379,11 @@ def decrypt_file(
     cannot be checked, and a wrong key restores it to garbage with correct
     structure. Verification belongs to the memory-scan side.
 
-    As in `os`, a relative `path` is taken relative to the directory open
-    on `dir_fd`, and every call on the file names it that way. A link at
-    `path` is never followed: it is an `io_error` row.
+    The file is classified as `probe` does it (`trailer.open_classified`): a
+    regular file too small to be infected is never opened, and a link, a
+    FIFO or a device at `path` is an `io_error` row. As in `os`, a
+    relative `path` is taken relative to the directory open on `dir_fd`,
+    and every call on the file names it that way.
     """
     if output_policy not in ("in_place", "side_by_side"):
         raise ValueError(f"unknown output policy {output_policy!r}")
@@ -338,10 +391,8 @@ def decrypt_file(
     original_length: int | None = None
 
     try:
-        fd = os.open(path, _READ_FLAGS, dir_fd=dir_fd)
+        fd, st, found = open_classified(path, dir_fd=dir_fd)
         try:
-            st = os.fstat(fd)  # of the bytes read, even if the name is swapped
-            found = classify_fd(fd, st.st_size)
             if found.trailer is None:
                 status = FileStatus.CORRUPT_TRAILER if found.damage else FileStatus.SKIPPED_CLEAN
                 return _row(path, status, started, detail=found.damage)
@@ -365,7 +416,8 @@ def decrypt_file(
                 replace_atomically(os.fspath(path) + SIDE_BY_SIDE_SUFFIX, chunks, st,
                                    dir_fd=dir_fd, overwrite=False)
         finally:
-            os.close(fd)
+            if fd is not None:
+                os.close(fd)
     except OSError as exc:
         return _row(path, FileStatus.IO_ERROR, started, original_length, detail=str(exc))
     return _row(path, FileStatus.DECRYPTED, started, original_length, enc_prefix,

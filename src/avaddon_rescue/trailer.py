@@ -171,21 +171,49 @@ def classify_fd(fd: int, size: int) -> Classification:
     return classify(size, read_at(fd, TRAILER_LEN, size - TRAILER_LEN))
 
 
-def probe(path: str | os.PathLike, *, dir_fd: int | None = None) -> Classification:
-    """`classify` the file at `path`, relative to the directory open on
-    `dir_fd` as in `os`.
+#: How a walked file is opened: never through a link, and without blocking,
+#: so a FIFO or device put in its place after the walk cannot hang a caller
+_READ_FLAGS = os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW | os.O_CLOEXEC
 
-    One `stat` that does not follow a link, and an open, one 24-byte
-    `pread` and a close for all but a regular file too small to carry the
-    appendix. The open does not follow a link either, so a link at `path`
-    raises. I/O problems propagate as OSError so callers can tell
-    "unreadable" from "clean".
+
+def open_classified(
+    path: str | os.PathLike, *, dir_fd: int | None = None
+) -> tuple[int | None, os.stat_result, Classification]:
+    """`classify` the file at `path` and leave it open: its descriptor, for
+    the caller to close, its stat result and its `Classification`. As in
+    `os`, a relative `path` is taken relative to the directory open on
+    `dir_fd`.
+
+    One `stat` that does not follow a link. A regular file too small to
+    carry the appendix is clean and never opened: the descriptor is None.
+    Anything else is opened (a link at `path` raises), and the `fstat` of
+    the open file, which is the stat returned, must show a regular file of
+    the size the `stat` saw; the tail is then one 24-byte `pread`. I/O
+    problems propagate as OSError, with nothing left open, so callers can
+    tell "unreadable" from "clean".
     """
-    st = os.stat(path, dir_fd=dir_fd, follow_symlinks=False)
-    if st.st_size < APPENDIX_LEN and stat.S_ISREG(st.st_mode):  # cannot be infected
-        return classify(st.st_size, b"")
-    fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_CLOEXEC, dir_fd=dir_fd)
+    seen = os.stat(path, dir_fd=dir_fd, follow_symlinks=False)
+    if seen.st_size < APPENDIX_LEN and stat.S_ISREG(seen.st_mode):  # cannot be infected
+        return None, seen, classify(seen.st_size, b"")
+    fd = os.open(path, _READ_FLAGS, dir_fd=dir_fd)
     try:
-        return classify_fd(fd, st.st_size)
-    finally:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise OSError(f"not a regular file: {os.fspath(path)}")
+        if st.st_size != seen.st_size:
+            change = "shrank" if st.st_size < seen.st_size else "grew"
+            raise OSError(f"file {change} while being read: {seen.st_size} bytes, "
+                          f"then {st.st_size}")
+        return fd, st, classify_fd(fd, st.st_size)
+    except BaseException:
         os.close(fd)
+        raise
+
+
+def probe(path: str | os.PathLike, *, dir_fd: int | None = None) -> Classification:
+    """`classify` the file at `path` (see `open_classified`), relative to
+    the directory open on `dir_fd` as in `os`."""
+    fd, _st, found = open_classified(path, dir_fd=dir_fd)
+    if fd is not None:
+        os.close(fd)
+    return found

@@ -64,6 +64,17 @@ def shrink_after_stat(monkeypatch, victim: Path) -> None:
         monkeypatch.setattr(os, name, shrinking)
 
 
+# Linux carries a process's high-water mark across exec, so a child of this
+# (large) test process would report this process's peak as its own. A bare
+# interpreter spawns the command instead and reports its wait4 usage.
+PEAK_RSS_OF = """
+import json, os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps({"exit": os.waitstatus_to_exitcode(status), "maxrss_kib": usage.ru_maxrss}))
+"""
+
+
 def random_corpus(seed: int, n_files: int, min_size: int = 0, max_size: int = 4096) -> dict[str, bytes]:
     """Deterministic corpus spec: nested dirs, varied sizes."""
     rng = random.Random(seed)

@@ -4,12 +4,14 @@ import os
 import random
 import shutil
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import avaddon_rescue
 import avaddon_rescue.cli as cli_mod
 import avaddon_rescue.trailer as trailer_mod
 from avaddon_rescue.cli import ExitCode, cli, main
@@ -23,7 +25,7 @@ from avaddon_rescue.emulator import (
 from avaddon_rescue.filecodec import encrypt_file
 from avaddon_rescue.strings import encode_string
 from avaddon_rescue.trailer import APPENDIX_LEN, TRAILER_LEN, VictimBlock, build_trailer, probe
-from conftest import deny_open, make_tree, random_corpus, shrink_after_stat
+from conftest import PEAK_RSS_OF, deny_open, make_tree, random_corpus, shrink_after_stat
 
 
 @pytest.fixture
@@ -370,23 +372,16 @@ def test_detect_nested_tree_rows_independent_of_walk_order(runner, tmp_path, ses
 
 
 def after_the_walk(monkeypatch, action):
-    """Run `action` once `detect` or `decrypt` has walked its tree, before it
-    opens anything in it: both hand the walk's runs to a map."""
-    pool = cli_mod.ThreadPoolExecutor
+    """Run `action` once `detect` or `decrypt` has walked its whole tree,
+    before it opens anything in it."""
+    walk = cli_mod.walk_runs
 
-    def walked_map(fn, runs):
-        runs = list(runs)
+    def walked(paths):
+        runs = list(walk(paths))
         action()
-        return map(fn, runs)
+        yield from runs
 
-    class WalkedPool(pool):
-        def map(self, fn, runs):
-            runs = list(runs)
-            action()
-            return super().map(fn, runs)
-
-    monkeypatch.setattr(cli_mod, "map", walked_map, raising=False)
-    monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", WalkedPool)
+    monkeypatch.setattr(cli_mod, "walk_runs", walked)
 
 
 def infected_letters(root, session_key, rels, text="letter"):
@@ -506,6 +501,211 @@ def test_stale_temps_and_unlistable_directories_are_failed_rows(runner, tmp_path
     assert (tree / "locked" / "b.txt").read_bytes() == locked_bytes
     if command == "decrypt":
         assert (tree / "a.txt").read_bytes() == letters[tree / "a.txt"]
+
+
+def tree_argv(command, roots, key_file, *extra):
+    argv = [command, *map(str, roots), *extra]
+    if command == "decrypt":
+        argv += ["--key-file", str(key_file), "--no-verify"]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_rows_follow_path_order_across_siblings_roots_and_failures(runner, tmp_path,
+                                                                   session_key, monkeypatch,
+                                                                   command):
+    # "/" sorts after "-" and ".", so a path order puts d0-x and d0.txt
+    # before d0/…, and the unlistable directory x before x-a/… and x.txt
+    tree = tmp_path / "T"
+    infected_letters(tree, session_key, [
+        "a/d0/f.txt", "a/d0/sub/g.txt", "a/d0.txt", "a/d0-x", "a/d0z.txt",
+        "a/x-a/h.txt", "a/x/i.txt", "a/x.txt", "a/-first.txt", "b/b.txt", "c.txt",
+    ])
+    shutil.copyfile(tree / "a" / "d0.txt", tree / "a" / ".d0.txt.0123456789ab.avrescue-tmp")
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    real_scandir = os.scandir
+
+    def flaky_scandir(path):
+        if os.fspath(path).endswith(os.sep + "x"):
+            raise PermissionError(13, "simulated denial", os.fspath(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", flaky_scandir)
+    argv = tree_argv(command, [tree / "c.txt", tree / "b", tree / "a"], key_file, "--json")
+    if command == "decrypt":
+        argv += ["--jobs", "3"]
+    result = runner.invoke(cli, argv)
+    monkeypatch.undo()
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    rows = json.loads(result.stdout)["rows"]
+    done = "decrypted" if command == "decrypt" else "infected"
+    assert [(os.path.relpath(r["path"], tree), r["status"]) for r in rows] == [
+        ("a/-first.txt", done),
+        ("a/.d0.txt.0123456789ab.avrescue-tmp", "io_error"),
+        ("a/d0-x", done),
+        ("a/d0.txt", done),
+        ("a/d0/f.txt", done),
+        ("a/d0/sub/g.txt", done),
+        ("a/d0z.txt", done),
+        ("a/x", "io_error"),
+        ("a/x-a/h.txt", done),
+        ("a/x.txt", done),
+        ("b/b.txt", done),
+        ("c.txt", done),
+    ]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_walked_file_swapped_for_a_fifo_is_an_io_error_row(tmp_path, session_key, command):
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt", "b.txt"])
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    # in a child, so that a command blocked on opening the FIFO is killed
+    # by the timeout instead of hanging the test run
+    child = f"""
+import os, sys
+import avaddon_rescue.cli as cli
+walk = cli.walk_runs
+
+def walked(paths):
+    runs = list(walk(paths))
+    os.unlink({str(tree / "b.txt")!r})
+    os.mkfifo({str(tree / "b.txt")!r})
+    yield from runs
+
+cli.walk_runs = walked
+sys.argv = ["avaddon-rescue", *sys.argv[1:]]
+cli.main()
+"""
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", child, *tree_argv(command, [tree], key_file,
+                                                                    "--json")],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == ExitCode.PARTIAL_FAILURE, done.stderr
+    rows = {Path(r["path"]).name: r for r in json.loads(done.stdout)["rows"]}
+    assert rows["b.txt"]["status"] == "io_error"
+    assert "not a regular file" in rows["b.txt"]["detail"]
+    assert rows["a.txt"]["status"] == ("decrypted" if command == "decrypt" else "infected")
+    assert stat.S_ISFIFO(os.stat(tree / "b.txt").st_mode)
+    if command == "decrypt":
+        assert (tree / "a.txt").read_bytes() == letters[tree / "a.txt"]
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_short_regular_files_are_never_opened(runner, tmp_path, session_key, monkeypatch,
+                                              command):
+    tree = tmp_path / "tree"
+    infected_letters(tree, session_key, ["a.txt", "sub/b.txt"])
+    short = make_tree(tree, {"empty.txt": b"", "short.bin": b"s" * (APPENDIX_LEN - 1),
+                             "sub/tiny.doc": b"t"})
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    opened = []
+    real_open = os.open
+
+    def counting_open(file, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR | os.O_DIRECTORY) == 0:
+            opened.append(os.path.basename(file))
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    result = runner.invoke(cli, tree_argv(command, [tree], key_file, "--json"))
+    monkeypatch.undo()
+    assert result.exit_code == ExitCode.OK, result.output
+    rows = {Path(r["path"]).name: r["status"] for r in json.loads(result.stdout)["rows"]}
+    clean = "skipped_clean" if command == "decrypt" else "clean"
+    assert {rows[path.name] for path in short} == {clean}
+    assert sorted(opened) == ["a.txt", "b.txt"]
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_report_inside_a_walked_root_is_never_a_row(runner, tmp_path, session_key, command):
+    tree = tmp_path / "tree"
+    infected_letters(tree, session_key, ["a.txt", "sub/b.txt"])
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    for report in (tree / "report.json", tree / "sub" / "report.json"):
+        for _ in range(2):  # the second run finds the first run's report in the tree
+            result = runner.invoke(cli, tree_argv(command, [tree], key_file, "--out",
+                                                  str(report)))
+            assert result.exit_code in (ExitCode.OK, ExitCode.NOTHING_INFECTED), result.output
+            payload = json.loads(report.read_text())
+            names = [os.path.relpath(r["path"], tree) for r in payload["rows"]]
+            assert names == ["a.txt", "sub/b.txt"]
+            assert payload["totals"]["files_scanned"] == 2
+        report.unlink()
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_report_that_cannot_be_written_stops_before_any_file_is_opened(
+    tmp_path, session_key, monkeypatch, capsys, command
+):
+    tree = tmp_path / "tree"
+    infected_letters(tree, session_key, ["a.txt", "sub/b.txt"])
+    infected = {path: path.read_bytes() for path in tree.rglob("*.txt")}
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    argv = tree_argv(command, [tree], key_file, "--out", str(tmp_path / "missing" / "r.json"))
+    opened = []
+    real_open = os.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(sys, "argv", ["avaddon-rescue", *argv])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    monkeypatch.undo()
+    assert stopped.value.code == ExitCode.ERROR
+    err = capsys.readouterr().err
+    assert "error: " in err and "r.json" in err and "Traceback" not in err
+    assert [p for p in opened if p.startswith(str(tree))] == []
+    assert len(infected) == 2
+    assert all(path.read_bytes() == content for path, content in infected.items())
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or sys.platform != "linux",
+                    reason="needs os.wait4 and Linux's ru_maxrss in KiB")
+def test_tree_command_memory_does_not_grow_with_the_tree(tmp_path, session_key):
+    """`detect` and `decrypt` over 20,000 empty files in 20 directories each
+    peak within 8 MiB of what they peak at over 1,000 files."""
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def peak_mib(command, files):
+        tree = tmp_path / f"tree{files}"
+        if not tree.exists():
+            for i in range(files):
+                directory = tree / f"d{i % 20:02d}"
+                directory.mkdir(parents=True, exist_ok=True)
+                (directory / f"f{i:06d}.txt").touch()
+        report = tmp_path / f"{command}{files}.json"
+        argv = tree_argv(command, [tree], key_file, "--json", "--out", str(report))
+        measured = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_OF, "-m", "avaddon_rescue.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE, check=True,
+            timeout=300,
+        )
+        child = json.loads(measured.stdout)
+        assert child["exit"] == ExitCode.NOTHING_INFECTED
+        assert json.loads(report.read_text())["totals"]["files_scanned"] == files
+        return child["maxrss_kib"] / 1024
+
+    for command in ("detect", "decrypt"):
+        small, large = peak_mib(command, 1_000), peak_mib(command, 20_000)
+        print(f"{command}: {small:.1f} MiB over 1,000 files, {large:.1f} over 20,000")
+        assert large - small < 8, (
+            f"{command} peaked at {large:.1f} MiB over 20,000 files, {small:.1f} over 1,000"
+        )
 
 
 # --- strings -----------------------------------------------------------------

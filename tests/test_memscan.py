@@ -33,6 +33,7 @@ from avaddon_rescue.memscan import (
 )
 from avaddon_rescue.minidump import write_minidump
 from avaddon_rescue.trailer import TRAILER_LEN, VictimBlock
+from conftest import PEAK_RSS_OF
 
 
 def simple_chain_spec(key, *, container="raw", pointer_width=4, decoys=(), fill="zero"):
@@ -732,17 +733,6 @@ def test_windowed_scan_edges(tmp_path, monkeypatch):
     assert wide_chain == [c.struct_va == a_va for c in wide]
 
 
-# Linux carries a process's high-water mark across exec, so a child of this
-# (large) test process would report this process's peak as its own. A bare
-# interpreter spawns the command instead and reports its wait4 usage.
-_PEAK_RSS_OF = """
-import json, os, sys
-pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
-_, status, usage = os.wait4(pid, 0)
-print(json.dumps({"exit": os.waitstatus_to_exitcode(status), "maxrss_kib": usage.ru_maxrss}))
-"""
-
-
 @pytest.mark.skipif(
     not hasattr(os, "wait4") or not hasattr(mmap, "MADV_DONTNEED") or sys.platform != "linux",
     reason="needs os.wait4, MADV_DONTNEED and Linux's ru_maxrss in KiB",
@@ -764,7 +754,7 @@ def test_recover_key_memory_does_not_grow_with_the_dump(tmp_path, session_key):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     report = tmp_path / "report.json"
     measured = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_OF, "-m", "avaddon_rescue.cli", "recover-key",
+        [sys.executable, "-c", PEAK_RSS_OF, "-m", "avaddon_rescue.cli", "recover-key",
          "--dump", str(dump_path), "--format", "raw", "--evidence-encrypted", str(encrypted),
          "--evidence-original", str(original), "--key-out", str(tmp_path / "key.hex"),
          "--out", str(report)],
