@@ -207,7 +207,9 @@ _DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
 #: this bounds the rows held in memory, while a run that is slow to finish
 #: still leaves the workers other runs to take. On 2 cores, windows of 128
 #: to 4,096 files restored as fast as one unbounded window, and 16 lost a
-#: quarter of the speed.
+#: quarter of the speed. More than one run per worker stays in flight
+#: whatever the runs hold, so directories larger than the window are
+#: still restored side by side.
 _FILES_IN_FLIGHT = 1024
 
 RowFn = Callable[[str, str, int], dict[str, Any]]
@@ -235,15 +237,18 @@ def _tree_rows(
     return map_(lambda run: _run_rows(run, row, failed), runs)
 
 
-def _in_order(pool: ThreadPoolExecutor, fn: Callable[[Run], list[dict[str, Any]]],
+def _in_order(pool: ThreadPoolExecutor, jobs: int, fn: Callable[[Run], list[dict[str, Any]]],
               runs: Iterable[Run]) -> Iterator[list[dict[str, Any]]]:
-    """The rows `fn` gives for each of `runs`, run on `pool`, in order.
+    """The rows `fn` gives for each of `runs`, run on `pool` of `jobs`
+    workers, in order.
 
-    Runs are handed out until they hold `_FILES_IN_FLIGHT` files; then the
-    older runs, down to half that, are waited for together and their rows
-    yielded as one list. So the caller, which writes the rows, wakes and
-    takes the interpreter lock from the workers once per batch, not once
-    per run, which cost a fifth more user CPU time.
+    Runs are handed out until they hold `_FILES_IN_FLIGHT` files and
+    outnumber the workers; then the older runs, down to half that many
+    files but never down to fewer runs than workers, are waited for
+    together and their rows yielded as one list. So the caller, which
+    writes the rows, wakes and takes the interpreter lock from the workers
+    once per batch, not once per run, which cost a fifth more user CPU
+    time.
     """
     window: collections.deque = collections.deque()  # (future, files), oldest first
     held = 0
@@ -252,9 +257,9 @@ def _in_order(pool: ThreadPoolExecutor, fn: Callable[[Run], list[dict[str, Any]]
             files = len(run.names) + len(run.failures)
             window.append((pool.submit(fn, run), files))
             held += files
-            if held >= _FILES_IN_FLIGHT:
+            if held >= _FILES_IN_FLIGHT and len(window) > jobs:
                 batch = []
-                while held > _FILES_IN_FLIGHT // 2:
+                while held > _FILES_IN_FLIGHT // 2 and len(window) > jobs:
                     future, files = window.popleft()
                     held -= files
                     batch.append(future)
@@ -544,7 +549,8 @@ def cmd_decrypt(
     }
     with (_Report("decrypt", parameters, as_json, out) as report,
           ThreadPoolExecutor(max_workers=jobs) as pool):
-        for rows in _tree_rows(paths, row, failed, functools.partial(_in_order, pool), report):
+        map_ = functools.partial(_in_order, pool, jobs)
+        for rows in _tree_rows(paths, row, failed, map_, report):
             report.add(rows)
         totals = report.totals(started)
         report.finish(key_recovery, totals, [

@@ -187,10 +187,11 @@ def open_classified(
     One `stat` that does not follow a link. A regular file too small to
     carry the appendix is clean and never opened: the descriptor is None.
     Anything else is opened (a link at `path` raises), and the `fstat` of
-    the open file, which is the stat returned, must show a regular file of
-    the size the `stat` saw; the tail is then one 24-byte `pread`. I/O
-    problems propagate as OSError, with nothing left open, so callers can
-    tell "unreadable" from "clean".
+    the open file, which is the stat returned, must show a regular file no
+    shorter than the `stat` saw; it is classified at the size the `fstat`
+    shows, with one 24-byte `pread` of the tail. I/O problems propagate
+    as OSError, with nothing left open, so callers can tell "unreadable"
+    from "clean".
     """
     seen = os.stat(path, dir_fd=dir_fd, follow_symlinks=False)
     if seen.st_size < APPENDIX_LEN and stat.S_ISREG(seen.st_mode):  # cannot be infected
@@ -200,9 +201,8 @@ def open_classified(
         st = os.fstat(fd)
         if not stat.S_ISREG(st.st_mode):
             raise OSError(f"not a regular file: {os.fspath(path)}")
-        if st.st_size != seen.st_size:
-            change = "shrank" if st.st_size < seen.st_size else "grew"
-            raise OSError(f"file {change} while being read: {seen.st_size} bytes, "
+        if st.st_size < seen.st_size:  # one that grows is read at its new size
+            raise OSError(f"file shrank while being read: {seen.st_size} bytes, "
                           f"then {st.st_size}")
         return fd, st, classify_fd(fd, st.st_size)
     except BaseException:

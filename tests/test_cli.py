@@ -6,6 +6,8 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -307,6 +309,52 @@ def test_file_that_shrinks_while_read_is_an_io_error_row(runner, tmp_path, sessi
     if command == "decrypt":
         for name in ("a.txt", "c.txt"):
             assert (tree / name).read_bytes() == letters[tree / name]
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_file_that_grows_while_read_is_classified_at_its_new_size(runner, tmp_path,
+                                                                   monkeypatch, command):
+    tree = tmp_path / "tree"
+    make_tree(tree, {"live.log": b"line\n" * 200})
+    log_file = tree / "live.log"
+    before = log_file.stat()
+    real_stat = os.stat
+
+    def growing(*args, **kwargs):  # append right after the stat that sees it
+        st = real_stat(*args, **kwargs)
+        if (st.st_dev, st.st_ino) == (before.st_dev, before.st_ino):
+            with open(log_file, "ab") as f:
+                f.write(b"appended\n")
+        return st
+
+    monkeypatch.setattr(os, "stat", growing)
+    argv = [command, str(tree), "--json"]
+    if command == "decrypt":
+        key_file = tmp_path / "key.hex"
+        key_file.write_text(generate_session_key(seed=3).hex())
+        argv += ["--key-file", str(key_file), "--no-verify", "--jobs", "1"]
+    result = runner.invoke(cli, argv)
+    monkeypatch.undo()
+    assert result.exit_code == ExitCode.NOTHING_INFECTED, result.output
+    (row,) = json.loads(result.stdout)["rows"]
+    assert row["status"] == ("clean" if command == "detect" else "skipped_clean")
+
+
+def test_decrypt_keeps_every_worker_busy_on_directories_larger_than_the_window():
+    # each run holds more files than the whole window; the two workers meet
+    # at a barrier, so a window that waits on one run alone breaks it
+    jobs = 2
+    barrier = threading.Barrier(jobs, timeout=10)
+    names = [f"f{i}" for i in range(2 * cli_mod._FILES_IN_FLIGHT)]
+    runs = [cli_mod.Run(f"d{i}", f"d{i}", None, names, []) for i in range(4)]
+
+    def rows(run):
+        barrier.wait()
+        return [{"path": run.directory}]
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        batches = list(cli_mod._in_order(pool, jobs, rows, runs))
+    assert [row["path"] for batch in batches for row in batch] == ["d0", "d1", "d2", "d3"]
 
 
 @pytest.mark.parametrize("command", ["detect", "decrypt"])

@@ -98,6 +98,13 @@ def test_plan_traversal_priority_bypasses_substrings(tmp_path):
     assert rel == ["dbs/Windows/db1.db", "other/plain.txt"]
 
 
+def test_plan_traversal_keeps_the_priority_order_given(tmp_path):
+    make_tree(tmp_path, {"a/first.txt": b"a", "b/second.txt": b"b", "c/third.txt": b"c"})
+    plan = plan_traversal([tmp_path], priority_paths=[tmp_path / "c", tmp_path / "a"])
+    rel = [str(p.relative_to(tmp_path)) for p in plan]
+    assert rel == ["c/third.txt", "a/first.txt", "b/second.txt"]
+
+
 def test_plan_traversal_priority_still_checks_extensions(tmp_path):
     make_tree(tmp_path, {"pri/data.mdf": b"m", "pri/data.db": b"d"})
     plan = plan_traversal([], priority_paths=[tmp_path / "pri"])
