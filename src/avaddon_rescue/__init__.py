@@ -19,7 +19,7 @@ from .emulator import (
     write_synthetic_dump,
 )
 from .errors import AvaddonRescueError
-from .filecodec import FileRecoveryReport, decrypt_file, encrypt_file, walk_files
+from .filecodec import FileRecoveryReport, decrypt_file, encrypt_file
 from .memscan import Evidence, load_dump, recover_key, scan_key_candidates
 from .strings import decode_string, encode_string, label_batch
 from .trailer import (
@@ -57,7 +57,6 @@ __all__ = [
     "recover_key",
     "scan_key_candidates",
     "unwrap_session_key",
-    "walk_files",
     "wrap_session_key",
     "write_synthetic_dump",
 ]

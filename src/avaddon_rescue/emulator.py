@@ -28,7 +28,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
 from .cipher import SessionKey
 from .errors import LayoutSpecError, SandboxViolation, WrapError
-from .filecodec import FileRecoveryReport, FileStatus, encrypt_file, walk_files
+from .filecodec import FileRecoveryReport, FileStatus, encrypt_file, walk_runs
 from .memscan import (
     DUMP_FORMATS,
     HANDLE_XOR_CONSTANT,
@@ -180,8 +180,11 @@ def plan_traversal(
 ) -> list[Path]:
     """Depth-first, lexicographic traversal producing the encryption plan.
 
-    Priority paths come first and skip the path-substring whitelist (the
-    extension check still applies there). Symlinks are never followed.
+    Each priority path is walked in the order given, then each root, so
+    priority folders come first; they skip the path-substring whitelist
+    (the extension check still applies there). A file reached twice, as
+    by a priority folder inside a root or a link to one, is planned once,
+    where it is first reached. Symlinks inside a tree are never followed.
     Unreadable directories are logged and skipped. Already-infected files
     stay in the plan; `encrypt_file` refuses them.
     """
@@ -189,14 +192,16 @@ def plan_traversal(
     planned: list[Path] = []
     seen: set[str] = set()
     for paths, check_substrings in ((priority_paths, False), (roots, True)):
-        for path in walk_files(Path(p).absolute() for p in paths):
-            key = str(path.resolve())
-            if key in seen:
-                continue
-            seen.add(key)
-            if policy.exclusion_reason(path, check_substrings=check_substrings):
-                continue
-            planned.append(path)
+        for top in paths:
+            for run in walk_runs([Path(top).absolute()]):
+                for name in run.names:
+                    key = os.path.join(run.opened, name)  # the walk resolved the directory
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    path = Path(run.directory, name)
+                    if not policy.exclusion_reason(path, check_substrings=check_substrings):
+                        planned.append(path)
     return planned
 
 

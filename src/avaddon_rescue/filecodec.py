@@ -130,27 +130,9 @@ def walk_runs(roots: Iterable[str | os.PathLike]) -> Iterator[Run]:
     directory (a FIFO or a device) is logged and skipped; an unreadable
     directory is logged and becomes a failure.
     """
-    yield from _walk_roots(sorted(_kept_roots(roots)))
-
-
-def walk_files(roots: Iterable[str | os.PathLike]) -> Iterator[Path]:
-    """The regular files under `roots`, walked as `walk_runs` walks them
-    but with the roots in the order given, one path each; the failures
-    (unreadable directories, leftover temps) are left out."""
-    for run in _walk_roots(_kept_roots(roots)):
-        for name in run.names:
-            yield Path(run.directory, name)
-
-
-_Root = tuple[str, str, Path, bool]  # (sort key, path, resolved, is a directory)
-
-
-def _kept_roots(roots: Iterable[str | os.PathLike]) -> list[_Root]:
-    """The roots `walk_runs` walks, in the order given: overlaps dropped,
-    and roots that are neither a regular file nor a directory skipped."""
     roots = [Path(root) for root in roots]
     real = [root.resolve() for root in roots]  # once per root, never per file
-    kept = []
+    kept = []  # (sort key, path, resolved, is a directory)
     for i, root in enumerate(roots):
         if any(real[i].is_relative_to(other) and (j < i or real[i] != other)
                for j, other in enumerate(real)):
@@ -167,11 +149,7 @@ def _kept_roots(roots: Iterable[str | os.PathLike]) -> list[_Root]:
         else:
             path = str(real[i] if root.is_symlink() else root)
             kept.append((path, path, real[i], False))
-    return kept
-
-
-def _walk_roots(kept: Iterable[_Root]) -> Iterator[Run]:
-    for _key, path, resolved, is_dir in kept:
+    for _key, path, resolved, is_dir in sorted(kept):
         if is_dir:
             try:
                 listing = _list_dir(path, str(resolved))

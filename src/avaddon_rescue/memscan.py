@@ -31,7 +31,7 @@ from .cipher import SessionKey, decrypt_stream
 from .errors import DumpFormatError, EvidenceError
 from .minidump import SIGNATURE as MDMP_SIGNATURE
 from .minidump import MemoryRange, read_minidump
-from .trailer import APPENDIX_LEN, ENCRYPTED_PREFIX_LIMIT, ceil16, classify_fd, read_at
+from .trailer import APPENDIX_LEN, ENCRYPTED_PREFIX_LIMIT, ceil16, open_classified, read_at
 
 log = logging.getLogger(__name__)
 
@@ -390,19 +390,20 @@ class Evidence:
     def challenge(self) -> tuple[bytes, bytes | None]:
         """(ciphertext prefix, plaintext it must decrypt to; None in header-magic mode).
 
-        Read from the evidence file once, on first use and through one
-        descriptor, so verifying many candidates costs one small decrypt each.
-        An `EvidenceError` is not cached and is raised again on the next use.
+        Read from the evidence file once, on first use, so verifying many
+        candidates costs one small decrypt each. The path is resolved once,
+        so a link given for the evidence still works, and then opened as a
+        walked file is (`trailer.open_classified`): a FIFO, a device or any
+        other non-regular file raises OSError and is never read. An
+        `EvidenceError` is not cached and is raised again on the next use.
         """
-        fd = os.open(self.encrypted_path, os.O_RDONLY)
+        fd, st, found = open_classified(self.encrypted_path.resolve())
         try:
-            size = os.fstat(fd).st_size
-            found = classify_fd(fd, size)
             if found.damage:
                 raise EvidenceError(f"{self.encrypted_path} has a damaged trailer: {found.damage}")
             if found.trailer is None:
                 raise EvidenceError(f"{self.encrypted_path} is not an infected file")
-            body = size - APPENDIX_LEN
+            body = st.st_size - APPENDIX_LEN
             if body < 16:
                 raise EvidenceError(f"{self.encrypted_path} has an empty encrypted body")
 
@@ -415,7 +416,8 @@ class Evidence:
                 ct_len = min(ceil16(len(want)), body, ENCRYPTED_PREFIX_LIMIT)
             return read_at(fd, ct_len, 0), want
         finally:
-            os.close(fd)
+            if fd is not None:
+                os.close(fd)
 
 
 def verify_key(key: SessionKey, evidence: Evidence) -> bool:

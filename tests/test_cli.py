@@ -1067,6 +1067,63 @@ def test_unusable_evidence_fails_before_the_scan(
     assert {p: p.read_bytes() for p in letters} == letters
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("key_source", ["recover-key", "--key-file", "--dump"])
+def test_evidence_that_is_a_fifo_is_an_error(tmp_path, session_key, session_dump,
+                                             evidence_files, key_source):
+    _encrypted, original = evidence_files
+    fifo = tmp_path / "ev.fifo"
+    os.mkfifo(fifo)
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt"])
+    infected = {p: p.read_bytes() for p in letters}
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    argv = {
+        "recover-key": ["recover-key", "--dump", str(session_dump),
+                        "--key-out", str(tmp_path / "k.hex")],
+        "--key-file": ["decrypt", str(tree), "--key-file", str(key_file)],
+        "--dump": ["decrypt", str(tree), "--dump", str(session_dump)],
+    }[key_source]
+    argv += ["--evidence-encrypted", str(fifo), "--evidence-original", str(original)]
+    # in a child, so that a command blocked on opening the FIFO is killed
+    # by the timeout instead of hanging the test run
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = "import sys; from avaddon_rescue.cli import main; sys.argv[0] = 'avaddon-rescue'; main()"
+    done = subprocess.run([sys.executable, "-c", child, *argv],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=20)
+    assert done.returncode == ExitCode.ERROR, done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and fifo.name in errors[0], done.stderr
+    assert "not a regular file" in errors[0]
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "k.hex").exists()
+    assert {p: p.read_bytes() for p in letters} == infected
+
+
+@pytest.mark.parametrize("command", ["recover-key", "decrypt"])
+def test_evidence_given_as_a_link_still_verifies_the_key(runner, tmp_path, session_key,
+                                                         session_dump, evidence_files, command):
+    encrypted, original = evidence_files
+    link = tmp_path / "evidence.link"
+    link.symlink_to(encrypted)
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt"])
+    key_file, key_out = tmp_path / "key.hex", tmp_path / "recovered.hex"
+    key_file.write_text(session_key.hex())
+    argv = (["recover-key", "--dump", str(session_dump), "--key-out", str(key_out)]
+            if command == "recover-key" else ["decrypt", str(tree), "--key-file", str(key_file)])
+    result = runner.invoke(cli, [*argv, "--evidence-encrypted", str(link),
+                                 "--evidence-original", str(original)])
+    assert result.exit_code == ExitCode.OK, result.output
+    if command == "recover-key":
+        assert key_out.read_text().strip() == session_key.hex()
+    else:
+        assert {p: p.read_bytes() for p in letters} == letters
+
+
 # --- decrypt ---------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,43 @@ def test_plan_traversal_dedupes_priority_and_root(tmp_path):
     assert names == ["a.txt", "other.txt"]
 
 
+def test_plan_traversal_walks_overlapping_priority_paths_in_the_order_given(tmp_path):
+    make_tree(tmp_path, {"a/b.txt": b"b", "a/z/y.txt": b"y"})
+    plan = plan_traversal([], priority_paths=[tmp_path / "a" / "z", tmp_path / "a"])
+    assert [str(p.relative_to(tmp_path)) for p in plan] == ["a/z/y.txt", "a/b.txt"]
+
+
+def test_plan_traversal_priority_link_into_the_root_plans_each_file_once(tmp_path):
+    box = tmp_path / "box"
+    make_tree(box, {"pri/a.txt": b"a", "pri/sub/b.txt": b"b", "other.txt": b"o"})
+    link = tmp_path / "pri-link"
+    link.symlink_to(box / "pri")
+    plan = plan_traversal([box], priority_paths=[link])
+    assert plan == [link / "a.txt", link / "sub" / "b.txt", box / "other.txt"]
+
+
+def test_plan_traversal_resolves_each_walked_path_once_not_each_file(tmp_path, monkeypatch):
+    make_tree(tmp_path, {f"d{i}/sub{j}/f{k}.txt": b"x"
+                         for i in range(3) for j in range(4) for k in range(4)})
+    calls = {"realpath": 0, "resolve": 0}
+    real_realpath, real_resolve = os.path.realpath, Path.resolve
+
+    def counting_realpath(*args, **kwargs):
+        calls["realpath"] += 1
+        return real_realpath(*args, **kwargs)
+
+    def counting_resolve(*args, **kwargs):
+        calls["resolve"] += 1
+        return real_resolve(*args, **kwargs)
+
+    monkeypatch.setattr(os.path, "realpath", counting_realpath)
+    monkeypatch.setattr(Path, "resolve", counting_resolve)
+    plan = plan_traversal([tmp_path], priority_paths=[tmp_path / "d1", tmp_path / "d2"])
+    monkeypatch.undo()
+    assert len(plan) == 48
+    assert calls["realpath"] <= 3 and calls["resolve"] <= 3, calls
+
+
 def test_plan_traversal_unreadable_dir_continues(tmp_path, monkeypatch):
     make_tree(tmp_path, {"ok/fine.txt": b"f", "bad/hidden.txt": b"h"})
     real_scandir = os.scandir
@@ -160,8 +198,6 @@ def test_gate_refuses_filesystem_root():
 
 
 def test_gate_refuses_home():
-    from pathlib import Path
-
     home = Path.home()
     with pytest.raises(SandboxViolation):
         ensure_sandbox(home, confirm_token=CONFIRM_TOKEN, allow_roots=[home.parent])
