@@ -4,20 +4,13 @@ Detects infected files by their appended trailer, recovers the AES-256
 session key from a memory dump of the paused ransomware process, and
 restores encrypted file trees byte for byte. Ships with a sandboxed
 format emulator and a synthetic-dump generator so the whole pipeline is
-testable without any malware involved.
+testable without any malware involved. The emulator's names load on
+first use, so the recovery commands never import its RSA stack.
 """
 
 __version__ = "0.1.0"
 
 from .cipher import SessionKey, decrypt_stream, encrypt_stream
-from .emulator import (
-    SkipPolicy,
-    emulate_infection,
-    generate_session_key,
-    unwrap_session_key,
-    wrap_session_key,
-    write_synthetic_dump,
-)
 from .errors import AvaddonRescueError
 from .filecodec import FileRecoveryReport, decrypt_file, encrypt_file
 from .memscan import Evidence, load_dump, recover_key, scan_key_candidates
@@ -60,3 +53,15 @@ __all__ = [
     "wrap_session_key",
     "write_synthetic_dump",
 ]
+
+#: Names `__getattr__` takes from the emulator on first use
+_EMULATOR_NAMES = {"SkipPolicy", "emulate_infection", "generate_session_key",
+                   "unwrap_session_key", "wrap_session_key", "write_synthetic_dump"}
+
+
+def __getattr__(name: str):
+    if name in _EMULATOR_NAMES:
+        from . import emulator
+
+        return getattr(emulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

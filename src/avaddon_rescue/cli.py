@@ -25,16 +25,6 @@ import click
 
 from . import __version__
 from .cipher import SessionKey
-from .emulator import (
-    CONFIRM_TOKEN,
-    OperatorKeyPair,
-    SkipPolicy,
-    emulate_infection,
-    generate_session_key,
-    random_dump_layout,
-    wrap_session_key,
-    write_synthetic_dump,
-)
 from .errors import AvaddonRescueError, SandboxViolation
 from .filecodec import (
     FileRecoveryReport,
@@ -594,6 +584,18 @@ def cmd_emulate(
     out: str | None,
 ) -> None:
     """Encrypt a sandboxed tree with a benign, fully recoverable emulation."""
+    # only this command needs the emulator and its RSA stack
+    from .emulator import (
+        CONFIRM_TOKEN,
+        OperatorKeyPair,
+        SkipPolicy,
+        emulate_infection,
+        generate_session_key,
+        random_dump_layout,
+        wrap_session_key,
+        write_synthetic_dump,
+    )
+
     started = time.perf_counter()
     key = generate_session_key(seed)
     pair = OperatorKeyPair.generate()

@@ -17,6 +17,7 @@ looked for only behind verified candidates, to rank confidence.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import json
 import logging
 import mmap
@@ -31,7 +32,8 @@ from .cipher import SessionKey, decrypt_stream
 from .errors import DumpFormatError, EvidenceError
 from .minidump import SIGNATURE as MDMP_SIGNATURE
 from .minidump import MemoryRange, read_minidump
-from .trailer import APPENDIX_LEN, ENCRYPTED_PREFIX_LIMIT, ceil16, open_classified, read_at
+from .trailer import APPENDIX_LEN, ENCRYPTED_PREFIX_LIMIT, ceil16, open_classified
+from .trailer import open_regular, read_at
 
 log = logging.getLogger(__name__)
 
@@ -66,15 +68,43 @@ assert all(len(magic) >= MIN_MAGIC_MATCH for _, magic in HEADER_MAGICS)
 MIN_PLAINTEXT_MATCH = 16
 
 
+class _DumpFile:
+    """A dump file open on one descriptor, which it owns: `len()` and
+    slicing give what the file's bytes would, each slice one `pread`, and
+    `window` maps one span of it. Nothing maps the whole file."""
+
+    def __init__(self, fd: int, st: os.stat_result) -> None:
+        self.fd = fd
+        self._size = st.st_size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, span: slice) -> bytes:
+        start, stop, _ = span.indices(self._size)
+        return os.pread(self.fd, max(0, stop - start), start)
+
+    def window(self, start: int, stop: int) -> mmap.mmap:
+        """A read-only mapping of [start, stop); `start` is a multiple of
+        `mmap.ALLOCATIONGRANULARITY`."""
+        return mmap.mmap(self.fd, stop - start, access=mmap.ACCESS_READ, offset=start)
+
+    def close(self) -> None:
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
+
+
 class DumpImage:
-    """A loaded dump: backing bytes plus the virtual-address map.
+    """A loaded dump: its bytes, or its file read through one descriptor,
+    plus the virtual-address map.
 
     Read-only after construction; safe to share across scanning threads.
     """
 
     def __init__(
         self,
-        data,  # mmap.mmap | bytes
+        data,  # bytes | _DumpFile
         ranges: list[MemoryRange],
         pointer_width: int,
         fmt: str,
@@ -112,7 +142,7 @@ class DumpImage:
         self.close()
 
     def close(self) -> None:
-        if isinstance(self.data, mmap.mmap):
+        if isinstance(self.data, _DumpFile):
             self.data.close()
 
     def range_of(self, va: int) -> MemoryRange | None:
@@ -186,13 +216,11 @@ def load_dump(
     raw flavors; for minidumps it is read from the system-info stream.
     """
     path = Path(path)
-    # the mapping holds its own descriptor, so the file closes here
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+    data = _DumpFile(*open_regular(path))
+    size = len(data)
     try:
         if fmt == "auto":
-            if size >= 4 and bytes(data[:4]) == MDMP_SIGNATURE:
+            if data[:4] == MDMP_SIGNATURE:
                 fmt = "minidump"
             elif (map_path and Path(map_path).exists()) or default_map_path(path).exists():
                 fmt = "raw_with_map"
@@ -208,7 +236,7 @@ def load_dump(
                 raise DumpFormatError(f"sidecar map not found: {side}")
             ranges = _load_sidecar_map(side)
         elif fmt == "minidump":
-            if size < 4 or bytes(data[:4]) != MDMP_SIGNATURE:
+            if data[:4] != MDMP_SIGNATURE:
                 raise DumpFormatError(f"{path} does not start with the MDMP signature")
             ranges, parsed_width = read_minidump(data)
             width = parsed_width or pointer_width
@@ -216,8 +244,7 @@ def load_dump(
             raise ValueError(f"unknown dump format {fmt!r}")
         return DumpImage(data, ranges, width or 4, fmt)
     except BaseException:
-        if isinstance(data, mmap.mmap):
-            data.close()
+        data.close()
         raise
 
 
@@ -256,43 +283,54 @@ def _read_candidate_key(dump: DumpImage, key_ptr: int) -> tuple[SessionKey | Non
     return None, None
 
 
-#: Bytes of a range that `_find_aligned` searches before it releases them.
-#: A smaller window buys nothing where the kernel maps the dump in 2 MiB
-#: folios; a larger one keeps more of the dump resident.
+#: Bytes of a range that `_find_aligned` searches in one window, and so
+#: the most of the dump a scan keeps resident. 2 MiB windows on 2 MiB file
+#: boundaries, which the kernel maps with one fault where it caches the
+#: file in 2 MiB folios, scanned a 32 MiB dump in 18.6 ms against 20.3 ms
+#: (2-vCPU VM, Linux 6.18, ext4), but `recover-key` then peaked 2 MiB
+#: higher on a 128 MiB dump than on a 1 MiB one.
 _SCAN_WINDOW = 1 << 20
 
 
-def _find_aligned(dump: DumpImage, needle: bytes, alignment: int):
-    """Yield (file offset, va) of every aligned occurrence of `needle`,
-    range by range in VA order; a match never spans two ranges.
+def _find_aligned(dump: DumpImage, needle: bytes, alignment: int, from_va: int = 0):
+    """Yield (file offset, va) of every aligned occurrence of `needle` at
+    `from_va` or above, range by range in VA order; a match never spans
+    two ranges.
 
     Each range is searched in windows of `_SCAN_WINDOW` bytes. A window
     yields the matches that start inside it, including one that runs on
-    into the next window, so every match is found exactly once. Behind
-    each window the scan drops its pages from the process: the mapping is
-    a shared read-only file mapping, where MADV_DONTNEED only removes
-    page-table entries, and a later read (a key pointer, a chain pass)
-    faults the same bytes back in from the page cache. So resident memory
-    stays near one window, whatever the size of the dump.
+    into the next window, so every match is found exactly once. A dump
+    file is mapped one window at a time, and a window is closed when the
+    pass moves past it or is closed itself. So the dump's resident bytes
+    stay at one window, whatever the size of the dump or of the kernel's
+    page-cache folios, as long as no caller starts a second pass while
+    one is suspended (see `_first_aligned`). A dump held as bytes is
+    searched in place.
     """
     data = dump.data
-    release = isinstance(data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")
+    mapped = isinstance(data, _DumpFile)
     for rng in dump.ranges:
         end = rng.offset + rng.length
-        for start in range(rng.offset, end, _SCAN_WINDOW):
-            stop = min(start + _SCAN_WINDOW, end)
-            # a match found below this limit starts before `stop`
-            limit = min(end, stop + len(needle) - 1)
-            pos = start
-            while (found := data.find(needle, pos, limit)) != -1:
-                pos = found + 1
-                va = rng.va + (found - rng.offset)
-                if va % alignment == 0:
-                    yield found, va
-            lo = start - start % mmap.PAGESIZE
-            hi = stop - stop % mmap.PAGESIZE
-            if release and hi > lo:
-                data.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+        for start in range(rng.offset + max(0, from_va - rng.va), end, _SCAN_WINDOW):
+            # a match found below this limit starts inside the window
+            limit = min(end, start + _SCAN_WINDOW + len(needle) - 1)
+            base = start - start % mmap.ALLOCATIONGRANULARITY if mapped else 0
+            with data.window(base, limit) if mapped else contextlib.nullcontext(data) as window:
+                pos = start - base
+                while (found := window.find(needle, pos, limit - base)) != -1:
+                    pos = found + 1
+                    va = rng.va + (found + base - rng.offset)
+                    if va % alignment == 0:
+                        yield found + base, va
+
+
+def _first_aligned(
+    dump: DumpImage, needle: bytes, alignment: int, from_va: int = 0
+) -> tuple[int, int] | None:
+    """The first match `_find_aligned` yields, its window closed by the
+    time this returns; None when there is none."""
+    with contextlib.closing(_find_aligned(dump, needle, alignment, from_va)) as matches:
+        return next(matches, None)
 
 
 def scan_key_candidates(dump: DumpImage) -> list[KeyCandidate]:
@@ -343,10 +381,15 @@ def confirm_chain(dump: DumpImage, candidate: KeyCandidate) -> bool:
     if not 0 <= key_data_va <= mask:  # no pointer cell can hold it
         return False
     step = POINTER_CELL_ALIGNMENT
-    for _, magic_cell_va in _find_aligned(dump, key_data_va.to_bytes(pw, "little"), step):
+    pointer = key_data_va.to_bytes(pw, "little")
+    # one pass at a time: each cell's search ends before the next begins
+    magic_cell = _first_aligned(dump, pointer, step)
+    while magic_cell is not None:
+        _, magic_cell_va = magic_cell
         masked = (magic_cell_va ^ HANDLE_XOR_CONSTANT) & mask
-        if next(_find_aligned(dump, masked.to_bytes(pw, "little"), step), None):
+        if _first_aligned(dump, masked.to_bytes(pw, "little"), step) is not None:
             return True
+        magic_cell = _first_aligned(dump, pointer, step, magic_cell_va + 1)
     return False
 
 
@@ -373,7 +416,8 @@ class Evidence:
     def from_original(
         cls, encrypted_path: str | os.PathLike, original_path: str | os.PathLike
     ) -> "Evidence":
-        with open(original_path, "rb") as fh:
+        fd, _st = open_regular(original_path)
+        with open(fd, "rb") as fh:
             prefix = fh.read(64)
         if len(prefix) < MIN_PLAINTEXT_MATCH:
             raise EvidenceError(

@@ -43,11 +43,14 @@ class MemoryRange:
         return self.va + self.length
 
 
-def read_minidump(data: bytes | memoryview) -> tuple[list[MemoryRange], int | None]:
-    """Parse ranges and pointer width out of a minidump buffer.
+def read_minidump(data) -> tuple[list[MemoryRange], int | None]:
+    """Parse ranges and pointer width out of a minidump.
 
-    Returns (ranges, pointer_width); pointer width is None when the dump
-    has no system-info stream.
+    `data` is the dump's bytes, or anything that gives them by `len()` and
+    slicing; it is sliced once for the header, once for the stream
+    directory and once or twice per stream read. Returns (ranges,
+    pointer_width); pointer width is None when the dump has no system-info
+    stream.
 
     Raises:
         DumpFormatError: bad signature or truncated structures.
@@ -55,7 +58,7 @@ def read_minidump(data: bytes | memoryview) -> tuple[list[MemoryRange], int | No
     """
     if len(data) < _HEADER.size:
         raise DumpFormatError("dump shorter than the 32-byte header")
-    sig, _version, n_streams, dir_rva, _checksum, _time, _flags = _HEADER.unpack_from(data, 0)
+    sig, _version, n_streams, dir_rva, _checksum, _time, _flags = _HEADER.unpack(data[:_HEADER.size])
     if sig != SIGNATURE:
         raise DumpFormatError(f"bad signature {sig!r}, expected {SIGNATURE!r}")
 
@@ -66,12 +69,11 @@ def read_minidump(data: bytes | memoryview) -> tuple[list[MemoryRange], int | No
     pointer_width: int | None = None
     mem64_rva: int | None = None
     mem32_rva: int | None = None
-    for i in range(n_streams):
-        stream_type, _size, rva = _DIR_ENTRY.unpack_from(data, dir_rva + i * _DIR_ENTRY.size)
+    for stream_type, _size, rva in _DIR_ENTRY.iter_unpack(data[dir_rva:dir_end]):
         if stream_type == STREAM_SYSTEM_INFO:
             if rva + 2 > len(data):
                 raise DumpFormatError("system-info stream truncated")
-            (arch,) = struct.unpack_from("<H", data, rva)
+            (arch,) = struct.unpack("<H", data[rva : rva + 2])
             pointer_width = 8 if arch == _ARCH_AMD64 else 4
         elif stream_type == STREAM_MEMORY64_LIST:
             mem64_rva = rva
@@ -87,16 +89,15 @@ def read_minidump(data: bytes | memoryview) -> tuple[list[MemoryRange], int | No
     return ranges, pointer_width
 
 
-def _read_memory64_list(data: bytes | memoryview, rva: int) -> list[MemoryRange]:
+def _read_memory64_list(data, rva: int) -> list[MemoryRange]:
     if rva + 16 > len(data):
         raise DumpFormatError("64-bit memory list truncated")
-    count, base_rva = struct.unpack_from("<QQ", data, rva)
+    count, base_rva = struct.unpack("<QQ", data[rva : rva + 16])
     if rva + 16 + count * 16 > len(data):
         raise DumpFormatError("64-bit memory descriptors truncated")
     ranges = []
     offset = base_rva
-    for i in range(count):
-        va, length = struct.unpack_from("<QQ", data, rva + 16 + i * 16)
+    for va, length in struct.iter_unpack("<QQ", data[rva + 16 : rva + 16 + count * 16]):
         ranges.append(MemoryRange(va, length, offset))
         offset += length
     if ranges and offset > len(data):
@@ -104,15 +105,15 @@ def _read_memory64_list(data: bytes | memoryview, rva: int) -> list[MemoryRange]
     return ranges
 
 
-def _read_memory_list(data: bytes | memoryview, rva: int) -> list[MemoryRange]:
+def _read_memory_list(data, rva: int) -> list[MemoryRange]:
     if rva + 4 > len(data):
         raise DumpFormatError("memory list truncated")
-    (count,) = struct.unpack_from("<I", data, rva)
+    (count,) = struct.unpack("<I", data[rva : rva + 4])
     if rva + 4 + count * 16 > len(data):
         raise DumpFormatError("memory descriptors truncated")
     ranges = []
-    for i in range(count):
-        va, length, data_rva = struct.unpack_from("<QII", data, rva + 4 + i * 16)
+    table = data[rva + 4 : rva + 4 + count * 16]
+    for va, length, data_rva in struct.iter_unpack("<QII", table):
         if data_rva + length > len(data):
             raise DumpFormatError("memory payload extends past end of file")
         ranges.append(MemoryRange(va, length, data_rva))

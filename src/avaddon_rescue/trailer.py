@@ -171,9 +171,33 @@ def classify_fd(fd: int, size: int) -> Classification:
     return classify(size, read_at(fd, TRAILER_LEN, size - TRAILER_LEN))
 
 
-#: How a walked file is opened: never through a link, and without blocking,
-#: so a FIFO or device put in its place after the walk cannot hang a caller
-_READ_FLAGS = os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW | os.O_CLOEXEC
+#: How a file is opened for reading: without blocking, so a FIFO or device
+#: named where a regular file was expected cannot hang a caller
+_READ_FLAGS = os.O_RDONLY | os.O_NONBLOCK | os.O_CLOEXEC
+
+
+def open_regular(
+    path: str | os.PathLike, *, dir_fd: int | None = None, follow_symlinks: bool = True
+) -> tuple[int, os.stat_result]:
+    """Open the regular file at `path` for reading: its descriptor, for the
+    caller to close, and the `fstat` of the open file. As in `os`, a
+    relative `path` is taken relative to the directory open on `dir_fd`,
+    and with `follow_symlinks=False` a link at `path` raises.
+
+    The open never blocks; anything the `fstat` does not show as a regular
+    file (a FIFO, a device) raises OSError `not a regular file: …`, with
+    nothing left open.
+    """
+    flags = _READ_FLAGS if follow_symlinks else _READ_FLAGS | os.O_NOFOLLOW
+    fd = os.open(path, flags, dir_fd=dir_fd)
+    try:
+        st = os.fstat(fd)
+        if not stat.S_ISREG(st.st_mode):
+            raise OSError(f"not a regular file: {os.fspath(path)}")
+        return fd, st
+    except BaseException:
+        os.close(fd)
+        raise
 
 
 def open_classified(
@@ -186,21 +210,19 @@ def open_classified(
 
     One `stat` that does not follow a link. A regular file too small to
     carry the appendix is clean and never opened: the descriptor is None.
-    Anything else is opened (a link at `path` raises), and the `fstat` of
-    the open file, which is the stat returned, must show a regular file no
-    shorter than the `stat` saw; it is classified at the size the `fstat`
-    shows, with one 24-byte `pread` of the tail. I/O problems propagate
-    as OSError, with nothing left open, so callers can tell "unreadable"
-    from "clean".
+    Anything else is opened by `open_regular`, never through a link, so a
+    FIFO or device put in its place after a walk cannot hang the caller;
+    the `fstat` of the open file, which is the stat returned, must show a
+    file no shorter than the `stat` saw; it is classified at the size the
+    `fstat` shows, with one 24-byte `pread` of the tail. I/O problems
+    propagate as OSError, with nothing left open, so callers can tell
+    "unreadable" from "clean".
     """
     seen = os.stat(path, dir_fd=dir_fd, follow_symlinks=False)
     if seen.st_size < APPENDIX_LEN and stat.S_ISREG(seen.st_mode):  # cannot be infected
         return None, seen, classify(seen.st_size, b"")
-    fd = os.open(path, _READ_FLAGS, dir_fd=dir_fd)
+    fd, st = open_regular(path, dir_fd=dir_fd, follow_symlinks=False)
     try:
-        st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            raise OSError(f"not a regular file: {os.fspath(path)}")
         if st.st_size < seen.st_size:  # one that grows is read at its new size
             raise OSError(f"file shrank while being read: {seen.st_size} bytes, "
                           f"then {st.st_size}")

@@ -1086,14 +1086,7 @@ def test_evidence_that_is_a_fifo_is_an_error(tmp_path, session_key, session_dump
         "--dump": ["decrypt", str(tree), "--dump", str(session_dump)],
     }[key_source]
     argv += ["--evidence-encrypted", str(fifo), "--evidence-original", str(original)]
-    # in a child, so that a command blocked on opening the FIFO is killed
-    # by the timeout instead of hanging the test run
-    src = str(Path(avaddon_rescue.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    child = "import sys; from avaddon_rescue.cli import main; sys.argv[0] = 'avaddon-rescue'; main()"
-    done = subprocess.run([sys.executable, "-c", child, *argv],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-                          text=True, timeout=20)
+    done = _cli_in_child(argv)
     assert done.returncode == ExitCode.ERROR, done.stderr
     errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and fifo.name in errors[0], done.stderr
@@ -1101,6 +1094,64 @@ def test_evidence_that_is_a_fifo_is_an_error(tmp_path, session_key, session_dump
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "k.hex").exists()
     assert {p: p.read_bytes() for p in letters} == infected
+
+
+def _cli_in_child(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the command line in a child, so that a command blocked on opening
+    a FIFO is killed by the timeout instead of hanging the test run."""
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = "import sys; from avaddon_rescue.cli import main; sys.argv[0] = 'avaddon-rescue'; main()"
+    return subprocess.run([sys.executable, "-c", child, *argv],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=20)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", ["recover-key", "decrypt"])
+@pytest.mark.parametrize("flag", ["--dump", "--evidence-original"])
+def test_dump_or_original_that_is_a_fifo_is_an_error(tmp_path, session_key, session_dump,
+                                                     evidence_files, command, flag):
+    """A FIFO given as the dump or as the original copy ends in one error
+    line naming it and exit 1, before the dump is scanned or a file is
+    touched."""
+    encrypted, original = evidence_files
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt"])
+    infected = {p: p.read_bytes() for p in letters}
+    given = {"--dump": session_dump, "--evidence-original": original, flag: fifo}
+    target = ["recover-key", "--key-out", str(tmp_path / "k.hex")] if command == "recover-key" \
+        else ["decrypt", str(tree)]
+    done = _cli_in_child([*target, "--dump", str(given["--dump"]),
+                          "--evidence-encrypted", str(encrypted),
+                          "--evidence-original", str(given["--evidence-original"])])
+    assert done.returncode == ExitCode.ERROR, done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == [f"error: not a regular file: {fifo}"], done.stderr
+    assert "scanning" not in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "k.hex").exists()
+    assert {p: p.read_bytes() for p in letters} == infected
+
+
+def test_recovery_commands_never_import_the_emulator():
+    """`import avaddon_rescue.cli` leaves the emulator and the RSA stack
+    unloaded; the package's emulator names still load on first use."""
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = """
+import json, sys
+import avaddon_rescue.cli
+loaded = [m for m in ("avaddon_rescue.emulator", "cryptography.hazmat.primitives.asymmetric.rsa")
+          if m in sys.modules]
+from avaddon_rescue import emulate_infection
+print(json.dumps({"loaded": loaded, "lazy": emulate_infection.__module__}))
+"""
+    done = subprocess.run([sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(done.stdout) == {"loaded": [], "lazy": "avaddon_rescue.emulator"}
 
 
 @pytest.mark.parametrize("command", ["recover-key", "decrypt"])

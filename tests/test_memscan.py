@@ -146,6 +146,39 @@ def test_loaded_dump_holds_one_descriptor(tmp_path, session_key, container):
     assert descriptors_on_dump() == 0
 
 
+@pytest.mark.skipif(not os.path.isfile("/proc/self/maps"), reason="needs /proc/self/maps")
+@pytest.mark.parametrize("container", ["raw", "raw_with_map", "minidump"])
+def test_dump_file_is_mapped_one_window_at_a_time(tmp_path, session_key, monkeypatch, container):
+    """Loading a dump maps none of it; a scan or chain search maps one
+    window at a time, the one before it already gone, and leaves nothing
+    mapped behind it."""
+    import avaddon_rescue.memscan as memscan_mod
+
+    dump_path = tmp_path / "proc.dmp"
+    write_synthetic_dump(simple_chain_spec(session_key, container=container), dump_path)
+
+    def mappings_of_dump() -> int:
+        with open("/proc/self/maps") as maps:
+            return sum(line.rstrip().endswith(str(dump_path.resolve())) for line in maps)
+
+    with load_dump(dump_path) as dump:
+        assert mappings_of_dump() == 0
+        seen = []
+        real_window = memscan_mod._DumpFile.window
+
+        def counting_window(self, start, stop):
+            window = real_window(self, start, stop)
+            seen.append(mappings_of_dump())
+            return window
+
+        monkeypatch.setattr(memscan_mod._DumpFile, "window", counting_window)
+        monkeypatch.setattr(memscan_mod, "_SCAN_WINDOW", mmap.ALLOCATIONGRANULARITY)
+        candidates = scan_key_candidates(dump)
+        assert [confirm_chain(dump, c) for c in candidates if c.key == session_key] == [True]
+        assert mappings_of_dump() == 0
+    assert len(seen) > 16 and set(seen) == {1}
+
+
 def test_sidecar_map_overlap_rejected(tmp_path):
     f = tmp_path / "overlap.dmp"
     f.write_bytes(bytes(4096))
@@ -339,6 +372,31 @@ def test_confirm_chain_bare_record(tmp_path, session_key):
     with load_dump(dump_path, "raw") as dump:
         (cand,) = scan_key_candidates(dump)
         assert cand.key == session_key  # still eligible
+        assert confirm_chain(dump, cand) is False
+
+
+@pytest.mark.parametrize("window", [None, mmap.PAGESIZE])
+def test_confirm_chain_past_a_cell_without_a_handle(tmp_path, session_key, monkeypatch, window):
+    """A cell that points at the record but has no handle pointing back at
+    it, below the real one, is searched past: the chain search resumes
+    above it and still finds the real cell and its handle."""
+    import avaddon_rescue.memscan as memscan_mod
+
+    if window:
+        monkeypatch.setattr(memscan_mod, "_SCAN_WINDOW", window)
+    dump_path = tmp_path / "decoy_cell.dmp"
+    manifest = write_synthetic_dump(simple_chain_spec(session_key), dump_path)
+    chain = manifest["chains"][0]
+    blob = bytearray(dump_path.read_bytes())
+    blob[0x2800:0x2804] = chain["key_data_va"].to_bytes(4, "little")
+    dump_path.write_bytes(bytes(blob))
+    with load_dump(dump_path, "raw") as dump:
+        (cand,) = scan_key_candidates(dump)
+        assert confirm_chain(dump, cand) is True
+    blob[chain["magic_s_va"] : chain["magic_s_va"] + 4] = bytes(4)  # only the decoy cell left
+    dump_path.write_bytes(bytes(blob))
+    with load_dump(dump_path, "raw") as dump:
+        (cand,) = scan_key_candidates(dump)
         assert confirm_chain(dump, cand) is False
 
 
@@ -656,7 +714,7 @@ def test_recover_key_confirms_only_verified(
 
 def _naive_find(dump, needle, alignment):
     """Every aligned occurrence of `needle` inside one range, byte by byte."""
-    data = bytes(dump.data)
+    data = dump.data[:]  # the whole dump: a file-backed image reads it with one pread
     return [
         (off, r.va + off - r.offset)
         for r in dump.ranges
@@ -766,3 +824,47 @@ def test_recover_key_memory_does_not_grow_with_the_dump(tmp_path, session_key):
     assert json.loads(report.read_text())["key_recovery"]["outcome"] == "found"
     peak_mib = child["maxrss_kib"] / 1024
     assert peak_mib < 64, f"recover-key peaked at {peak_mib:.1f} MiB on a 128 MiB dump"
+
+
+def _recover_key_peak_mib(tmp_path: Path, session_key, dump_bytes: int) -> float:
+    """Peak resident MiB of `recover-key` over a random raw dump of
+    `dump_bytes`, measured in a child spawned by a bare interpreter."""
+    layout = random_dump_layout(5, container="raw", total_bytes=dump_bytes, fill="random")
+    layout.chains[0].key = session_key
+    dump_path = tmp_path / f"{dump_bytes}.dmp"
+    write_synthetic_dump(layout, dump_path)
+    original = tmp_path / "original.dat"
+    original.write_bytes(b"evidence plaintext block " * 8)
+    encrypted = tmp_path / "encrypted.dat"
+    if not encrypted.exists():
+        encrypted.write_bytes(original.read_bytes())
+        encrypt_file(encrypted, session_key, VictimBlock.zeros(), sandbox_root=tmp_path)
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = tmp_path / "report.json"
+    measured = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_OF, "-m", "avaddon_rescue.cli", "recover-key",
+         "--dump", str(dump_path), "--format", "raw", "--evidence-encrypted", str(encrypted),
+         "--evidence-original", str(original), "--key-out", str(tmp_path / "key.hex"),
+         "--out", str(report)],
+        env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE, check=True,
+        timeout=120,
+    )
+    child = json.loads(measured.stdout)
+    assert child["exit"] == 0
+    assert json.loads(report.read_text())["key_recovery"]["outcome"] == "found"
+    dump_path.unlink()
+    return child["maxrss_kib"] / 1024
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "wait4") or sys.platform != "linux",
+    reason="needs os.wait4 and Linux's ru_maxrss in KiB",
+)
+def test_recover_key_peak_is_the_same_on_a_large_dump(tmp_path, session_key):
+    """Resident dump bytes are bounded by one scan window, not by the
+    kernel's page-cache folios: `recover-key` over a 128 MiB dump peaks
+    within 2 MiB of its peak over a 1 MiB dump."""
+    small = _recover_key_peak_mib(tmp_path, session_key, 1 << 20)
+    large = _recover_key_peak_mib(tmp_path, session_key, 128 << 20)
+    assert large - small < 2, f"recover-key peaked at {small:.1f} MiB on 1 MiB, {large:.1f} on 128"
