@@ -9,8 +9,6 @@ unless --show-key is passed.
 from __future__ import annotations
 
 import collections
-import contextlib
-import functools
 import json
 import logging
 import os
@@ -84,7 +82,7 @@ class _Report:
 
     The --out file is opened when the report is, before any tree is
     walked: a report that cannot be written stops the command before it
-    touches a file, and `outside` keeps the report out of its own rows.
+    touches a file, and the walk leaves out every name of `identity`.
     """
 
     def __init__(self, command: str, parameters: dict[str, Any], as_json: bool,
@@ -114,24 +112,13 @@ class _Report:
         # click.echo flushes, so a killed run leaves every row written so far
         click.echo(text, file=self._file, nl=False)
 
-    def outside(self, runs: Iterable[Run]) -> Iterator[Run]:
-        """`runs` without the report file: the name it has in the directory
-        it was opened in, while that name is its (st_dev, st_ino)."""
+    @property
+    def identity(self) -> tuple[int, int] | None:
+        """The (st_dev, st_ino) of the --out file, if there is one."""
         if self._file is None:
-            yield from runs
-            return
+            return None
         st = os.fstat(self._file.fileno())
-        own = (st.st_dev, st.st_ino)
-        directory, name = os.path.split(os.path.realpath(self._file.name))
-        st = os.stat(directory)
-        for run in runs:
-            if run.identity == (st.st_dev, st.st_ino) and name in run.names:
-                with contextlib.suppress(OSError):  # gone: its row will say so
-                    found = os.stat(os.path.join(run.opened, name), follow_symlinks=False)
-                    if (found.st_dev, found.st_ino) == own:
-                        run = run._replace(names=[n for n in run.names if n != name])
-            if run.names or run.failures:
-                yield run
+        return st.st_dev, st.st_ino
 
     def add(self, rows: list[dict[str, Any]]) -> None:
         """Write `rows` and count them into the totals."""
@@ -173,12 +160,6 @@ def _status_note(message: str) -> None:
     click.echo(message, err=True)
 
 
-def _write_key_file(path: str, data: bytes) -> None:
-    """Write key material to a new mode-0600 sibling, then rename it over `path`,
-    so that a reader holding an existing file there open never sees the key."""
-    replace_atomically(path, [data])
-
-
 def _exit_by_rows(totals: dict[str, Any]) -> ExitCode:
     """6 when any row failed, else 3 when no row is infected, else 0."""
     if totals["failed"]:
@@ -204,27 +185,6 @@ _FILES_IN_FLIGHT = 1024
 
 RowFn = Callable[[str, str, int], dict[str, Any]]
 FailedFn = Callable[[str, str], dict[str, Any]]
-
-
-def _tree_rows(
-    paths: tuple[str, ...],
-    row: RowFn,
-    failed: FailedFn,
-    map_: Callable,
-    report: _Report,
-) -> Iterator[list[dict[str, Any]]]:
-    """The rows of every file under `paths` but the report's own, in path
-    order, in lists of one or more runs.
-
-    `row(path, name, dir_fd)` gives a file's row, with `name` relative to
-    its directory open on `dir_fd`; `failed(path, detail)` gives a failed
-    row. Each directory is listed whole before any of its files is
-    opened, so a run never walks its own outputs. `map_` gets one task
-    per run of files in one directory: workers that share a directory
-    contend for it in the kernel when they create and rename.
-    """
-    runs = report.outside(walk_runs(paths))
-    return map_(lambda run: _run_rows(run, row, failed), runs)
 
 
 def _in_order(pool: ThreadPoolExecutor, jobs: int, fn: Callable[[Run], list[dict[str, Any]]],
@@ -270,32 +230,32 @@ def _run_rows(run: Run, row: RowFn, failed: FailedFn) -> list[dict[str, Any]]:
     """The rows of one run in path order, its directory open on one
     descriptor throughout.
 
-    A directory that cannot be opened, or is no longer the one the walk
-    listed (swapped for a link or for another directory), fails every
+    `row(path, name, dir_fd)` gives a file's row, with `name` relative to
+    its directory open on `dir_fd`; `failed(path, detail)` gives a failed
+    row. A directory that cannot be opened, or is no longer the one the
+    walk listed (swapped for a link or for another directory), fails every
     file of the run, and nothing inside it is opened.
     """
     rows = [failed(path, detail) for path, detail in run.failures]
-    if run.names:
-        rows += _file_rows(run, row, failed)
+    paths = [os.path.join(run.directory, name) for name in run.names]
+    if paths:
+        try:
+            dir_fd = os.open(run.opened, _DIR_FLAGS)
+        except OSError as exc:
+            rows += [failed(path, str(exc)) for path in paths]
+        else:
+            try:
+                st = os.fstat(dir_fd)
+                if (st.st_dev, st.st_ino) == run.identity:
+                    rows += [row(path, name, dir_fd) for path, name in zip(paths, run.names)]
+                else:
+                    detail = f"{run.directory} is no longer the directory that was listed"
+                    rows += [failed(path, detail) for path in paths]
+            finally:
+                os.close(dir_fd)
     if run.failures:
         rows.sort(key=lambda r: r["path"])
     return rows
-
-
-def _file_rows(run: Run, row: RowFn, failed: FailedFn) -> list[dict[str, Any]]:
-    paths = [os.path.join(run.directory, name) for name in run.names]
-    try:
-        dir_fd = os.open(run.opened, _DIR_FLAGS)
-    except OSError as exc:
-        return [failed(path, str(exc)) for path in paths]
-    try:
-        st = os.fstat(dir_fd)
-        if (st.st_dev, st.st_ino) != run.identity:
-            detail = f"{run.directory} is no longer the directory that was listed"
-            return [failed(path, detail) for path in paths]
-        return [row(path, name, dir_fd) for path, name in zip(paths, run.names)]
-    finally:
-        os.close(dir_fd)
 
 
 _OUT_OPTION = click.option("--out", type=click.Path(dir_okay=False),
@@ -323,8 +283,8 @@ def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
     """Recursively scan PATHS and report infected files."""
     started = time.perf_counter()
     with _Report("detect", {"paths": list(paths)}, as_json, out, _flagged) as report:
-        for rows in _tree_rows(paths, _detect_row, _detect_failed, map, report):
-            report.add(rows)
+        for run in walk_runs(paths, report.identity):
+            report.add(_run_rows(run, _detect_row, _detect_failed))
         totals = report.totals(started)
         report.finish(None, totals, [f"scanned {totals['files_scanned']} files: "
                                      f"{totals['infected']} infected, {totals['failed']} failed"])
@@ -438,7 +398,7 @@ def cmd_recover_key(
     code = ExitCode.KEY_NOT_FOUND
     if result.outcome is RecoveryOutcome.FOUND:
         assert result.key is not None
-        _write_key_file(key_out, f"{result.key.hex()}\n".encode())
+        replace_atomically(key_out, [f"{result.key.hex()}\n".encode()])
         _status_note(f"key recovered and written to {key_out}")
         summary.append(f"key file: {key_out}")
         if show_key:
@@ -539,8 +499,10 @@ def cmd_decrypt(
     }
     with (_Report("decrypt", parameters, as_json, out) as report,
           ThreadPoolExecutor(max_workers=jobs) as pool):
-        map_ = functools.partial(_in_order, pool, jobs)
-        for rows in _tree_rows(paths, row, failed, map_, report):
+        # one task per run of files in one directory: workers that share a
+        # directory contend for it in the kernel when they create and rename
+        runs = walk_runs(paths, report.identity)
+        for rows in _in_order(pool, jobs, lambda run: _run_rows(run, row, failed), runs):
             report.add(rows)
         totals = report.totals(started)
         report.finish(key_recovery, totals, [
@@ -615,10 +577,10 @@ def cmd_emulate(
         raise SystemExit(ExitCode.GATE_REFUSAL)
 
     if key_out:
-        _write_key_file(key_out, f"{key.hex()}\n".encode())
+        replace_atomically(key_out, [f"{key.hex()}\n".encode()])
         _status_note(f"session key written to {key_out}")
     if operator_key_out:
-        _write_key_file(operator_key_out, pair.private_pem())
+        replace_atomically(operator_key_out, [pair.private_pem()])
         _status_note(f"operator private key written to {operator_key_out}")
     if dump_out:
         layout = random_dump_layout(

@@ -137,13 +137,6 @@ class OperatorKeyPair:
             serialization.NoEncryption(),
         )
 
-    @classmethod
-    def from_private_pem(cls, pem: bytes) -> "OperatorKeyPair":
-        key = serialization.load_pem_private_key(pem, password=None)
-        if not isinstance(key, rsa.RSAPrivateKey):
-            raise WrapError("operator key file does not hold an RSA private key")
-        return cls(key)
-
 
 def wrap_session_key(key: SessionKey, operator_public: rsa.RSAPublicKey) -> VictimBlock:
     """Asymmetrically encrypt the session key into a 512-byte victim block.

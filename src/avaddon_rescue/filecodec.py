@@ -109,7 +109,8 @@ class Run(NamedTuple):
     failures: list[tuple[str, str]]
 
 
-def walk_runs(roots: Iterable[str | os.PathLike]) -> Iterator[Run]:
+def walk_runs(roots: Iterable[str | os.PathLike],
+              skip: tuple[int, int] | None = None) -> Iterator[Run]:
     """The files under `roots`, depth-first in path order, as runs of files
     that share a directory.
 
@@ -128,7 +129,8 @@ def walk_runs(roots: Iterable[str | os.PathLike]) -> Iterator[Run]:
     overlapping roots yield each file once. Symlinks inside a tree are
     never followed or yielded. A root that is neither a regular file nor a
     directory (a FIFO or a device) is logged and skipped; an unreadable
-    directory is logged and becomes a failure.
+    directory is logged and becomes a failure. No name of the file whose
+    `(st_dev, st_ino)` is `skip` is yielded.
     """
     roots = [Path(root) for root in roots]
     real = [root.resolve() for root in roots]  # once per root, never per file
@@ -138,25 +140,25 @@ def walk_runs(roots: Iterable[str | os.PathLike]) -> Iterator[Run]:
                for j, other in enumerate(real)):
             continue
         try:
-            mode = os.stat(root).st_mode
+            st = os.stat(root)
         except OSError as exc:
             log.warning("cannot stat %s: %s", root, exc)
             continue
-        if stat.S_ISDIR(mode):
+        if stat.S_ISDIR(st.st_mode):
             kept.append((os.path.join(root, ""), str(root), real[i], True))
-        elif not stat.S_ISREG(mode):
+        elif not stat.S_ISREG(st.st_mode):
             log.warning("skipping %s: not a regular file or directory", root)
-        else:
+        elif (st.st_dev, st.st_ino) != skip:
             path = str(real[i] if root.is_symlink() else root)
             kept.append((path, path, real[i], False))
     for _key, path, resolved, is_dir in sorted(kept):
         if is_dir:
             try:
-                listing = _list_dir(path, str(resolved))
+                listing = _list_dir(path, str(resolved), skip)
             except OSError as exc:
                 yield Run(path, str(resolved), None, [], [_unlistable(path, exc)])
             else:
-                yield from _walk_dir(path, str(resolved), listing)
+                yield from _walk_dir(path, str(resolved), listing, skip)
         else:
             st = os.stat(resolved.parent)
             yield Run(os.path.dirname(path), str(resolved.parent), (st.st_dev, st.st_ino),
@@ -169,11 +171,12 @@ _FILE, _STALE_TEMP, _SUBDIR, _DESCEND = range(4)
 _Listing = tuple[tuple[int, int], list[tuple[str, str, int]]]
 
 
-def _list_dir(directory: str, opened: str) -> _Listing:
+def _list_dir(directory: str, opened: str, skip: tuple[int, int] | None) -> _Listing:
     """The `(st_dev, st_ino)` of `directory`, open at `opened`, and its entries
-    as (sort key, name, kind), sorted by key. A subdirectory is two
-    entries: `_SUBDIR` under its name, where a failure to list it sorts,
-    and `_DESCEND` under its name plus "/", where its files sort."""
+    as (sort key, name, kind), sorted by key, leaving out the file `skip`.
+    A subdirectory is two entries: `_SUBDIR` under its name, where a
+    failure to list it sorts, and `_DESCEND` under its name plus "/",
+    where its files sort."""
     st = os.stat(opened, follow_symlinks=False)
     if not stat.S_ISDIR(st.st_mode):  # swapped for a link since its parent was listed
         raise NotADirectoryError(errno.ENOTDIR, "no longer a directory", opened)
@@ -186,6 +189,11 @@ def _list_dir(directory: str, opened: str) -> _Listing:
                     continue
                 is_dir = entry.is_dir(follow_symlinks=False)
                 is_file = entry.is_file(follow_symlinks=False)
+                # the listing's inode costs no syscall; only a match is stat'ed
+                if is_file and skip is not None and entry.inode() == skip[1]:
+                    found = entry.stat(follow_symlinks=False)
+                    if (found.st_dev, found.st_ino) == skip:
+                        continue
             except OSError as exc:
                 log.warning("cannot stat %s: %s", os.path.join(directory, name), exc)
                 continue
@@ -206,7 +214,8 @@ def _unlistable(directory: str, exc: OSError) -> tuple[str, str]:
     return directory, f"cannot list directory: {exc}"
 
 
-def _walk_dir(directory: str, opened: str, listing: _Listing) -> Iterator[Run]:
+def _walk_dir(directory: str, opened: str, listing: _Listing,
+              skip: tuple[int, int] | None) -> Iterator[Run]:
     identity, entries = listing
     names: list[str] = []
     failures: list[tuple[str, str]] = []
@@ -219,7 +228,7 @@ def _walk_dir(directory: str, opened: str, listing: _Listing) -> Iterator[Run]:
         elif kind == _SUBDIR:
             path = os.path.join(directory, name)
             try:
-                listed[name] = _list_dir(path, os.path.join(opened, name))
+                listed[name] = _list_dir(path, os.path.join(opened, name), skip)
             except OSError as exc:
                 failures.append(_unlistable(path, exc))
         elif name in listed:
@@ -227,7 +236,7 @@ def _walk_dir(directory: str, opened: str, listing: _Listing) -> Iterator[Run]:
                 yield Run(directory, opened, identity, names, failures)
                 names, failures = [], []
             yield from _walk_dir(os.path.join(directory, name), os.path.join(opened, name),
-                                 listed.pop(name))
+                                 listed.pop(name), skip)
     if names or failures:
         yield Run(directory, opened, identity, names, failures)
 
@@ -257,7 +266,8 @@ def replace_atomically(
     the temp is published by a hard link that fails with FileExistsError
     if `path` exists, which then keeps its bytes. As in `os`, a relative
     `path` is taken relative to the directory open on `dir_fd`. Any
-    failure removes the temp.
+    failure removes the temp. Key files are written here too: a reader
+    that holds the old file open never sees the key.
     """
     directory, name = os.path.split(path)
     while True:

@@ -73,7 +73,8 @@ class _DumpFile:
     slicing give what the file's bytes would, each slice one `pread`, and
     `window` maps one span of it. Nothing maps the whole file."""
 
-    def __init__(self, fd: int, st: os.stat_result) -> None:
+    def __init__(self, path: Path, fd: int, st: os.stat_result) -> None:
+        self.path = path
         self.fd = fd
         self._size = st.st_size
 
@@ -86,8 +87,11 @@ class _DumpFile:
 
     def window(self, start: int, stop: int) -> mmap.mmap:
         """A read-only mapping of [start, stop); `start` is a multiple of
-        `mmap.ALLOCATIONGRANULARITY`."""
-        return mmap.mmap(self.fd, stop - start, access=mmap.ACCESS_READ, offset=start)
+        `mmap.ALLOCATIONGRANULARITY`. OSError if the file no longer reaches `stop`."""
+        try:
+            return mmap.mmap(self.fd, stop - start, access=mmap.ACCESS_READ, offset=start)
+        except ValueError:  # mmap's refusal of a span past the end of the file
+            raise OSError(f"dump {self.path} shrank since it was loaded") from None
 
     def close(self) -> None:
         if self.fd >= 0:
@@ -216,7 +220,7 @@ def load_dump(
     raw flavors; for minidumps it is read from the system-info stream.
     """
     path = Path(path)
-    data = _DumpFile(*open_regular(path))
+    data = _DumpFile(path, *open_regular(path))
     size = len(data)
     try:
         if fmt == "auto":

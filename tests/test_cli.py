@@ -424,8 +424,8 @@ def after_the_walk(monkeypatch, action):
     before it opens anything in it."""
     walk = cli_mod.walk_runs
 
-    def walked(paths):
-        runs = list(walk(paths))
+    def walked(*args):
+        runs = list(walk(*args))
         action()
         yield from runs
 
@@ -618,8 +618,8 @@ import os, sys
 import avaddon_rescue.cli as cli
 walk = cli.walk_runs
 
-def walked(paths):
-    runs = list(walk(paths))
+def walked(*args):
+    runs = list(walk(*args))
     os.unlink({str(tree / "b.txt")!r})
     os.mkfifo({str(tree / "b.txt")!r})
     yield from runs
@@ -687,6 +687,27 @@ def test_report_inside_a_walked_root_is_never_a_row(runner, tmp_path, session_ke
             assert names == ["a.txt", "sub/b.txt"]
             assert payload["totals"]["files_scanned"] == 2
         report.unlink()
+
+
+@pytest.mark.parametrize("how", ["hard_link", "linked_directory"])
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_report_under_another_name_in_the_tree_is_never_a_row(runner, tmp_path, session_key,
+                                                            command, how):
+    tree = tmp_path / "tree"
+    infected_letters(tree, session_key, ["a.txt", "sub/b.txt"])
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    if how == "hard_link":  # written outside the tree, linked into it
+        report = tmp_path / "report.json"
+        report.touch()
+        os.link(report, tree / "sub" / "report.json")
+    else:  # given as tree/link/report.json, walked as tree/sub/report.json
+        (tree / "link").symlink_to(tree / "sub", target_is_directory=True)
+        report = tree / "link" / "report.json"
+    result = runner.invoke(cli, tree_argv(command, [tree], key_file, "--out", str(report)))
+    assert result.exit_code == ExitCode.OK, result.output
+    payload = json.loads((tree / "sub" / "report.json").read_text())
+    assert [os.path.relpath(r["path"], tree) for r in payload["rows"]] == ["a.txt", "sub/b.txt"]
 
 
 @pytest.mark.parametrize("command", ["detect", "decrypt"])
@@ -1000,6 +1021,32 @@ def test_recover_key_ambiguous(runner, tmp_path, evidence_files, session_key, ot
         ],
     )
     assert result.exit_code == ExitCode.AMBIGUOUS_KEY
+    assert not (tmp_path / "k.hex").exists()
+
+
+def test_dump_that_shrinks_after_loading_ends_in_one_error_line(tmp_path, evidence_files,
+                                                               monkeypatch, capsys):
+    encrypted, original = evidence_files
+    dump_path = tmp_path / "proc.dmp"
+    dump_path.write_bytes(random.Random(5).randbytes(1 << 20))
+    real_load = cli_mod.load_dump
+
+    def load_then_shrink(*args, **kwargs):
+        image = real_load(*args, **kwargs)
+        os.truncate(dump_path, 1000)
+        return image
+
+    monkeypatch.setattr(cli_mod, "load_dump", load_then_shrink)
+    monkeypatch.setattr(sys, "argv", [
+        "avaddon-rescue", "recover-key", "--dump", str(dump_path), "--format", "raw",
+        "--evidence-encrypted", str(encrypted), "--evidence-original", str(original),
+        "--key-out", str(tmp_path / "k.hex"),
+    ])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    assert stopped.value.code == ExitCode.ERROR
+    err = capsys.readouterr().err
+    assert "error: " in err and "shrank" in err and "Traceback" not in err
     assert not (tmp_path / "k.hex").exists()
 
 

@@ -3,6 +3,7 @@ import os
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives import serialization
 
 import avaddon_rescue.emulator as emulator_mod
 import avaddon_rescue.trailer as trailer_mod
@@ -293,8 +294,8 @@ def test_operator_key_minimum_bits():
 
 def test_operator_key_pem_round_trip(operator_pair, session_key):
     pem = operator_pair.private_pem()
-    restored = OperatorKeyPair.from_private_pem(pem)
-    block = wrap_session_key(session_key, restored.public)
+    restored = serialization.load_pem_private_key(pem, password=None)
+    block = wrap_session_key(session_key, restored.public_key())
     assert unwrap_session_key(block, operator_pair.private) == session_key
 
 

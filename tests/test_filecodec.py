@@ -15,6 +15,7 @@ from avaddon_rescue.filecodec import (
     SIDE_BY_SIDE_SUFFIX,
     decrypt_file,
     encrypt_file,
+    walk_runs,
 )
 from avaddon_rescue.memscan import Evidence
 from avaddon_rescue.trailer import (
@@ -420,3 +421,19 @@ def test_tree_commands_close_every_descriptor(tmp_path, session_key, monkeypatch
               if r["status"] == "io_error"}
     assert failed == {"d07/f0.txt", "d07/f1.txt"}
     assert len(rows) == 80
+
+
+def test_walk_leaves_out_every_name_of_the_skipped_file(tmp_path):
+    tree = tmp_path / "tree"
+    make_tree(tree, {"a.txt": b"a", "report.json": b"{}", "sub/b.txt": b"b"})
+    os.link(tree / "report.json", tree / "sub" / "copy.json")
+    st = os.stat(tree / "report.json")
+    skip = (st.st_dev, st.st_ino)
+
+    def walked(*roots):
+        return [os.path.join(run.directory, name)
+                for run in walk_runs(roots, skip) for name in run.names]
+
+    assert walked(tree / "report.json") == []
+    assert walked(tree / "sub" / "copy.json") == []
+    assert walked(tree) == [str(tree / "a.txt"), str(tree / "sub" / "b.txt")]
