@@ -12,6 +12,7 @@ import collections
 import json
 import logging
 import os
+import stat
 import sys
 import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -82,7 +83,8 @@ class _Report:
 
     The --out file is opened when the report is, before any tree is
     walked: a report that cannot be written stops the command before it
-    touches a file, and the walk leaves out every name of `identity`.
+    touches a file, and the walk leaves out every name of `identity`, the
+    file the report goes to.
     """
 
     def __init__(self, command: str, parameters: dict[str, Any], as_json: bool,
@@ -114,11 +116,14 @@ class _Report:
 
     @property
     def identity(self) -> tuple[int, int] | None:
-        """The (st_dev, st_ino) of the --out file, if there is one."""
-        if self._file is None:
+        """The (st_dev, st_ino) of the file the report goes to, --out or
+        stdout, if it is a regular file; None for a tty, a pipe or a stream
+        with no descriptor."""
+        try:
+            st = os.fstat((self._file or sys.stdout).fileno())
+        except OSError:  # io.UnsupportedOperation: a stream with no descriptor
             return None
-        st = os.fstat(self._file.fileno())
-        return st.st_dev, st.st_ino
+        return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
 
     def add(self, rows: list[dict[str, Any]]) -> None:
         """Write `rows` and count them into the totals."""

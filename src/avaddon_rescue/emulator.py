@@ -8,12 +8,14 @@ for the scanner to find.
 
 Every write is gated: the sandbox root must sit strictly inside an
 allow-listed location and the caller must pass a literal confirmation
-token. Nothing here deletes, persists, spawns processes, or touches
-anything outside the sandbox and the explicit dump output path.
+token. Nothing here deletes a file it did not write, persists, spawns
+processes, or touches anything outside the sandbox and the explicit dump
+output path.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -33,10 +35,10 @@ from .memscan import (
     DUMP_FORMATS,
     HANDLE_XOR_CONSTANT,
     KEY_DATA_PATTERN,
-    DumpImage,
     default_map_path,
+    load_dump,
 )
-from .minidump import MemoryRange, read_minidump, write_minidump
+from .minidump import write_minidump
 from .trailer import VICTIM_BLOCK_LEN, VictimBlock
 
 #: Path fragments the encryption pass leaves untouched.
@@ -372,9 +374,10 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
 
     The manifest (also written to `<path>.manifest.json`) records every
     planted VA and the final file offsets so tests can assert translation
-    correctness without re-deriving the layout. Every planted structure is
-    read back through the finished container's VA map as a self-check
-    before anything hits disk.
+    correctness without re-deriving the layout. As a self-check, the
+    written dump (and its sidecar map) is opened with `load_dump`, as the
+    recovery commands open it, and every planted structure is read back
+    there; a failed check removes the files this call wrote.
     """
     if spec.pointer_width not in (4, 8):
         raise LayoutSpecError("pointer width must be 4 or 8")
@@ -456,34 +459,41 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
         decoy_rows.append({"kind": decoy.kind, "key_data_va": decoy.key_data_va,
                            "key_va": decoy.key_va})
 
-    # lay out the container, then read it back through the scanner's VA map
+    # lay out the container, then read it back as the recovery commands do
     path = Path(path)
     va_payloads = [(rva, bytes(buf)) for buf, (rva, _r) in zip(buffers, ranges)]
     if spec.container == "minidump":
         blob = write_minidump(va_payloads, pw, list_kind=spec.minidump_list)
-        mapped, _width = read_minidump(blob)
     else:
         # payloads back to back; raw's one range starts at va 0, so offset == va
         blob = b"".join(payload for _rva, payload in va_payloads)
-        mapped, offset = [], 0
-        for rva, payload in va_payloads:
-            mapped.append(MemoryRange(rva, len(payload), offset))
-            offset += len(payload)
-    image = DumpImage(blob, mapped, pw, spec.container)
+    written: list[Path] = []
+    try:
+        path.write_bytes(blob)
+        written.append(path)
+        if spec.container == "raw_with_map":
+            offsets = itertools.accumulate((len(payload) for _, payload in va_payloads), initial=0)
+            rows = [{"va": rva, "length": len(payload), "offset": offset}
+                    for (rva, payload), offset in zip(va_payloads, offsets)]
+            default_map_path(path).write_text(json.dumps(rows, indent=2))
+            written.append(default_map_path(path))
+        with load_dump(path, spec.container, pointer_width=pw) as image:
+            if image.pointer_width != pw:
+                raise LayoutSpecError(f"self-check failed: the {spec.container} reads back "
+                                      f"with pointer width {image.pointer_width}, not {pw}")
+            # a structure that does not read back either collides with one
+            # planted after it or sits in a range the container misplaced
+            for va, data, what in planted:
+                if image.read_va(va, len(data)) != data:
+                    raise LayoutSpecError(
+                        f"self-check failed: {what} at {va:#x} does not read back "
+                        f"(it collides with a later structure, or its range is misplaced)"
+                    )
+    except BaseException:
+        for done in written:
+            done.unlink()
+        raise
     range_rows = [{"va": r.va, "length": r.length, "offset": r.offset} for r in image.ranges]
-
-    # self-check: a structure that does not read back either collides with
-    # one planted after it or sits in a range the container misplaced
-    for va, data, what in planted:
-        if image.read_va(va, len(data)) != data:
-            raise LayoutSpecError(
-                f"self-check failed: {what} at {va:#x} does not read back "
-                f"(it collides with a later structure, or its range is misplaced)"
-            )
-
-    path.write_bytes(blob)
-    if spec.container == "raw_with_map":
-        default_map_path(path).write_text(json.dumps(range_rows, indent=2))
 
     manifest: dict[str, Any] = {
         "container": spec.container,

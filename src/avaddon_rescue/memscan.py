@@ -25,7 +25,6 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 from .cipher import SessionKey, decrypt_stream
@@ -68,15 +67,102 @@ assert all(len(magic) >= MIN_MAGIC_MATCH for _, magic in HEADER_MAGICS)
 MIN_PLAINTEXT_MATCH = 16
 
 
-class _DumpFile:
-    """A dump file open on one descriptor, which it owns: `len()` and
-    slicing give what the file's bytes would, each slice one `pread`, and
-    `window` maps one span of it. Nothing maps the whole file."""
+def _load_sidecar_map(map_path: Path) -> list[MemoryRange]:
+    fd, _st = open_regular(map_path)
+    with open(fd, "rb") as fh:
+        text = fh.read()
+    try:
+        entries = json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
+        raise DumpFormatError(f"sidecar map {map_path} is not valid JSON: {exc}") from exc
+    if not isinstance(entries, list):
+        raise DumpFormatError(f"sidecar map {map_path} must be a JSON array")
+    ranges = []
+    for entry in entries:
+        try:
+            ranges.append(MemoryRange(int(entry["va"]), int(entry["length"]), int(entry["offset"])))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DumpFormatError(f"bad sidecar map entry {entry!r}: {exc}") from exc
+    return ranges
 
-    def __init__(self, path: Path, fd: int, st: os.stat_result) -> None:
-        self.path = path
-        self.fd = fd
+
+def default_map_path(dump_path: str | os.PathLike) -> Path:
+    return Path(str(dump_path) + ".map.json")
+
+
+class DumpImage:
+    """A loaded dump: its file, open on one descriptor that it owns, and
+    the virtual-address map. `len()` and slicing give what the file's bytes
+    would, each slice one `pread`, and `window` maps one span of it.
+    Nothing maps the whole file.
+
+    The file is opened as one of `DUMP_FORMATS`, or sniffed. raw maps the
+    whole file at virtual address 0 (offset == VA); raw_with_map takes
+    ranges from a JSON sidecar; minidump parses the stream directory.
+    `pointer_width` overrides the default of 4 for the raw flavors; for
+    minidumps it is read from the system-info stream.
+
+    Read-only after construction; safe to share across scanning threads.
+    """
+
+    def __init__(
+        self,
+        path: str | os.PathLike,
+        fmt: str = "auto",
+        *,
+        map_path: str | os.PathLike | None = None,
+        pointer_width: int | None = None,
+    ) -> None:
+        self.path = path = Path(path)
+        self.fd, st = open_regular(path)
         self._size = st.st_size
+        try:
+            if fmt == "auto":
+                if self[:4] == MDMP_SIGNATURE:
+                    fmt = "minidump"
+                elif (map_path and Path(map_path).exists()) or default_map_path(path).exists():
+                    fmt = "raw_with_map"
+                else:
+                    fmt = "raw"
+
+            width = None  # a minidump gives its own
+            if fmt == "raw":
+                ranges = [MemoryRange(0, self._size, 0)]
+            elif fmt == "raw_with_map":
+                side = Path(map_path) if map_path else default_map_path(path)
+                if not side.exists():
+                    raise DumpFormatError(f"sidecar map not found: {side}")
+                ranges = _load_sidecar_map(side)
+            elif fmt == "minidump":
+                if self[:4] != MDMP_SIGNATURE:
+                    raise DumpFormatError(f"{path} does not start with the MDMP signature")
+                ranges, width = read_minidump(self)
+            else:
+                raise ValueError(f"unknown dump format {fmt!r}")
+            self.pointer_width = width = width or pointer_width or 4
+            if width not in (4, 8):
+                raise DumpFormatError(f"pointer width must be 4 or 8, got {width}")
+            for r in ranges:
+                if min(r.va, r.length, r.offset) < 0:
+                    raise DumpFormatError(f"range va={r.va:#x} length={r.length:#x} "
+                                          f"offset={r.offset:#x} has a negative field")
+            self.ranges = sorted((r for r in ranges if r.length > 0), key=lambda r: r.va)
+            self._starts = [r.va for r in self.ranges]
+            for prev, cur in zip(self.ranges, self.ranges[1:]):
+                if cur.va < prev.va_end:
+                    raise DumpFormatError(
+                        f"ranges overlap in virtual space: "
+                        f"[{prev.va:#x},{prev.va_end:#x}) and [{cur.va:#x},{cur.va_end:#x})"
+                    )
+            for r in self.ranges:
+                if r.offset + r.length > self._size:
+                    raise DumpFormatError(
+                        f"range at va {r.va:#x} points past the end of the dump file"
+                    )
+        except BaseException:
+            self.close()
+            raise
+        self.format = fmt
 
     def __len__(self) -> int:
         return self._size
@@ -93,52 +179,6 @@ class _DumpFile:
         except ValueError:  # mmap's refusal of a span past the end of the file
             raise OSError(f"dump {self.path} shrank since it was loaded") from None
 
-    def close(self) -> None:
-        if self.fd >= 0:
-            os.close(self.fd)
-            self.fd = -1
-
-
-class DumpImage:
-    """A loaded dump: its bytes, or its file read through one descriptor,
-    plus the virtual-address map.
-
-    Read-only after construction; safe to share across scanning threads.
-    """
-
-    def __init__(
-        self,
-        data,  # bytes | _DumpFile
-        ranges: list[MemoryRange],
-        pointer_width: int,
-        fmt: str,
-    ) -> None:
-        if pointer_width not in (4, 8):
-            raise DumpFormatError(f"pointer width must be 4 or 8, got {pointer_width}")
-        self.data = data
-        self.pointer_width = pointer_width
-        self.format = fmt
-        for r in ranges:
-            if min(r.va, r.length, r.offset) < 0:
-                raise DumpFormatError(
-                    f"range va={r.va:#x} length={r.length:#x} offset={r.offset:#x} "
-                    f"has a negative field"
-                )
-        self.ranges = sorted((r for r in ranges if r.length > 0), key=lambda r: r.va)
-        self._starts = [r.va for r in self.ranges]
-        for prev, cur in zip(self.ranges, self.ranges[1:]):
-            if cur.va < prev.va_end:
-                raise DumpFormatError(
-                    f"ranges overlap in virtual space: "
-                    f"[{prev.va:#x},{prev.va_end:#x}) and [{cur.va:#x},{cur.va_end:#x})"
-                )
-        size = len(data)
-        for r in self.ranges:
-            if r.offset + r.length > size:
-                raise DumpFormatError(
-                    f"range at va {r.va:#x} points past the end of the dump file"
-                )
-
     def __enter__(self) -> "DumpImage":
         return self
 
@@ -146,8 +186,9 @@ class DumpImage:
         self.close()
 
     def close(self) -> None:
-        if isinstance(self.data, _DumpFile):
-            self.data.close()
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
 
     def range_of(self, va: int) -> MemoryRange | None:
         i = bisect.bisect_right(self._starts, va) - 1
@@ -174,82 +215,19 @@ class DumpImage:
                 return None
             take = min(count, r.va_end - va)
             off = r.offset + (va - r.va)
-            out += self.data[off : off + take]
+            out += self[off : off + take]
             va += take
             count -= take
         return bytes(out)
 
     def read_offset(self, offset: int, count: int) -> bytes | None:
-        if offset < 0 or offset + count > len(self.data):
+        if offset < 0 or offset + count > self._size:
             return None
-        return bytes(self.data[offset : offset + count])
+        return self[offset : offset + count]
 
 
-def _load_sidecar_map(map_path: Path) -> list[MemoryRange]:
-    try:
-        entries = json.loads(map_path.read_bytes().decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
-        raise DumpFormatError(f"sidecar map {map_path} is not valid JSON: {exc}") from exc
-    if not isinstance(entries, list):
-        raise DumpFormatError(f"sidecar map {map_path} must be a JSON array")
-    ranges = []
-    for entry in entries:
-        try:
-            ranges.append(MemoryRange(int(entry["va"]), int(entry["length"]), int(entry["offset"])))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DumpFormatError(f"bad sidecar map entry {entry!r}: {exc}") from exc
-    return ranges
-
-
-def default_map_path(dump_path: str | os.PathLike) -> Path:
-    return Path(str(dump_path) + ".map.json")
-
-
-def load_dump(
-    path: str | os.PathLike,
-    fmt: str = "auto",
-    *,
-    map_path: str | os.PathLike | None = None,
-    pointer_width: int | None = None,
-) -> DumpImage:
-    """Open a dump as one of `DUMP_FORMATS`, or sniff it.
-
-    raw maps the whole file at virtual address 0 (offset == VA);
-    raw_with_map takes ranges from a JSON sidecar; minidump parses the
-    stream directory. `pointer_width` overrides the default of 4 for the
-    raw flavors; for minidumps it is read from the system-info stream.
-    """
-    path = Path(path)
-    data = _DumpFile(path, *open_regular(path))
-    size = len(data)
-    try:
-        if fmt == "auto":
-            if data[:4] == MDMP_SIGNATURE:
-                fmt = "minidump"
-            elif (map_path and Path(map_path).exists()) or default_map_path(path).exists():
-                fmt = "raw_with_map"
-            else:
-                fmt = "raw"
-
-        width = pointer_width
-        if fmt == "raw":
-            ranges = [MemoryRange(0, size, 0)]
-        elif fmt == "raw_with_map":
-            side = Path(map_path) if map_path else default_map_path(path)
-            if not side.exists():
-                raise DumpFormatError(f"sidecar map not found: {side}")
-            ranges = _load_sidecar_map(side)
-        elif fmt == "minidump":
-            if data[:4] != MDMP_SIGNATURE:
-                raise DumpFormatError(f"{path} does not start with the MDMP signature")
-            ranges, parsed_width = read_minidump(data)
-            width = parsed_width or pointer_width
-        else:
-            raise ValueError(f"unknown dump format {fmt!r}")
-        return DumpImage(data, ranges, width or 4, fmt)
-    except BaseException:
-        data.close()
-        raise
+#: The name every caller opens a dump by.
+load_dump = DumpImage
 
 
 @dataclass
@@ -303,23 +281,20 @@ def _find_aligned(dump: DumpImage, needle: bytes, alignment: int, from_va: int =
 
     Each range is searched in windows of `_SCAN_WINDOW` bytes. A window
     yields the matches that start inside it, including one that runs on
-    into the next window, so every match is found exactly once. A dump
-    file is mapped one window at a time, and a window is closed when the
-    pass moves past it or is closed itself. So the dump's resident bytes
+    into the next window, so every match is found exactly once. The dump
+    is mapped one window at a time, and a window is closed when the pass
+    moves past it or is closed itself. So the dump's resident bytes
     stay at one window, whatever the size of the dump or of the kernel's
     page-cache folios, as long as no caller starts a second pass while
-    one is suspended (see `_first_aligned`). A dump held as bytes is
-    searched in place.
+    one is suspended (see `_first_aligned`).
     """
-    data = dump.data
-    mapped = isinstance(data, _DumpFile)
     for rng in dump.ranges:
         end = rng.offset + rng.length
         for start in range(rng.offset + max(0, from_va - rng.va), end, _SCAN_WINDOW):
             # a match found below this limit starts inside the window
             limit = min(end, start + _SCAN_WINDOW + len(needle) - 1)
-            base = start - start % mmap.ALLOCATIONGRANULARITY if mapped else 0
-            with data.window(base, limit) if mapped else contextlib.nullcontext(data) as window:
+            base = start - start % mmap.ALLOCATIONGRANULARITY
+            with dump.window(base, limit) as window:
                 pos = start - base
                 while (found := window.find(needle, pos, limit - base)) != -1:
                     pos = found + 1
@@ -399,21 +374,27 @@ def confirm_chain(dump: DumpImage, candidate: KeyCandidate) -> bool:
 
 @dataclass(frozen=True)
 class Evidence:
-    """What we check a candidate key against.
+    """What we check a candidate key against: the first ciphertext block(s)
+    of one encrypted file, and the plaintext they must decrypt to, which is
+    the first bytes (at least 16) of that file's original version. When no
+    original is at hand, `plaintext` is None and the built-in library of
+    file-type header magics stands in for it.
 
-    Either the first bytes of the original version of one encrypted file
-    (at least 16), or — when no original is available — the built-in
-    library of file-type header magics.
+    Both factories read the files when called, so verifying many candidates
+    costs one small decrypt each. The encrypted file's path is resolved
+    once, so a link given for it still works, and then opened as a walked
+    file is (`trailer.open_classified`): a FIFO, a device or any other
+    non-regular file raises OSError and is never read.
     """
 
-    encrypted_path: Path
-    plaintext_prefix: bytes | None = None
+    ciphertext: bytes
+    plaintext: bytes | None = None
 
     def __post_init__(self) -> None:
-        if self.plaintext_prefix is not None and len(self.plaintext_prefix) < MIN_PLAINTEXT_MATCH:
+        if self.plaintext is not None and len(self.plaintext) < MIN_PLAINTEXT_MATCH:
             raise EvidenceError(
                 f"known plaintext prefix must be at least {MIN_PLAINTEXT_MATCH} bytes, "
-                f"got {len(self.plaintext_prefix)}"
+                f"got {len(self.plaintext)}"
             )
 
     @classmethod
@@ -428,41 +409,32 @@ class Evidence:
                 f"original file {original_path} is shorter than "
                 f"{MIN_PLAINTEXT_MATCH} bytes and cannot anchor verification"
             )
-        return cls(Path(encrypted_path), prefix)
+        return cls._read(Path(encrypted_path), prefix)
 
     @classmethod
     def from_header_magics(cls, encrypted_path: str | os.PathLike) -> "Evidence":
-        return cls(Path(encrypted_path))
+        return cls._read(Path(encrypted_path), None)
 
-    @cached_property
-    def challenge(self) -> tuple[bytes, bytes | None]:
-        """(ciphertext prefix, plaintext it must decrypt to; None in header-magic mode).
-
-        Read from the evidence file once, on first use, so verifying many
-        candidates costs one small decrypt each. The path is resolved once,
-        so a link given for the evidence still works, and then opened as a
-        walked file is (`trailer.open_classified`): a FIFO, a device or any
-        other non-regular file raises OSError and is never read. An
-        `EvidenceError` is not cached and is raised again on the next use.
-        """
-        fd, st, found = open_classified(self.encrypted_path.resolve())
+    @classmethod
+    def _read(cls, encrypted_path: Path, prefix: bytes | None) -> "Evidence":
+        fd, st, found = open_classified(encrypted_path.resolve())
         try:
             if found.damage:
-                raise EvidenceError(f"{self.encrypted_path} has a damaged trailer: {found.damage}")
+                raise EvidenceError(f"{encrypted_path} has a damaged trailer: {found.damage}")
             if found.trailer is None:
-                raise EvidenceError(f"{self.encrypted_path} is not an infected file")
+                raise EvidenceError(f"{encrypted_path} is not an infected file")
             body = st.st_size - APPENDIX_LEN
             if body < 16:
-                raise EvidenceError(f"{self.encrypted_path} has an empty encrypted body")
+                raise EvidenceError(f"{encrypted_path} has an empty encrypted body")
 
             want = None
             ct_len = 16
-            if self.plaintext_prefix is not None:
-                want = self.plaintext_prefix[: found.trailer.original_length]
+            if prefix is not None:
+                want = prefix[: found.trailer.original_length]
                 if len(want) < MIN_PLAINTEXT_MATCH:
                     raise EvidenceError("known plaintext shorter than the evidence file content")
                 ct_len = min(ceil16(len(want)), body, ENCRYPTED_PREFIX_LIMIT)
-            return read_at(fd, ct_len, 0), want
+            return cls(read_at(fd, ct_len, 0), want)
         finally:
             if fd is not None:
                 os.close(fd)
@@ -474,10 +446,9 @@ def verify_key(key: SessionKey, evidence: Evidence) -> bool:
     Known-plaintext mode needs a 16-byte match minimum; header-magic mode
     accepts any library entry (all 8+ bytes) as a decrypted prefix.
     """
-    ciphertext, want = evidence.challenge
-    plain = decrypt_stream(key, ciphertext)
-    if want is not None:
-        return plain[: len(want)] == want
+    plain = decrypt_stream(key, evidence.ciphertext)
+    if evidence.plaintext is not None:
+        return plain[: len(evidence.plaintext)] == evidence.plaintext
     return any(plain.startswith(magic) for _, magic in HEADER_MAGICS)
 
 
@@ -512,10 +483,7 @@ def recover_key(dump: DumpImage, evidence: Evidence) -> RecoveryResult:
     rather than guessing. The outcome depends only on the verified set, so
     the key-handle chain (a full pass over the dump per call) is looked for
     only behind verified candidates; the rest keep `chain_confirmed=None`.
-    Unusable evidence raises `EvidenceError` before the scan, whatever the
-    dump holds.
     """
-    evidence.challenge  # raises EvidenceError when the evidence is unusable
     candidates = scan_key_candidates(dump)
     for cand in candidates:
         cand.verified = cand.key is not None and verify_key(cand.key, evidence)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .errors import StringCodecError
@@ -65,15 +65,6 @@ class LabelRow:
     status: str  # "ok" or "invalid_base64"
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "identifier": self.identifier,
-            "b64": self.b64,
-            "plaintext": self.plaintext,
-            "status": self.status,
-            "error": self.error,
-        }
-
 
 def label_batch(entries: Iterable[tuple[str, str]]) -> list[LabelRow]:
     """Decode a batch of (identifier, base64) pairs.
@@ -125,4 +116,4 @@ def rows_to_tsv(rows: list[LabelRow]) -> str:
 
 
 def rows_to_json(rows: list[LabelRow]) -> str:
-    return json.dumps([row.to_dict() for row in rows], indent=2) + "\n"
+    return json.dumps([asdict(row) for row in rows], indent=2) + "\n"

@@ -711,6 +711,29 @@ def test_report_under_another_name_in_the_tree_is_never_a_row(runner, tmp_path, 
 
 
 @pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_report_on_stdout_redirected_into_the_tree_is_never_a_row(tmp_path, session_key,
+                                                                  command):
+    tree = tmp_path / "tree"
+    infected_letters(tree, session_key, ["a.txt", "sub/b.txt"])
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    report = tree / "sub" / "report.json"
+    # in a child, whose stdout is the report file itself, as after `> report.json`
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = "import sys; from avaddon_rescue.cli import main; sys.argv[0] = 'avaddon-rescue'; main()"
+    with open(report, "w") as stdout:
+        done = subprocess.run([sys.executable, "-c", child,
+                               *tree_argv(command, [tree], key_file, "--json")],
+                              env={**os.environ, "PYTHONPATH": path}, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == ExitCode.OK, done.stderr
+    payload = json.loads(report.read_text())
+    assert [os.path.relpath(r["path"], tree) for r in payload["rows"]] == ["a.txt", "sub/b.txt"]
+    assert payload["totals"]["files_scanned"] == 2
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
 def test_report_that_cannot_be_written_stops_before_any_file_is_opened(
     tmp_path, session_key, monkeypatch, capsys, command
 ):
@@ -1156,12 +1179,12 @@ def _cli_in_child(argv: list[str]) -> subprocess.CompletedProcess:
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("command", ["recover-key", "decrypt"])
-@pytest.mark.parametrize("flag", ["--dump", "--evidence-original"])
+@pytest.mark.parametrize("flag", ["--dump", "--evidence-original", "--map"])
 def test_dump_or_original_that_is_a_fifo_is_an_error(tmp_path, session_key, session_dump,
                                                      evidence_files, command, flag):
-    """A FIFO given as the dump or as the original copy ends in one error
-    line naming it and exit 1, before the dump is scanned or a file is
-    touched."""
+    """A FIFO given as the dump, as its sidecar map or as the original copy
+    ends in one error line naming it and exit 1, before the dump is
+    scanned or a file is touched."""
     encrypted, original = evidence_files
     fifo = tmp_path / "input.fifo"
     os.mkfifo(fifo)
@@ -1171,7 +1194,8 @@ def test_dump_or_original_that_is_a_fifo_is_an_error(tmp_path, session_key, sess
     given = {"--dump": session_dump, "--evidence-original": original, flag: fifo}
     target = ["recover-key", "--key-out", str(tmp_path / "k.hex")] if command == "recover-key" \
         else ["decrypt", str(tree)]
-    done = _cli_in_child([*target, "--dump", str(given["--dump"]),
+    sidecar = ["--format", "raw_with_map", "--map", str(fifo)] if flag == "--map" else []
+    done = _cli_in_child([*target, "--dump", str(given["--dump"]), *sidecar,
                           "--evidence-encrypted", str(encrypted),
                           "--evidence-original", str(given["--evidence-original"])])
     assert done.returncode == ExitCode.ERROR, done.stderr

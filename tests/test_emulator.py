@@ -28,7 +28,7 @@ from avaddon_rescue.emulator import (
 )
 from avaddon_rescue.errors import LayoutSpecError, SandboxViolation, WrapError
 from avaddon_rescue.filecodec import FileStatus, encrypt_file
-from avaddon_rescue.memscan import load_dump
+from avaddon_rescue.memscan import default_map_path, load_dump
 from avaddon_rescue.trailer import VICTIM_BLOCK_LEN, VictimBlock, probe
 from conftest import make_tree
 
@@ -460,13 +460,56 @@ def test_dump_generator_self_check_catches_misplaced_range(tmp_path, session_key
     assert not dump_path.exists()
 
 
+@pytest.mark.parametrize("pointer_width", [4, 8])
+def test_dump_generator_self_check_catches_the_other_pointer_width(tmp_path, session_key,
+                                                                  monkeypatch, pointer_width):
+    real_write = emulator_mod.write_minidump
+
+    def other_width_write(ranges, width, *args, **kwargs):
+        return real_write(ranges, 12 - width, *args, **kwargs)
+
+    monkeypatch.setattr(emulator_mod, "write_minidump", other_width_write)
+    spec = DumpLayoutSpec(
+        ranges=[(0x10000, 0x8000)],
+        chains=[PlantedChain(key=session_key, key_data_va=0x10100, key_va=0x10200)],
+        pointer_width=pointer_width,
+        container="minidump",
+        seed=2,
+    )
+    dump_path = tmp_path / "other_width.dmp"
+    with pytest.raises(LayoutSpecError, match="self-check"):
+        write_synthetic_dump(spec, dump_path)
+    assert not dump_path.exists()
+
+
 def test_dump_generator_rejects_collisions(tmp_path, session_key):
+    for container in ("raw", "raw_with_map", "minidump"):
+        spec = DumpLayoutSpec(
+            ranges=[(0, 0x10000)],
+            chains=[PlantedChain(key=session_key, key_data_va=0x1000, key_va=0x1008)],
+            container=container,
+        )
+        dump_path = tmp_path / f"bad_{container}.dmp"
+        with pytest.raises(LayoutSpecError, match="collide"):
+            write_synthetic_dump(spec, dump_path)
+        assert not dump_path.exists()
+        assert not default_map_path(dump_path).exists()
+
+
+@pytest.mark.parametrize("container", ["raw", "minidump"])
+def test_dump_generator_failed_check_keeps_a_sidecar_it_did_not_write(tmp_path, session_key,
+                                                                       container):
+    dump_path = tmp_path / "bad.dmp"
+    default_map_path(dump_path).write_text("[]")
     spec = DumpLayoutSpec(
         ranges=[(0, 0x10000)],
         chains=[PlantedChain(key=session_key, key_data_va=0x1000, key_va=0x1008)],
+        container=container,
     )
     with pytest.raises(LayoutSpecError, match="collide"):
-        write_synthetic_dump(spec, tmp_path / "bad.dmp")
+        write_synthetic_dump(spec, dump_path)
+    assert not dump_path.exists()
+    assert default_map_path(dump_path).read_text() == "[]"
 
 
 def test_dump_generator_rejects_stray_vas(tmp_path, session_key):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from avaddon_rescue.cipher import decrypt_stream
 from avaddon_rescue.errors import AvaddonRescueError
 from avaddon_rescue.filecodec import FileStatus, decrypt_file
-from avaddon_rescue.memscan import DumpImage, confirm_chain, load_dump, scan_key_candidates
+from avaddon_rescue.memscan import confirm_chain, load_dump, scan_key_candidates
 from avaddon_rescue.minidump import read_minidump, write_minidump
 from avaddon_rescue.trailer import (
     APPENDIX_LEN,
@@ -63,7 +63,7 @@ def mutated_minidumps(draw) -> bytes:
         mutated_minidumps(),
     )
 )
-def test_fuzz_read_minidump(data):
+def test_fuzz_read_minidump(tmp_path, data):
     try:
         ranges, width = read_minidump(data)
     except AvaddonRescueError:
@@ -71,12 +71,15 @@ def test_fuzz_read_minidump(data):
     assert width in (None, 4, 8)
     assert all(r.offset >= 0 and r.offset + r.length <= len(data) for r in ranges)
     # what parsed must also load, scan and chain-walk without a foreign error
+    dump_path = tmp_path / "fuzz.dmp"
+    dump_path.write_bytes(data)
     try:
-        dump = DumpImage(data, ranges, width or 4, "minidump")
+        dump = load_dump(dump_path, "minidump")
     except AvaddonRescueError:
         return
-    for cand in scan_key_candidates(dump):
-        confirm_chain(dump, cand)
+    with dump:
+        for cand in scan_key_candidates(dump):
+            confirm_chain(dump, cand)
 
 
 sidecar_value = st.one_of(

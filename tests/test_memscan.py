@@ -164,14 +164,14 @@ def test_dump_file_is_mapped_one_window_at_a_time(tmp_path, session_key, monkeyp
     with load_dump(dump_path) as dump:
         assert mappings_of_dump() == 0
         seen = []
-        real_window = memscan_mod._DumpFile.window
+        real_window = memscan_mod.DumpImage.window
 
         def counting_window(self, start, stop):
             window = real_window(self, start, stop)
             seen.append(mappings_of_dump())
             return window
 
-        monkeypatch.setattr(memscan_mod._DumpFile, "window", counting_window)
+        monkeypatch.setattr(memscan_mod.DumpImage, "window", counting_window)
         monkeypatch.setattr(memscan_mod, "_SCAN_WINDOW", mmap.ALLOCATIONGRANULARITY)
         candidates = scan_key_candidates(dump)
         assert [confirm_chain(dump, c) for c in candidates if c.key == session_key] == [True]
@@ -635,7 +635,6 @@ def test_confirm_chain_record_above_pointer_range(tmp_path):
 
 def test_evidence_read_once(evidence_pair, session_key, other_key, monkeypatch):
     encrypted, original = evidence_pair
-    evidence = Evidence.from_original(encrypted, original)
     opened = []
     real_open = os.open
 
@@ -644,10 +643,11 @@ def test_evidence_read_once(evidence_pair, session_key, other_key, monkeypatch):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", counting_open)
+    evidence = Evidence.from_original(encrypted, original)
     results = [verify_key(k, evidence) for k in (other_key, session_key) * 5]
     monkeypatch.undo()
     assert results == [False, True] * 5
-    assert opened == [encrypted]
+    assert opened == [original, encrypted]
 
 
 def _expected_recovery(dump, evidence, verify):
@@ -724,7 +724,7 @@ def test_recover_key_confirms_only_verified(
 
 def _naive_find(dump, needle, alignment):
     """Every aligned occurrence of `needle` inside one range, byte by byte."""
-    data = dump.data[:]  # the whole dump: a file-backed image reads it with one pread
+    data = dump[:]  # the whole dump, read with one pread
     return [
         (off, r.va + off - r.offset)
         for r in dump.ranges
