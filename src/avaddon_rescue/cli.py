@@ -557,6 +557,7 @@ def cmd_emulate(
         OperatorKeyPair,
         SkipPolicy,
         emulate_infection,
+        ensure_sandbox,
         generate_session_key,
         random_dump_layout,
         wrap_session_key,
@@ -567,49 +568,54 @@ def cmd_emulate(
     key = generate_session_key(seed)
     pair = OperatorKeyPair.generate()
     block = wrap_session_key(key, pair.public)
+    token = CONFIRM_TOKEN if confirmed else None
+    allowed = list(allow_roots) or None
     try:
-        infection = emulate_infection(
-            sandbox,
-            key,
-            SkipPolicy.default(),
-            block,
-            confirm_token=CONFIRM_TOKEN if confirmed else None,
-            allow_roots=list(allow_roots) or None,
-            priority_paths=priority_paths,
-        )
+        root = ensure_sandbox(sandbox, confirm_token=token, allow_roots=allowed)
     except SandboxViolation as exc:
         _status_note(f"gate refusal: {exc}")
         raise SystemExit(ExitCode.GATE_REFUSAL)
 
-    if key_out:
-        replace_atomically(key_out, [f"{key.hex()}\n".encode()])
-        _status_note(f"session key written to {key_out}")
-    if operator_key_out:
-        replace_atomically(operator_key_out, [pair.private_pem()])
-        _status_note(f"operator private key written to {operator_key_out}")
-    if dump_out:
-        layout = random_dump_layout(
-            seed if seed is not None else int.from_bytes(os.urandom(4), "little"),
-            container=dump_format,
-            n_decoys=3,
-            total_bytes=8 << 20,
-        )
-        layout.chains[0].key = key
-        write_synthetic_dump(layout, dump_out)
-        _status_note(f"synthetic dump written to {dump_out}")
-
     # no seed in the parameters: it derives the session key
     parameters = {
-        "sandbox": infection.sandbox_root,
+        "sandbox": str(root),
         "priority_paths": list(priority_paths),
         "dump_out": dump_out,
         "dump_format": dump_format,
     }
-    totals = {**infection.totals(), "wall_time": round(time.perf_counter() - started, 3)}
-    summary = (f"encrypted {totals['encrypted']}/{totals['planned']} planned files "
-               f"({totals['bytes_encrypted']} bytes, {totals['wall_time']}s); "
-               f"{totals['skipped_infected']} already infected, {totals['errors']} errors")
+    # the report opens before the plan is made, which leaves it out
     with _Report("emulate", parameters, as_json, out) as report:
+        infection = emulate_infection(
+            root,
+            key,
+            SkipPolicy.default(),
+            block,
+            confirm_token=token,
+            allow_roots=allowed,
+            priority_paths=priority_paths,
+            skip=report.identity,
+        )
+        if key_out:
+            replace_atomically(key_out, [f"{key.hex()}\n".encode()])
+            _status_note(f"session key written to {key_out}")
+        if operator_key_out:
+            replace_atomically(operator_key_out, [pair.private_pem()])
+            _status_note(f"operator private key written to {operator_key_out}")
+        if dump_out:
+            layout = random_dump_layout(
+                seed if seed is not None else int.from_bytes(os.urandom(4), "little"),
+                container=dump_format,
+                n_decoys=3,
+                total_bytes=8 << 20,
+            )
+            layout.chains[0].key = key
+            write_synthetic_dump(layout, dump_out)
+            _status_note(f"synthetic dump written to {dump_out}")
+
+        totals = {**infection.totals(), "wall_time": round(time.perf_counter() - started, 3)}
+        summary = (f"encrypted {totals['encrypted']}/{totals['planned']} planned files "
+                   f"({totals['bytes_encrypted']} bytes, {totals['wall_time']}s); "
+                   f"{totals['skipped_infected']} already infected, {totals['errors']} errors")
         report.add([row.to_dict() for row in infection.rows])
         report.finish(None, totals, [summary])
     raise SystemExit(ExitCode.PARTIAL_FAILURE if infection.errors else ExitCode.OK)

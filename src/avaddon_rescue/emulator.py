@@ -172,6 +172,7 @@ def plan_traversal(
     roots: Sequence[str | os.PathLike],
     priority_paths: Sequence[str | os.PathLike] = (),
     policy: SkipPolicy | None = None,
+    skip: tuple[int, int] | None = None,
 ) -> list[Path]:
     """Depth-first, lexicographic traversal producing the encryption plan.
 
@@ -181,14 +182,15 @@ def plan_traversal(
     by a priority folder inside a root or a link to one, is planned once,
     where it is first reached. Symlinks inside a tree are never followed.
     Unreadable directories are logged and skipped. Already-infected files
-    stay in the plan; `encrypt_file` refuses them.
+    stay in the plan; `encrypt_file` refuses them. No name of the file
+    whose `(st_dev, st_ino)` is `skip` is planned.
     """
     policy = policy or SkipPolicy.default()
     planned: list[Path] = []
     seen: set[str] = set()
     for paths, check_substrings in ((priority_paths, False), (roots, True)):
         for top in paths:
-            for run in walk_runs([Path(top).absolute()]):
+            for run in walk_runs([Path(top).absolute()], skip):
                 for name in run.names:
                     key = os.path.join(run.opened, name)  # the walk resolved the directory
                     if key in seen:
@@ -288,6 +290,7 @@ def emulate_infection(
     confirm_token: str | None = None,
     allow_roots: Sequence[str | os.PathLike] | None = None,
     priority_paths: Sequence[str | os.PathLike] = (),
+    skip: tuple[int, int] | None = None,
 ) -> InfectionReport:
     """Encrypt every plannable file under the sandbox root.
 
@@ -295,10 +298,11 @@ def emulate_infection(
     refusal. Every planned file gets one row. Re-running over the same
     sandbox encrypts nothing: `encrypt_file`'s re-encryption check turns
     each infected file into a `skipped_infected` row, and a file it cannot
-    read into an `io_error` row.
+    read into an `io_error` row. The file whose `(st_dev, st_ino)` is
+    `skip`, such as the report of the run, is never planned.
     """
     root = ensure_sandbox(sandbox_root, confirm_token=confirm_token, allow_roots=allow_roots)
-    plan = plan_traversal([root], priority_paths=priority_paths, policy=policy)
+    plan = plan_traversal([root], priority_paths=priority_paths, policy=policy, skip=skip)
     report = InfectionReport(sandbox_root=str(root))
     for path in plan:
         try:

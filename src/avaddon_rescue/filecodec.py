@@ -37,6 +37,7 @@ from .trailer import (
     build_trailer,
     classify_fd,
     open_classified,
+    open_regular,
     read_at,
 )
 
@@ -341,9 +342,10 @@ def encrypt_file(
         raise SandboxViolation(f"{path} is not inside the sandbox root {root}")
 
     try:
-        fd = os.open(real, os.O_RDONLY)
+        # the stat of the bytes read, even if the name is swapped; a FIFO
+        # swapped in for a planned file raises here instead of blocking
+        fd, st = open_regular(real)
         try:
-            st = os.fstat(fd)  # of the bytes read, even if the name is swapped
             size = st.st_size
             trailer = classify_fd(fd, size).trailer
             if trailer is not None:

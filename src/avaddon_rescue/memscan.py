@@ -265,42 +265,49 @@ def _read_candidate_key(dump: DumpImage, key_ptr: int) -> tuple[SessionKey | Non
     return None, None
 
 
-#: Bytes of a range that `_find_aligned` searches in one window, and so
-#: the most of the dump a scan keeps resident. 2 MiB windows on 2 MiB file
-#: boundaries, which the kernel maps with one fault where it caches the
-#: file in 2 MiB folios, scanned a 32 MiB dump in 18.6 ms against 20.3 ms
-#: (2-vCPU VM, Linux 6.18, ext4), but `recover-key` then peaked 2 MiB
-#: higher on a 128 MiB dump than on a 1 MiB one.
+#: Bytes of a range that `_windows` maps at a time, and so the most of
+#: the dump a scan keeps resident. 2 MiB windows on 2 MiB file boundaries,
+#: which the kernel maps with one fault where it caches the file in 2 MiB
+#: folios, scanned a 32 MiB dump in 18.6 ms against 20.3 ms (2-vCPU VM,
+#: Linux 6.18, ext4), but `recover-key` then peaked 2 MiB higher on a
+#: 128 MiB dump than on a 1 MiB one.
 _SCAN_WINDOW = 1 << 20
 
 
-def _find_aligned(dump: DumpImage, needle: bytes, alignment: int, from_va: int = 0):
-    """Yield (file offset, va) of every aligned occurrence of `needle` at
-    `from_va` or above, range by range in VA order; a match never spans
-    two ranges.
+def _windows(dump: DumpImage, needle_len: int, from_va: int = 0):
+    """Map each range at `from_va` or above, in VA order, one window of
+    `_SCAN_WINDOW` bytes at a time, and yield (window, lo, hi, offset, va):
+    the `needle_len`-byte matches inside `window[lo:hi]` are the ones that
+    start in this window's share of the range, so a search of every window
+    finds each match in a range exactly once, one that runs on into the
+    next window included, and none that spans two ranges. `offset` and
+    `va` are the file offset and the virtual address of `window[0]`.
 
-    Each range is searched in windows of `_SCAN_WINDOW` bytes. A window
-    yields the matches that start inside it, including one that runs on
-    into the next window, so every match is found exactly once. The dump
-    is mapped one window at a time, and a window is closed when the pass
-    moves past it or is closed itself. So the dump's resident bytes
-    stay at one window, whatever the size of the dump or of the kernel's
-    page-cache folios, as long as no caller starts a second pass while
-    one is suspended (see `_first_aligned`).
+    A window is closed when the caller asks for the next one or closes
+    this iterator. So the dump's resident bytes stay at one window,
+    whatever the size of the dump or of the kernel's page-cache folios, as
+    long as no caller starts a second pass while one is suspended (see
+    `_first_aligned`).
     """
     for rng in dump.ranges:
         end = rng.offset + rng.length
         for start in range(rng.offset + max(0, from_va - rng.va), end, _SCAN_WINDOW):
             # a match found below this limit starts inside the window
-            limit = min(end, start + _SCAN_WINDOW + len(needle) - 1)
+            limit = min(end, start + _SCAN_WINDOW + needle_len - 1)
             base = start - start % mmap.ALLOCATIONGRANULARITY
             with dump.window(base, limit) as window:
-                pos = start - base
-                while (found := window.find(needle, pos, limit - base)) != -1:
-                    pos = found + 1
-                    va = rng.va + (found + base - rng.offset)
-                    if va % alignment == 0:
-                        yield found + base, va
+                yield window, start - base, limit - base, base, rng.va + base - rng.offset
+
+
+def _find_aligned(dump: DumpImage, needle: bytes, alignment: int, from_va: int = 0):
+    """Yield (file offset, va) of every aligned occurrence of `needle` at
+    `from_va` or above, range by range in VA order, searched forward
+    through `_windows`."""
+    for window, lo, hi, offset, va in _windows(dump, len(needle), from_va):
+        while (found := window.find(needle, lo, hi)) != -1:
+            lo = found + 1
+            if (va + found) % alignment == 0:
+                yield offset + found, va + found
 
 
 def _first_aligned(
@@ -319,19 +326,25 @@ def scan_key_candidates(dump: DumpImage) -> list[KeyCandidate]:
     scan, culls false hits. Every pattern hit becomes a candidate even
     when its key pointer cannot be resolved; candidates with identical key
     bytes are collapsed to the first occurrence. An empty list is a normal
-    result.
+    result. Each window is searched from its top down, and the hits are
+    put in file order before they are collapsed.
     """
     pw = dump.pointer_width
+    n = len(KEY_DATA_PATTERN)
     hits: list[KeyCandidate] = []
-    for found, va in _find_aligned(dump, KEY_DATA_PATTERN, 1):
-        cand = KeyCandidate(struct_offset=found, struct_va=va)
-        # by VA, so a pointer that runs on into the next range is still read
-        ptr = dump.read_va(va + len(KEY_DATA_PATTERN), pw)
-        if ptr is not None:
-            key_ptr = int.from_bytes(ptr, "little")
-            cand.key_va = key_ptr
-            cand.key, cand.key_source = _read_candidate_key(dump, key_ptr)
-        hits.append(cand)
+    for window, lo, hi, offset, va in _windows(dump, n):
+        # from the top down: `rfind` skips on the pattern's first byte,
+        # 0x10, where `find` skips on its last, 0x00, the commonest byte in memory
+        while (found := window.rfind(KEY_DATA_PATTERN, lo, hi)) != -1:
+            hi = found + n - 1  # the next match starts below this one, overlapping it or not
+            cand = KeyCandidate(struct_offset=offset + found, struct_va=va + found)
+            # by VA, so a pointer that runs on into the next range is still read
+            ptr = dump.read_va(va + found + n, pw)
+            if ptr is not None:
+                key_ptr = int.from_bytes(ptr, "little")
+                cand.key_va = key_ptr
+                cand.key, cand.key_source = _read_candidate_key(dump, key_ptr)
+            hits.append(cand)
 
     hits.sort(key=lambda c: c.struct_offset)
     seen: set[bytes] = set()

@@ -552,6 +552,10 @@ def test_stale_temps_and_unlistable_directories_are_failed_rows(runner, tmp_path
 
 
 def tree_argv(command, roots, key_file, *extra):
+    if command == "emulate":  # one sandbox, under its parent as the allow-listed root
+        (root,) = roots
+        return [command, "--sandbox", str(root), "--allow-root", str(Path(root).parent),
+                "--i-understand-this-writes-files", *extra]
     argv = [command, *map(str, roots), *extra]
     if command == "decrypt":
         argv += ["--key-file", str(key_file), "--no-verify"]
@@ -605,17 +609,19 @@ def test_rows_follow_path_order_across_siblings_roots_and_failures(runner, tmp_p
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("command", ["detect", "decrypt"])
+@pytest.mark.parametrize("command", ["detect", "decrypt", "emulate"])
 def test_walked_file_swapped_for_a_fifo_is_an_io_error_row(tmp_path, session_key, command):
     tree = tmp_path / "tree"
     letters = infected_letters(tree, session_key, ["a.txt", "b.txt"])
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
     # in a child, so that a command blocked on opening the FIFO is killed
-    # by the timeout instead of hanging the test run
+    # by the timeout instead of hanging the test run; emulate plans what
+    # its walk lists, and opens each planned file after the plan is made
     child = f"""
 import os, sys
 import avaddon_rescue.cli as cli
+import avaddon_rescue.emulator as emulator
 walk = cli.walk_runs
 
 def walked(*args):
@@ -624,7 +630,7 @@ def walked(*args):
     os.mkfifo({str(tree / "b.txt")!r})
     yield from runs
 
-cli.walk_runs = walked
+cli.walk_runs = emulator.walk_runs = walked
 sys.argv = ["avaddon-rescue", *sys.argv[1:]]
 cli.main()
 """
@@ -638,7 +644,8 @@ cli.main()
     rows = {Path(r["path"]).name: r for r in json.loads(done.stdout)["rows"]}
     assert rows["b.txt"]["status"] == "io_error"
     assert "not a regular file" in rows["b.txt"]["detail"]
-    assert rows["a.txt"]["status"] == ("decrypted" if command == "decrypt" else "infected")
+    assert rows["a.txt"]["status"] == {"detect": "infected", "decrypt": "decrypted",
+                                       "emulate": "skipped_infected"}[command]
     assert stat.S_ISFIFO(os.stat(tree / "b.txt").st_mode)
     if command == "decrypt":
         assert (tree / "a.txt").read_bytes() == letters[tree / "a.txt"]
@@ -916,6 +923,32 @@ def test_emulate_unreadable_file_is_an_io_error_row(runner, tmp_path, monkeypatc
     }
     assert (payload["totals"]["planned"], payload["totals"]["errors"]) == (2, 1)
     assert (box / "b.txt").read_bytes() == files[box / "b.txt"]
+
+
+@pytest.mark.parametrize("how", ["out", "stdout"])
+def test_emulate_never_encrypts_its_own_report(tmp_path, how):
+    box = tmp_path / "box"
+    make_tree(box, {"a.txt": b"data" * 100, "sub/b.txt": b"more" * 100})
+    report = box / "sub" / "report.json"
+    argv = tree_argv("emulate", [box], None, "--seed", "4", "--json")
+    if how == "out":
+        argv += ["--out", str(report)]
+    # in a child, whose stdout is the report file itself without --out, as
+    # after `> report.json`
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = "import sys; from avaddon_rescue.cli import main; sys.argv[0] = 'avaddon-rescue'; main()"
+    for run in ("encrypted", "skipped_infected"):  # the second run finds the first's report
+        with open(report if how == "stdout" else os.devnull, "w") as stdout:
+            done = subprocess.run([sys.executable, "-c", child, *argv],
+                                  env={**os.environ, "PYTHONPATH": path}, stdout=stdout,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        assert done.returncode == ExitCode.OK, done.stderr
+        payload = json.loads(report.read_text())
+        assert {os.path.relpath(r["path"], box): r["status"] for r in payload["rows"]} == {
+            "a.txt": run, "sub/b.txt": run
+        }
+        assert probe(report).trailer is None
 
 
 def test_emulate_seeded_determinism(runner, tmp_path):

@@ -5,9 +5,13 @@ import random
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import avaddon_rescue
 from avaddon_rescue.emulator import (
@@ -24,6 +28,7 @@ from avaddon_rescue.memscan import (
     HANDLE_XOR_CONSTANT,
     KEY_DATA_PATTERN,
     Evidence,
+    KeyCandidate,
     RecoveryOutcome,
     confirm_chain,
     load_dump,
@@ -733,12 +738,35 @@ def _naive_find(dump, needle, alignment):
     ]
 
 
+def _naive_scan(dump):
+    """`scan_key_candidates` done byte by byte: every hit of `_naive_find`
+    in file order, its key read where the scan reads it, and a keyed hit
+    dropped when a lower hit holds the same key."""
+    import avaddon_rescue.memscan as memscan_mod
+
+    out, seen = [], set()
+    for off, va in sorted(_naive_find(dump, KEY_DATA_PATTERN, 1)):
+        cand = KeyCandidate(struct_offset=off, struct_va=va)
+        ptr = dump.read_va(va + len(KEY_DATA_PATTERN), dump.pointer_width)
+        if ptr is not None:
+            cand.key_va = int.from_bytes(ptr, "little")
+            cand.key, cand.key_source = memscan_mod._read_candidate_key(dump, cand.key_va)
+        if cand.key is not None:
+            if cand.key.key_bytes in seen:
+                continue
+            seen.add(cand.key.key_bytes)
+        out.append(cand)
+    return out
+
+
 def test_windowed_scan_edges(tmp_path, monkeypatch):
     """One-page windows over a 64-bit multi-range dump with random fill:
     patterns straddle window edges by 1 to 11 bytes, sit at each range's
     first and last offset, and run across two ranges contiguous in VA and
     in the file (no match). Range A starts off a page in the file, so its
-    aligned VAs sit at odd file offsets."""
+    aligned VAs sit at odd file offsets. Then over a zero-filled dump:
+    one window holds nothing, and the others hold patterns back to back
+    and between near misses (their first 1 to 11 bytes), across edges."""
     import avaddon_rescue.memscan as memscan_mod
 
     page = mmap.PAGESIZE
@@ -798,7 +826,69 @@ def test_windowed_scan_edges(tmp_path, monkeypatch):
         assert narrow == wide
         assert sorted(c.struct_va for c in narrow if c.key is not None) == sorted(keyed)
         assert [confirm_chain(dump, c) for c in narrow] == wide_chain
+        assert narrow == _naive_scan(dump)
     assert wide_chain == [c.struct_va == a_va for c in wide]
+
+    zeros = bytearray(5 * page)
+    at = page - 3 * n  # the run crosses the first edge; the last window stays empty
+    for near in range(1, n):
+        # a near miss ends in 0xFF, as zeros after the first 9 bytes or more would match
+        for piece in (KEY_DATA_PATTERN[:near], KEY_DATA_PATTERN, KEY_DATA_PATTERN[:near], b"\xff"):
+            zeros[at : at + len(piece)] = piece
+            at += len(piece)
+    for edge in (2 * page - n // 2, 3 * page - n):  # back to back, across and up to an edge
+        zeros[edge : edge + 2 * n] = KEY_DATA_PATTERN * 2
+    assert at < 2 * page - n // 2
+    f = tmp_path / "zeros.dmp"
+    f.write_bytes(bytes(zeros))
+    with load_dump(f, "raw", pointer_width=pw) as dump:
+        hits = _naive_scan(dump)
+        assert len(_naive_find(dump, KEY_DATA_PATTERN, 1)) == n - 1 + 4
+        assert not any(4 * page <= c.struct_offset for c in hits)
+        assert scan_key_candidates(dump) == hits
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    zero_fill=st.booleans(),
+    pages=st.integers(1, 3),
+    windows=st.integers(1, 3),
+    tail=st.integers(0, mmap.ALLOCATIONGRANULARITY),
+    skew=st.integers(0, mmap.ALLOCATIONGRANULARITY),
+    split=st.floats(0, 1),
+    edges=st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(-12, 12)),
+                   max_size=6),
+    spots=st.lists(st.floats(0, 1), max_size=4),
+    pointer_width=st.sampled_from([4, 8]),
+)
+def test_scan_equals_the_naive_search(seed, zero_fill, pages, windows, tail, skew, split, edges,
+                                      spots, pointer_width):
+    """Windows of 1 to 3 allocation units over two ranges of random or
+    zero bytes, each starting at a random file offset: patterns planted at
+    random offsets and up to 12 bytes either side of window edges."""
+    import avaddon_rescue.memscan as memscan_mod
+
+    window = pages * mmap.ALLOCATIONGRANULARITY
+    size = windows * window + tail
+    blob = bytearray(size if zero_fill else random.Random(seed).randbytes(size))
+    cut = int(split * size)
+    starts = (skew, skew + cut)  # each range's first byte in the file
+    plants = [starts[upper] + k * window + d for upper, k, d in edges]
+    plants += [skew + int(spot * size) for spot in spots]
+    blob = bytearray(skew) + blob
+    for at in plants:
+        if 0 <= at <= len(blob) - len(KEY_DATA_PATTERN):
+            blob[at : at + len(KEY_DATA_PATTERN)] = KEY_DATA_PATTERN
+    ranges = [{"va": 0x10000, "length": cut, "offset": skew},
+              {"va": 0x10000 + cut + 0x1000, "length": size - cut, "offset": skew + cut}]
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp, "random.dmp")
+        f.write_bytes(bytes(blob))
+        f.with_name("random.dmp.map.json").write_text(json.dumps(ranges))
+        with load_dump(f, "raw_with_map", pointer_width=pointer_width) as dump, \
+                mock.patch.object(memscan_mod, "_SCAN_WINDOW", window):
+            assert scan_key_candidates(dump) == _naive_scan(dump)
 
 
 @pytest.mark.skipif(
