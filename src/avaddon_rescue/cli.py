@@ -9,6 +9,7 @@ unless --show-key is passed.
 from __future__ import annotations
 
 import collections
+import contextlib
 import json
 import logging
 import os
@@ -38,6 +39,7 @@ from .memscan import (
     Evidence,
     RecoveryOutcome,
     RecoveryResult,
+    default_map_path,
     load_dump,
     recover_key,
     verify_key,
@@ -83,8 +85,8 @@ class _Report:
 
     The --out file is opened when the report is, before any tree is
     walked: a report that cannot be written stops the command before it
-    touches a file, and the walk leaves out every name of `identity`, the
-    file the report goes to.
+    touches a file, and the walk leaves out every name of the file the
+    report goes to, by its `skip`.
     """
 
     def __init__(self, command: str, parameters: dict[str, Any], as_json: bool,
@@ -115,15 +117,15 @@ class _Report:
         click.echo(text, file=self._file, nl=False)
 
     @property
-    def identity(self) -> tuple[int, int] | None:
+    def skip(self) -> frozenset[tuple[int, int]]:
         """The (st_dev, st_ino) of the file the report goes to, --out or
-        stdout, if it is a regular file; None for a tty, a pipe or a stream
+        stdout, if it is a regular file; none for a tty, a pipe or a stream
         with no descriptor."""
         try:
             st = os.fstat((self._file or sys.stdout).fileno())
         except OSError:  # io.UnsupportedOperation: a stream with no descriptor
-            return None
-        return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+            return frozenset()
+        return frozenset([(st.st_dev, st.st_ino)] if stat.S_ISREG(st.st_mode) else [])
 
     def add(self, rows: list[dict[str, Any]]) -> None:
         """Write `rows` and count them into the totals."""
@@ -188,7 +190,7 @@ _DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
 #: still restored side by side.
 _FILES_IN_FLIGHT = 1024
 
-RowFn = Callable[[str, str, int], dict[str, Any]]
+RowFn = Callable[..., dict[str, Any]]
 FailedFn = Callable[[str, str], dict[str, Any]]
 
 
@@ -231,33 +233,42 @@ def _rows_of(futures: list[Future]) -> list[dict[str, Any]]:
     return [row for future in futures for row in future.result()]
 
 
-def _run_rows(run: Run, row: RowFn, failed: FailedFn) -> list[dict[str, Any]]:
+def _run_rows(run: Run, row: RowFn, failed: FailedFn, into: str | None = None
+              ) -> list[dict[str, Any]]:
     """The rows of one run in path order, its directory open on one
     descriptor throughout.
 
     `row(path, name, dir_fd)` gives a file's row, with `name` relative to
     its directory open on `dir_fd`; `failed(path, detail)` gives a failed
-    row. A directory that cannot be opened, or is no longer the one the
-    walk listed (swapped for a link or for another directory), fails every
-    file of the run, and nothing inside it is opened.
+    row. With `into`, the directory's resolved path is mirrored under it,
+    in directories of mode 0700 opened without following a link, and `row`
+    gets the mirror's descriptor as a fourth argument. A directory that
+    cannot be opened or mirrored, or is no longer the one the walk listed
+    (swapped for a link or for another directory), fails every file of
+    the run, and nothing inside it is opened.
     """
     rows = [failed(path, detail) for path, detail in run.failures]
     paths = [os.path.join(run.directory, name) for name in run.names]
-    if paths:
-        try:
-            dir_fd = os.open(run.opened, _DIR_FLAGS)
-        except OSError as exc:
-            rows += [failed(path, str(exc)) for path in paths]
-        else:
-            try:
-                st = os.fstat(dir_fd)
-                if (st.st_dev, st.st_ino) == run.identity:
-                    rows += [row(path, name, dir_fd) for path, name in zip(paths, run.names)]
-                else:
-                    detail = f"{run.directory} is no longer the directory that was listed"
-                    rows += [failed(path, detail) for path in paths]
-            finally:
-                os.close(dir_fd)
+    fds: list[int] = []
+    try:
+        if paths:
+            fds.append(os.open(run.opened, _DIR_FLAGS))
+            st = os.fstat(fds[0])
+            if (st.st_dev, st.st_ino) != run.identity:
+                raise OSError(f"{run.directory} is no longer the directory that was listed")
+            if into:  # each component made unless an earlier run made it, then opened
+                fds.append(os.open(into, _DIR_FLAGS))
+                for part in Path(run.opened).parts[1:]:
+                    with contextlib.suppress(FileExistsError):
+                        os.mkdir(part, 0o700, dir_fd=fds[-1])
+                    fds.append(os.open(part, _DIR_FLAGS, dir_fd=fds[-1]))
+                    os.close(fds.pop(-2))
+            rows += [row(path, name, *fds) for path, name in zip(paths, run.names)]
+    except OSError as exc:
+        rows += [failed(path, str(exc)) for path in paths]
+    finally:
+        for fd in fds:
+            os.close(fd)
     if run.failures:
         rows.sort(key=lambda r: r["path"])
     return rows
@@ -288,7 +299,7 @@ def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
     """Recursively scan PATHS and report infected files."""
     started = time.perf_counter()
     with _Report("detect", {"paths": list(paths)}, as_json, out, _flagged) as report:
-        for run in walk_runs(paths, report.identity):
+        for run in walk_runs(paths, report.skip):
             report.add(_run_rows(run, _detect_row, _detect_failed))
         totals = report.totals(started)
         report.finish(None, totals, [f"scanned {totals['files_scanned']} files: "
@@ -434,8 +445,8 @@ def cmd_recover_key(
 @_key_source_options
 @click.option("--no-verify", is_flag=True,
               help="Skip the key verification gate (only with --key-file).")
-@click.option("--in-place/--side-by-side", "in_place", default=True,
-              help="Replace infected files atomically, or write .decrypted copies.")
+@click.option("--into", type=click.Path(file_okay=False),
+              help="Restore into this new directory, leaving PATHS untouched.")
 @click.option("--jobs", type=click.IntRange(min=1), default=os.cpu_count() or 1,
               show_default="CPU count", help="Worker threads; each restores one directory.")
 @_JSON_OPTION
@@ -451,7 +462,7 @@ def cmd_decrypt(
     evidence_original: str | None,
     header_magic: bool,
     no_verify: bool,
-    in_place: bool,
+    into: str | None,
     jobs: int,
     as_json: bool,
     out: str | None,
@@ -460,6 +471,8 @@ def cmd_decrypt(
     started = time.perf_counter()
     if bool(key_file) == bool(dump):
         raise click.UsageError("pass exactly one of --key-file or --dump")
+    if into and any(Path(into).resolve().is_relative_to(Path(p).resolve()) for p in paths):
+        raise click.UsageError(f"--into {into} lies inside a PATH")
 
     key_recovery: dict[str, Any] | None = None
     if key_file:
@@ -483,10 +496,8 @@ def cmd_decrypt(
             raise SystemExit(ExitCode.KEY_NOT_FOUND)
         key = result.key
 
-    policy = "in_place" if in_place else "side_by_side"
-
-    def row(path: str, name: str, dir_fd: int) -> dict[str, Any]:
-        report = decrypt_file(name, key, policy, dir_fd=dir_fd)
+    def row(path: str, name: str, dir_fd: int, out_dir_fd: int | None = None) -> dict[str, Any]:
+        report = decrypt_file(name, key, dir_fd=dir_fd, out_dir_fd=out_dir_fd)
         report.path = path
         if report.status is FileStatus.IO_ERROR:
             log.warning("could not decrypt %s: %s", path, report.detail)
@@ -498,16 +509,18 @@ def cmd_decrypt(
 
     parameters = {
         "paths": list(paths),
-        "output_policy": policy,
+        "into": into,
         "jobs": jobs,
         "key_source": "key_file" if key_file else "dump",
     }
+    if into:  # before the report opens, so that an existing one writes nothing
+        os.mkdir(into, 0o700)
     with (_Report("decrypt", parameters, as_json, out) as report,
           ThreadPoolExecutor(max_workers=jobs) as pool):
         # one task per run of files in one directory: workers that share a
         # directory contend for it in the kernel when they create and rename
-        runs = walk_runs(paths, report.identity)
-        for rows in _in_order(pool, jobs, lambda run: _run_rows(run, row, failed), runs):
+        runs = walk_runs(paths, report.skip)
+        for rows in _in_order(pool, jobs, lambda run: _run_rows(run, row, failed, into), runs):
             report.add(rows)
         totals = report.totals(started)
         report.finish(key_recovery, totals, [
@@ -559,6 +572,7 @@ def cmd_emulate(
         emulate_infection,
         ensure_sandbox,
         generate_session_key,
+        manifest_path,
         random_dump_layout,
         wrap_session_key,
         write_synthetic_dump,
@@ -583,7 +597,11 @@ def cmd_emulate(
         "dump_out": dump_out,
         "dump_format": dump_format,
     }
-    # the report opens before the plan is made, which leaves it out
+    # the report opens before the plan is made, which leaves it out, and so
+    # do the outputs of an earlier run, which this run replaces
+    outputs = [key_out, operator_key_out]
+    if dump_out:
+        outputs += [dump_out, default_map_path(dump_out), manifest_path(dump_out)]
     with _Report("emulate", parameters, as_json, out) as report:
         infection = emulate_infection(
             root,
@@ -593,7 +611,7 @@ def cmd_emulate(
             confirm_token=token,
             allow_roots=allowed,
             priority_paths=priority_paths,
-            skip=report.identity,
+            skip=report.skip | _identities(outputs),
         )
         if key_out:
             replace_atomically(key_out, [f"{key.hex()}\n".encode()])
@@ -619,6 +637,16 @@ def cmd_emulate(
         report.add([row.to_dict() for row in infection.rows])
         report.finish(None, totals, [summary])
     raise SystemExit(ExitCode.PARTIAL_FAILURE if infection.errors else ExitCode.OK)
+
+
+def _identities(paths: Iterable[str | os.PathLike | None]) -> frozenset[tuple[int, int]]:
+    """The (st_dev, st_ino) of each of `paths` that names a file now."""
+    found = set()
+    for path in filter(None, paths):
+        with contextlib.suppress(FileNotFoundError):
+            st = os.stat(path, follow_symlinks=False)
+            found.add((st.st_dev, st.st_ino))
+    return frozenset(found)
 
 
 @cli.command("strings")

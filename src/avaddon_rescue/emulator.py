@@ -23,7 +23,7 @@ import secrets
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import AbstractSet, Any, Sequence
 
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
@@ -172,7 +172,7 @@ def plan_traversal(
     roots: Sequence[str | os.PathLike],
     priority_paths: Sequence[str | os.PathLike] = (),
     policy: SkipPolicy | None = None,
-    skip: tuple[int, int] | None = None,
+    skip: AbstractSet[tuple[int, int]] = frozenset(),
 ) -> list[Path]:
     """Depth-first, lexicographic traversal producing the encryption plan.
 
@@ -182,8 +182,8 @@ def plan_traversal(
     by a priority folder inside a root or a link to one, is planned once,
     where it is first reached. Symlinks inside a tree are never followed.
     Unreadable directories are logged and skipped. Already-infected files
-    stay in the plan; `encrypt_file` refuses them. No name of the file
-    whose `(st_dev, st_ino)` is `skip` is planned.
+    stay in the plan; `encrypt_file` refuses them. No name of a file
+    whose `(st_dev, st_ino)` is in `skip` is planned.
     """
     policy = policy or SkipPolicy.default()
     planned: list[Path] = []
@@ -290,7 +290,7 @@ def emulate_infection(
     confirm_token: str | None = None,
     allow_roots: Sequence[str | os.PathLike] | None = None,
     priority_paths: Sequence[str | os.PathLike] = (),
-    skip: tuple[int, int] | None = None,
+    skip: AbstractSet[tuple[int, int]] = frozenset(),
 ) -> InfectionReport:
     """Encrypt every plannable file under the sandbox root.
 
@@ -298,7 +298,7 @@ def emulate_infection(
     refusal. Every planned file gets one row. Re-running over the same
     sandbox encrypts nothing: `encrypt_file`'s re-encryption check turns
     each infected file into a `skipped_infected` row, and a file it cannot
-    read into an `io_error` row. The file whose `(st_dev, st_ino)` is
+    read into an `io_error` row. A file whose `(st_dev, st_ino)` is in
     `skip`, such as the report of the run, is never planned.
     """
     root = ensure_sandbox(sandbox_root, confirm_token=confirm_token, allow_roots=allow_roots)
@@ -371,6 +371,10 @@ def _hcryptkey_bytes(pw: int, magic_s_va: int) -> bytes:
 
 def _key_data_bytes(pw: int, key_va: int) -> bytes:
     return bytes(pw) + KEY_DATA_PATTERN + key_va.to_bytes(pw, "little")
+
+
+def manifest_path(dump_path: str | os.PathLike) -> Path:
+    return Path(str(dump_path) + ".manifest.json")
 
 
 def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[str, Any]:
@@ -517,7 +521,7 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
         "decoys": decoy_rows,
         "ranges": range_rows,
     }
-    Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
+    manifest_path(path).write_text(json.dumps(manifest, indent=2))
     return manifest
 
 

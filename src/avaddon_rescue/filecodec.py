@@ -8,9 +8,9 @@ drop it, copy the remainder, and leave out the 536-byte appendix. Every
 read is a `pread` on one raw descriptor and every write an `os.write` to
 one exclusively created temp file.
 
-Both directions write to a temporary sibling and replace atomically, so a
-crash mid-operation never leaves a half-written file as the only copy. The
-replacement keeps the source file's owner, group, mode, atime and mtime.
+Both directions write to a temporary sibling of the output and replace
+it atomically, so a crash never leaves a half-written file as the only
+copy. The output keeps the source file's owner, group, mode and times.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import AbstractSet, Any, Iterable, Iterator, NamedTuple
 
 from .cipher import SessionKey, decrypt_stream, encrypt_stream
 from .errors import SandboxViolation
@@ -49,7 +49,6 @@ _TMP_NAME = re.compile(r"\..+\.[0-9a-f]{12}" + re.escape(_TMP_SUFFIX), re.DOTALL
 _STALE_TEMP_DETAIL = "leftover temp file of an interrupted restore; not probed"
 _TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
 _CHUNK_LEN = 1 << 20
-SIDE_BY_SIDE_SUFFIX = ".decrypted"
 
 
 class FileStatus(str, Enum):
@@ -111,7 +110,7 @@ class Run(NamedTuple):
 
 
 def walk_runs(roots: Iterable[str | os.PathLike],
-              skip: tuple[int, int] | None = None) -> Iterator[Run]:
+              skip: AbstractSet[tuple[int, int]] = frozenset()) -> Iterator[Run]:
     """The files under `roots`, depth-first in path order, as runs of files
     that share a directory.
 
@@ -130,8 +129,8 @@ def walk_runs(roots: Iterable[str | os.PathLike],
     overlapping roots yield each file once. Symlinks inside a tree are
     never followed or yielded. A root that is neither a regular file nor a
     directory (a FIFO or a device) is logged and skipped; an unreadable
-    directory is logged and becomes a failure. No name of the file whose
-    `(st_dev, st_ino)` is `skip` is yielded.
+    directory is logged and becomes a failure. No name of a file whose
+    `(st_dev, st_ino)` is in `skip` is yielded.
     """
     roots = [Path(root) for root in roots]
     real = [root.resolve() for root in roots]  # once per root, never per file
@@ -149,7 +148,7 @@ def walk_runs(roots: Iterable[str | os.PathLike],
             kept.append((os.path.join(root, ""), str(root), real[i], True))
         elif not stat.S_ISREG(st.st_mode):
             log.warning("skipping %s: not a regular file or directory", root)
-        elif (st.st_dev, st.st_ino) != skip:
+        elif (st.st_dev, st.st_ino) not in skip:
             path = str(real[i] if root.is_symlink() else root)
             kept.append((path, path, real[i], False))
     for _key, path, resolved, is_dir in sorted(kept):
@@ -172,15 +171,16 @@ _FILE, _STALE_TEMP, _SUBDIR, _DESCEND = range(4)
 _Listing = tuple[tuple[int, int], list[tuple[str, str, int]]]
 
 
-def _list_dir(directory: str, opened: str, skip: tuple[int, int] | None) -> _Listing:
+def _list_dir(directory: str, opened: str, skip: AbstractSet[tuple[int, int]]) -> _Listing:
     """The `(st_dev, st_ino)` of `directory`, open at `opened`, and its entries
-    as (sort key, name, kind), sorted by key, leaving out the file `skip`.
+    as (sort key, name, kind), sorted by key, leaving out the files in `skip`.
     A subdirectory is two entries: `_SUBDIR` under its name, where a
     failure to list it sorts, and `_DESCEND` under its name plus "/",
     where its files sort."""
     st = os.stat(opened, follow_symlinks=False)
     if not stat.S_ISDIR(st.st_mode):  # swapped for a link since its parent was listed
         raise NotADirectoryError(errno.ENOTDIR, "no longer a directory", opened)
+    inodes = {ino for _dev, ino in skip}
     entries = []
     with os.scandir(opened) as it:
         for entry in it:
@@ -191,9 +191,9 @@ def _list_dir(directory: str, opened: str, skip: tuple[int, int] | None) -> _Lis
                 is_dir = entry.is_dir(follow_symlinks=False)
                 is_file = entry.is_file(follow_symlinks=False)
                 # the listing's inode costs no syscall; only a match is stat'ed
-                if is_file and skip is not None and entry.inode() == skip[1]:
+                if is_file and entry.inode() in inodes:
                     found = entry.stat(follow_symlinks=False)
-                    if (found.st_dev, found.st_ino) == skip:
+                    if (found.st_dev, found.st_ino) in skip:
                         continue
             except OSError as exc:
                 log.warning("cannot stat %s: %s", os.path.join(directory, name), exc)
@@ -216,7 +216,7 @@ def _unlistable(directory: str, exc: OSError) -> tuple[str, str]:
 
 
 def _walk_dir(directory: str, opened: str, listing: _Listing,
-              skip: tuple[int, int] | None) -> Iterator[Run]:
+              skip: AbstractSet[tuple[int, int]]) -> Iterator[Run]:
     identity, entries = listing
     names: list[str] = []
     failures: list[tuple[str, str]] = []
@@ -254,7 +254,6 @@ def replace_atomically(
     source: os.stat_result | None = None,
     *,
     dir_fd: int | None = None,
-    overwrite: bool = True,
 ) -> None:
     """Write `chunks` to a new temp sibling of `path`, then rename it over `path`.
 
@@ -263,9 +262,7 @@ def replace_atomically(
     under its name is never written through. With `source`, the stat
     result of the file the replacement was made from, the replacement gets
     its owner, group, mode, atime and mtime; where the owner cannot be
-    copied, the set-id and sticky bits are dropped. Without `overwrite`,
-    the temp is published by a hard link that fails with FileExistsError
-    if `path` exists, which then keeps its bytes. As in `os`, a relative
+    copied, the set-id and sticky bits are dropped. As in `os`, a relative
     `path` is taken relative to the directory open on `dir_fd`. Any
     failure removes the temp. Key files are written here too: a reader
     that holds the old file open never sees the key.
@@ -293,15 +290,7 @@ def replace_atomically(
                 os.utime(fd, ns=(source.st_atime_ns, source.st_mtime_ns))
         finally:
             os.close(fd)
-        if overwrite:
-            os.replace(tmp, path, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
-        else:
-            try:
-                os.link(tmp, path, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
-            except FileExistsError:
-                raise FileExistsError(errno.EEXIST, "exists already; left as it was",
-                                      os.fspath(path)) from None
-            os.unlink(tmp, dir_fd=dir_fd)
+        os.replace(tmp, path, src_dir_fd=dir_fd, dst_dir_fd=dir_fd)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp, dir_fd=dir_fd)
@@ -367,15 +356,15 @@ def encrypt_file(
 def decrypt_file(
     path: str | os.PathLike,
     key: SessionKey,
-    output_policy: str = "in_place",
     *,
     dir_fd: int | None = None,
+    out_dir_fd: int | None = None,
 ) -> FileRecoveryReport:
     """Recover one infected file.
 
-    `output_policy` is "in_place" (atomic replace of the infected file) or
-    "side_by_side" (write `<name>.decrypted` next to it, source untouched;
-    an existing `<name>.decrypted` is never replaced, and the row fails).
+    The restored file replaces the infected one atomically, or, with
+    `out_dir_fd`, takes the name `path` ends in inside the directory open
+    on `out_dir_fd`, and the infected file is only ever opened read-only.
     The key is judged here only by the zero padding of a prefix shorter
     than 1 MiB: padding that decrypts to anything but zeros proves the key
     wrong, and the file is left untouched with a `wrong_key` row. A file
@@ -389,8 +378,6 @@ def decrypt_file(
     relative `path` is taken relative to the directory open on `dir_fd`,
     and every call on the file names it that way.
     """
-    if output_policy not in ("in_place", "side_by_side"):
-        raise ValueError(f"unknown output policy {output_policy!r}")
     started = time.perf_counter()
     original_length: int | None = None
 
@@ -414,11 +401,10 @@ def decrypt_file(
             # the untouched middle of a large file follows; stop before the appendix
             rest = _read_span(fd, enc_prefix, body)
             chunks = itertools.chain([plaintext[:original_length]], rest)
-            if output_policy == "in_place":
+            if out_dir_fd is None:
                 replace_atomically(path, chunks, st, dir_fd=dir_fd)
             else:
-                replace_atomically(os.fspath(path) + SIDE_BY_SIDE_SUFFIX, chunks, st,
-                                   dir_fd=dir_fd, overwrite=False)
+                replace_atomically(os.path.basename(path), chunks, st, dir_fd=out_dir_fd)
         finally:
             if fd is not None:
                 os.close(fd)

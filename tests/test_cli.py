@@ -951,6 +951,26 @@ def test_emulate_never_encrypts_its_own_report(tmp_path, how):
         assert probe(report).trailer is None
 
 
+def test_emulate_never_encrypts_its_own_earlier_outputs(runner, tmp_path):
+    box = tmp_path / "box"
+    make_tree(box, {"a.txt": b"data" * 100, "sub/b.txt": b"more" * 100})
+    outputs = ["--key-out", box / "key.hex", "--operator-key-out", box / "sub" / "operator.pem",
+               "--dump-out", box / "proc.dmp", "--dump-format", "raw_with_map"]
+    for seed, status in (("1", "encrypted"), ("2", "skipped_infected")):
+        result = runner.invoke(cli, ["emulate", "--sandbox", str(box), "--seed", seed,
+                                     "--i-understand-this-writes-files", "--json",
+                                     *map(str, outputs)])
+        assert result.exit_code == ExitCode.OK, result.output
+        rows = json.loads(result.stdout)["rows"]
+        assert {os.path.relpath(r["path"], box): r["status"] for r in rows} == {
+            "a.txt": status, "sub/b.txt": status
+        }
+    written = ["key.hex", "sub/operator.pem", "proc.dmp", "proc.dmp.map.json",
+               "proc.dmp.manifest.json"]
+    assert all(probe(box / rel).trailer is None for rel in written)
+    assert (box / "key.hex").read_text() == generate_session_key(2).hex() + "\n"
+
+
 def test_emulate_seeded_determinism(runner, tmp_path):
     content = {"a.txt": b"alpha" * 99, "sub/b.txt": b"beta" * 120}
     box1, box2 = tmp_path / "one", tmp_path / "two"
@@ -1420,43 +1440,273 @@ def test_decrypt_jobs_invariance(runner, tmp_path, session_key):
         for p, data in make_tree(pristine, {rel: f"{rel} ".encode() * 40 for rel in rels}).items()
     }
     emulate_infection(pristine, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
+    infected = files_of(pristine)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
 
-    for policy in ("--in-place", "--side-by-side"):
+    for mode in ("in_place", "into"):
         outcomes = []
         for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "8"], []):
-            box = tmp_path / f"{policy}{''.join(jobs)}"
+            box = tmp_path / f"{mode}{''.join(jobs)}"
             shutil.copytree(pristine, box)
+            into = box.with_name(box.name + "-restored")
             result = runner.invoke(
                 cli,
-                ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", policy,
-                 *jobs, "--json"],
+                ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", *jobs, "--json",
+                 *(["--into", str(into)] if mode == "into" else [])],
             )
             assert result.exit_code == ExitCode.OK, result.output
             payload = json.loads(result.stdout)
             if not jobs:
                 assert payload["parameters"]["jobs"] == os.cpu_count()
+            assert payload["parameters"]["into"] == (str(into) if mode == "into" else None)
             rows = [
                 {**r, "path": os.path.relpath(r["path"], box), "duration_s": None}
                 for r in payload["rows"]
             ]
             totals = {k: v for k, v in payload["totals"].items() if k != "wall_time"}
-            tree = {str(p.relative_to(box)): p.read_bytes() for p in box.rglob("*") if p.is_file()}
-            outcomes.append((rows, totals, tree))
+            restored = files_of(mirrored(into, box)) if mode == "into" else None
+            outcomes.append((rows, totals, files_of(box), restored))
 
-        assert all(outcome == outcomes[0] for outcome in outcomes), policy
-        rows, totals, tree = outcomes[0]
+        assert all(outcome == outcomes[0] for outcome in outcomes), mode
+        rows, totals, tree, restored = outcomes[0]
         assert [r["path"] for r in rows] == sorted(originals)
         assert {r["path"]: r["status"] for r in rows} == {
             rel: "decrypted" if rel.endswith(".txt") else "skipped_clean" for rel in originals
         }
         assert (totals["decrypted"], totals["failed"]) == (len(originals) - 1, 0)
-        if policy == "--in-place":
+        if mode == "in_place":
             assert tree == originals
         else:
-            restored = {rel: tree[rel + ".decrypted"] for rel in originals if rel.endswith(".txt")}
+            assert tree == infected
+            # only infected files are written
             assert restored == {rel: d for rel, d in originals.items() if rel.endswith(".txt")}
+
+
+def files_of(root):
+    """{path relative to root: bytes} of every file under `root`."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def mirrored(into, path):
+    """Where `decrypt --into` restores the directory `path`."""
+    return into / Path(os.path.realpath(path)).relative_to("/")
+
+
+#: Run in a child before `main`: any write to a path under $SHIM_SOURCE
+#: raises. Root ignores mode bits, so a read-only tree is simulated: an
+#: `os.open` with a write or create flag, and a mkdir, rename, replace,
+#: link or unlink, each with a name relative to a `dir_fd` resolved
+#: through /proc/self/fd.
+READ_ONLY_SHIM = """
+import os, sys
+source = os.path.realpath(os.environ["SHIM_SOURCE"])
+writes = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+real = {name: getattr(os, name) for name in ("open", "mkdir", "rename", "replace", "link", "unlink")}
+
+def refuse(call, *names):
+    for path, dir_fd in names:
+        path = os.fsdecode(path)
+        if dir_fd is not None and not os.path.isabs(path):
+            path = os.path.join(os.readlink(f"/proc/self/fd/{dir_fd}"), path)
+        path = os.path.join(os.path.realpath(os.path.dirname(path)), os.path.basename(path))
+        if path == source or path.startswith(source + os.sep):
+            raise PermissionError(13, f"{call} under the read-only source", path)
+
+def shim_open(path, flags, mode=0o777, *, dir_fd=None):
+    if flags & writes:
+        refuse("open", (path, dir_fd))
+    return real["open"](path, flags, mode, dir_fd=dir_fd)
+
+def shim_mkdir(path, mode=0o777, *, dir_fd=None):
+    refuse("mkdir", (path, dir_fd))
+    return real["mkdir"](path, mode, dir_fd=dir_fd)
+
+def shim_unlink(path, *, dir_fd=None):
+    refuse("unlink", (path, dir_fd))
+    return real["unlink"](path, dir_fd=dir_fd)
+
+def two_names(call):
+    def shim(src, dst, *, src_dir_fd=None, dst_dir_fd=None, **kwargs):
+        refuse(call, (src, src_dir_fd), (dst, dst_dir_fd))
+        return real[call](src, dst, src_dir_fd=src_dir_fd, dst_dir_fd=dst_dir_fd, **kwargs)
+    return shim
+
+os.open, os.mkdir, os.unlink, os.remove = shim_open, shim_mkdir, shim_unlink, shim_unlink
+os.rename, os.replace, os.link = two_names("rename"), two_names("replace"), two_names("link")
+from avaddon_rescue.cli import main
+sys.argv = ["avaddon-rescue", *sys.argv[1:]]
+main()
+"""
+
+
+def run_read_only(source, argv):
+    """`avaddon-rescue argv` in a child that cannot write under `source`."""
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "SHIM_SOURCE": str(source)}
+    return subprocess.run([sys.executable, "-c", READ_ONLY_SHIM, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def snapshot(root):
+    """Each file under `root`: its bytes, mode, inode, mtime and ctime."""
+    return {
+        rel: (data, st.st_mode, st.st_ino, st.st_mtime_ns, st.st_ctime_ns)
+        for rel, data in files_of(root).items()
+        for st in [os.stat(root / rel)]
+    }
+
+
+def test_decrypt_into_restores_a_read_only_source(tmp_path, session_key):
+    box = tmp_path / "box"
+    rels = {"a.txt": 0o640, "sub/b.txt": 0o600, "sub/deep/c.txt": 0o755, "keep/readme.exe": 0o644}
+    originals = make_tree(box, {rel: f"{rel} ".encode() * (30 + i)
+                                for i, rel in enumerate(rels)})
+    for i, (rel, mode) in enumerate(rels.items()):
+        (box / rel).chmod(mode)
+        os.utime(box / rel, ns=(1_500_000_000_000_000_000 + i, 1_600_000_000_123_456_789 + i))
+    before = {rel: os.stat(box / rel) for rel in rels}
+    emulate_infection(box, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    infected = snapshot(box)
+
+    # the shim bites: in place, every restore is refused and fails its row
+    done = run_read_only(box, ["decrypt", box, "--key-file", key_file, "--no-verify"])
+    assert done.returncode == ExitCode.PARTIAL_FAILURE, done.stderr
+    assert "under the read-only source" in done.stderr
+    assert snapshot(box) == infected
+
+    into = tmp_path / "restored"
+    done = run_read_only(box, ["decrypt", box, "--key-file", key_file, "--no-verify",
+                               "--into", into])
+    assert done.returncode == ExitCode.OK, done.stderr
+    assert snapshot(box) == infected
+    mirror = mirrored(into, box)
+    # only infected files are written, each with its original's mode and times
+    assert sorted(files_of(mirror)) == ["a.txt", "sub/b.txt", "sub/deep/c.txt"]
+    for rel in files_of(mirror):
+        st = os.stat(mirror / rel)
+        assert (mirror / rel).read_bytes() == originals[box / rel]
+        assert stat.S_IMODE(st.st_mode) == rels[rel]
+        assert st.st_mtime_ns == before[rel].st_mtime_ns
+    made = [into, *(p for p in into.rglob("*") if p.is_dir())]
+    assert {stat.S_IMODE(p.stat().st_mode) for p in made} == {0o700}
+
+
+def test_decrypt_into_with_a_wrong_key_leaves_the_source_as_it_was(tmp_path, session_key,
+                                                                   other_key):
+    box = tmp_path / "box"
+    # 4,096 bytes have no pad bytes, so the wrong key is only caught by
+    # the padding of the other files
+    make_tree(box, {"padded.txt": b"p" * 1000, "unpadded.txt": b"u" * 4096,
+                    "sub/padded.txt": b"q" * 2001})
+    emulate_infection(box, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
+    wrong = tmp_path / "wrong.hex"
+    wrong.write_text(other_key.hex())
+    infected = snapshot(box)
+    into = tmp_path / "restored"
+
+    done = run_read_only(box, ["decrypt", box, "--key-file", wrong, "--no-verify", "--into", into,
+                               "--json"])
+    assert done.returncode == ExitCode.PARTIAL_FAILURE, done.stderr
+    statuses = {os.path.relpath(r["path"], box): r["status"]
+                for r in json.loads(done.stdout)["rows"]}
+    assert statuses == {"padded.txt": "wrong_key", "sub/padded.txt": "wrong_key",
+                        "unpadded.txt": "decrypted"}
+    assert snapshot(box) == infected
+    # the noise lands in the new directory only
+    assert list(files_of(into)) == [str(mirrored(into, box).relative_to(into) / "unpadded.txt")]
+
+
+@pytest.mark.parametrize("spelling", ["inside", "through_a_link"])
+def test_decrypt_into_inside_a_path_is_a_usage_error(runner, tmp_path, session_key, monkeypatch,
+                                                     spelling):
+    box = tmp_path / "box"
+    infected_letters(box, session_key, ["a.txt"])
+    (tmp_path / "one").mkdir()  # the check covers every PATH, not only the first
+    (tmp_path / "link").symlink_to(box, target_is_directory=True)
+    into = (box if spelling == "inside" else tmp_path / "link") / "restored"
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+
+    def no_walk(*args):
+        raise AssertionError("the tree was walked")
+
+    monkeypatch.setattr(cli_mod, "walk_runs", no_walk)
+    result = runner.invoke(cli, ["decrypt", str(tmp_path / "one"), str(box), "--key-file",
+                                 str(key_file), "--no-verify", "--into", str(into)])
+    assert result.exit_code == 2, result.output
+    assert "inside a PATH" in result.output
+    assert not (box / "restored").exists()
+
+
+def test_decrypt_into_an_existing_directory_writes_nothing(tmp_path, session_key, monkeypatch,
+                                                           capsys):
+    box = tmp_path / "box"
+    infected_letters(box, session_key, ["a.txt", "sub/b.txt"])
+    infected = snapshot(box)
+    into = tmp_path / "restored"
+    into.mkdir()
+    (into / "notes.txt").write_text("an earlier restore")
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    report = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "argv", ["avaddon-rescue", "decrypt", str(box), "--key-file",
+                                      str(key_file), "--no-verify", "--into", str(into),
+                                      "--out", str(report)])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    assert stopped.value.code == ExitCode.ERROR
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(into) in errors[0] and "Traceback" not in err, err
+    assert snapshot(box) == infected
+    assert files_of(into) == {"notes.txt": b"an earlier restore"}
+    assert not report.exists()
+
+
+def test_decrypt_into_mirrors_roots_of_the_same_name_apart(runner, tmp_path, session_key):
+    a, b = tmp_path / "a" / "docs", tmp_path / "b" / "docs"
+    letters = infected_letters(a, session_key, ["letter.txt"], text="from a")
+    letters |= infected_letters(b, session_key, ["letter.txt"], text="from b")
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    into = tmp_path / "restored"
+    result = runner.invoke(cli, ["decrypt", str(a), str(b), "--key-file", str(key_file),
+                                 "--no-verify", "--into", str(into)])
+    assert result.exit_code == ExitCode.OK, result.output
+    for root in (a, b):
+        assert (mirrored(into, root) / "letter.txt").read_bytes() == letters[root / "letter.txt"]
+
+
+def test_decrypt_into_fails_the_files_of_a_directory_it_cannot_mirror(runner, tmp_path,
+                                                                       session_key, monkeypatch):
+    a, b = tmp_path / "a" / "docs", tmp_path / "b" / "docs"
+    letters = infected_letters(a, session_key, ["letter.txt"], text="from a")
+    infected_letters(b, session_key, ["letter.txt"], text="from b")
+    infected = snapshot(b)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    real_mkdir = os.mkdir
+
+    def no_b(path, *args, **kwargs):
+        if path == "b":
+            raise PermissionError(13, "simulated denial", path)
+        return real_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", no_b)
+    into = tmp_path / "restored"
+    result = runner.invoke(cli, ["decrypt", str(a), str(b), "--key-file", str(key_file),
+                                 "--no-verify", "--into", str(into), "--json"])
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    rows = {r["path"]: r for r in json.loads(result.stdout)["rows"]}
+    assert rows[str(a / "letter.txt")]["status"] == "decrypted"
+    assert rows[str(b / "letter.txt")]["status"] == "io_error"
+    assert "simulated denial" in rows[str(b / "letter.txt")]["detail"]
+    assert (mirrored(into, a) / "letter.txt").read_bytes() == letters[a / "letter.txt"]
+    assert not mirrored(into, b).exists() and snapshot(b) == infected
 
 
 def test_decrypt_partial_failure_exit_code(runner, tmp_path, session_key, monkeypatch):
@@ -1469,10 +1719,10 @@ def test_decrypt_partial_failure_exit_code(runner, tmp_path, session_key, monkey
     from avaddon_rescue.filecodec import FileRecoveryReport, FileStatus
     real_decrypt = cli_mod.decrypt_file
 
-    def flaky_decrypt(path, key, policy, **kwargs):
+    def flaky_decrypt(path, key, **kwargs):
         if os.path.basename(path) == "file1.txt":
             return FileRecoveryReport(str(path), FileStatus.IO_ERROR, detail="simulated")
-        return real_decrypt(path, key, policy, **kwargs)
+        return real_decrypt(path, key, **kwargs)
 
     monkeypatch.setattr(cli_mod, "decrypt_file", flaky_decrypt)
     result = runner.invoke(
@@ -1633,42 +1883,6 @@ def test_detect_and_decrypt_agree_on_every_row(runner, tmp_path, session_key, mo
     assert detected["totals"]["failed"] == 3
     for name in ("infected.txt", "report.decrypted"):
         assert (root / name).read_bytes() == letters[root / name]
-
-
-def test_decrypt_side_by_side_flag(runner, tmp_path, session_key):
-    box = tmp_path / "box"
-    box.mkdir()
-    originals, _ = build_infected_sandbox(box, session_key, n_files=3)
-    key_file = tmp_path / "key.hex"
-    key_file.write_text(session_key.hex())
-
-    argv = ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", "--side-by-side"]
-    result = runner.invoke(cli, argv)
-    assert result.exit_code == ExitCode.OK, result.output
-    siblings = {}
-    for path, content in originals.items():
-        if path.suffix == ".txt":
-            assert probe(path).trailer is not None  # source untouched
-            siblings[path.with_name(path.name + ".decrypted")] = content
-    assert all(sibling.read_bytes() == content for sibling, content in siblings.items())
-
-    # a second run walks the first run's outputs, finds them clean, and
-    # writes no output of an output; it never replaces an output either,
-    # so the operator's edits to one survive, and each source whose output
-    # exists is a failed row that names it
-    edited = next(iter(siblings))
-    edited.write_bytes(b"the operator's notes")
-    siblings[edited] = b"the operator's notes"
-    result = runner.invoke(cli, [*argv, "--json"])
-    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
-    rows = {r["path"]: r for r in json.loads(result.stdout)["rows"]}
-    assert {rows[str(sibling)]["status"] for sibling in siblings} == {"skipped_clean"}
-    for sibling in siblings:
-        row = rows[str(sibling)[:-len(".decrypted")]]
-        assert row["status"] == "io_error" and sibling.name in row["detail"], row
-    assert all(sibling.read_bytes() == content for sibling, content in siblings.items())
-    assert not list(box.rglob("*.decrypted.decrypted"))
-    assert not list(box.rglob("*.avrescue-tmp"))
 
 
 def test_version_flag(runner):

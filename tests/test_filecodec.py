@@ -12,7 +12,6 @@ from avaddon_rescue.emulator import CONFIRM_TOKEN, emulate_infection
 from avaddon_rescue.errors import EvidenceError, SandboxViolation
 from avaddon_rescue.filecodec import (
     FileStatus,
-    SIDE_BY_SIDE_SUFFIX,
     decrypt_file,
     encrypt_file,
     walk_runs,
@@ -171,21 +170,8 @@ def test_decrypt_corrupt_trailer_variants(tmp_path, session_key):
     assert f_bad_magic.read_bytes()[:32] == body
 
 
-def test_decrypt_side_by_side(tmp_path, session_key):
-    f = tmp_path / "sample.bin"
-    content = write_sample(f, 700, seed=17)
-    encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
-    infected = f.read_bytes()
-
-    report = decrypt_file(f, session_key, output_policy="side_by_side")
-    assert report.status is FileStatus.DECRYPTED
-    assert f.read_bytes() == infected  # source untouched
-    out = tmp_path / ("sample.bin" + SIDE_BY_SIDE_SUFFIX)
-    assert out.read_bytes() == content
-
-
-@pytest.mark.parametrize("policy", ["in_place", "side_by_side"])
-def test_mode_and_times_survive_both_transforms(tmp_path, session_key, policy):
+@pytest.mark.parametrize("output", ["in_place", "out_dir_fd"])
+def test_mode_and_times_survive_both_transforms(tmp_path, session_key, output):
     f = tmp_path / "sample.bin"
     content = write_sample(f, 3000, seed=29)
     f.chmod(0o640)
@@ -193,9 +179,22 @@ def test_mode_and_times_survive_both_transforms(tmp_path, session_key, policy):
     os.utime(f, ns=times_ns)
 
     assert encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path).status is FileStatus.ENCRYPTED
-    assert decrypt_file(f, session_key, output_policy=policy).status is FileStatus.DECRYPTED
+    if output == "in_place":
+        assert decrypt_file(f, session_key).status is FileStatus.DECRYPTED
+        out = f
+    else:
+        infected = f.read_bytes()
+        os.utime(f, ns=times_ns)  # the read moved the atime
+        (tmp_path / "out").mkdir()
+        out_dir_fd = os.open(tmp_path / "out", os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            report = decrypt_file(f, session_key, out_dir_fd=out_dir_fd)
+        finally:
+            os.close(out_dir_fd)
+        assert report.status is FileStatus.DECRYPTED
+        assert f.read_bytes() == infected  # the source is untouched
+        out = tmp_path / "out" / "sample.bin"
 
-    out = f if policy == "in_place" else tmp_path / ("sample.bin" + SIDE_BY_SIDE_SUFFIX)
     st = out.stat()  # before the read below moves the atime
     assert stat.S_IMODE(st.st_mode) == 0o640
     assert (st.st_atime_ns, st.st_mtime_ns) == times_ns
@@ -287,11 +286,6 @@ def test_restore_never_writes_through_a_planted_temp_link(tmp_path, session_key)
     assert victim.read_bytes() == b"outside the evidence tree"
     assert not f.is_symlink()
     assert f.read_bytes() == content
-
-
-def test_unknown_output_policy(tmp_path, session_key):
-    with pytest.raises(ValueError):
-        decrypt_file(tmp_path / "x", session_key, output_policy="weird")
 
 
 def test_probe_matches_reports(tmp_path, session_key):
@@ -428,7 +422,7 @@ def test_walk_leaves_out_every_name_of_the_skipped_file(tmp_path):
     make_tree(tree, {"a.txt": b"a", "report.json": b"{}", "sub/b.txt": b"b"})
     os.link(tree / "report.json", tree / "sub" / "copy.json")
     st = os.stat(tree / "report.json")
-    skip = (st.st_dev, st.st_ino)
+    skip = {(st.st_dev, st.st_ino)}
 
     def walked(*roots):
         return [os.path.join(run.directory, name)
