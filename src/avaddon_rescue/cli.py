@@ -63,25 +63,15 @@ class ExitCode(IntEnum):
     GATE_REFUSAL = 7
 
 
-#: Row statuses that count as failed
-_FAILED = ("io_error", "corrupt_trailer", "wrong_key")
-
-
-def _field(key: str, value: Any) -> str:
-    """One top-level field of a report, as `json.dumps(..., indent=2)` writes it."""
-    return f"  {json.dumps(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
-
-
 class _Report:
     """One command's report, written while the command runs.
 
-    With --json or --out it is the versioned JSON envelope: the head when
-    the report opens, each row on its own line (by the C encoder) as it
-    arrives, then `key_recovery` and the totals. The text parses to the
-    same object as `json.dumps` of the whole report, and a run killed
-    midway leaves a truncated report that holds every row written. Without
-    either flag, `line(row)` gives the line a row prints, if any, and the
-    summary follows. `counts` are the tree commands' totals so far.
+    With --json or --out it is the versioned JSON envelope, each line by
+    the C encoder: a head, one row per line as it arrives (as `as_dict`
+    gives it), and a tail of `key_recovery` and the totals. A run killed
+    midway leaves a truncated report that holds every row written.
+    Without either flag, `line(row)` gives the line a row prints, if any,
+    and the summary follows. `counts` are the tree commands' totals so far.
 
     The --out file is opened when the report is, before any tree is
     walked: a report that cannot be written stops the command before it
@@ -90,17 +80,19 @@ class _Report:
     """
 
     def __init__(self, command: str, parameters: dict[str, Any], as_json: bool,
-                 out: str | None, line: Callable[[dict[str, Any]], str | None] | None = None
+                 out: str | None, line: Callable[[FileRecoveryReport], str | None] | None = None,
+                 as_dict: Callable[..., dict[str, Any]] = FileRecoveryReport.to_dict
                  ) -> None:
         self.counts = {"files_scanned": 0, "infected": 0, "decrypted": 0, "failed": 0, "bytes": 0}
         self._line = line
+        self._as_dict = as_dict
         self._json = as_json or bool(out)
         self._file = open(out, "w") if out else None
         if self._json:
-            head = [_field("schema_version", REPORT_SCHEMA_VERSION), _field("command", command),
-                    _field("parameters", parameters)]
+            head = {"schema_version": REPORT_SCHEMA_VERSION, "command": command,
+                    "parameters": parameters}
             try:
-                self._write("{\n" + ",\n".join(head) + ',\n  "rows": [')
+                self._write(json.dumps(head)[:-1] + ', "rows": [')
             except BaseException:
                 self.__exit__()
                 raise
@@ -127,21 +119,21 @@ class _Report:
             return frozenset()
         return frozenset([(st.st_dev, st.st_ino)] if stat.S_ISREG(st.st_mode) else [])
 
-    def add(self, rows: list[dict[str, Any]]) -> None:
+    def add(self, rows: list[FileRecoveryReport]) -> None:
         """Write `rows` and count them into the totals."""
         counts = self.counts
         written = counts["files_scanned"]
         for row in rows:
             counts["files_scanned"] += 1
             # detect and decrypt rows carry original_length only for infected files
-            counts["infected"] += row.get("original_length") is not None
-            counts["decrypted"] += row["status"] == "decrypted"
-            counts["failed"] += row["status"] in _FAILED
-            counts["bytes"] += row.get("bytes_processed") or 0
+            counts["infected"] += row.original_length is not None
+            counts["decrypted"] += row.status is FileStatus.DECRYPTED
+            counts["failed"] += row.status.failed
+            counts["bytes"] += row.bytes_processed
         if self._json:
             if rows:
-                lead = ",\n    " if written else "\n    "
-                self._write(lead + ",\n    ".join(map(json.dumps, rows)))
+                lead = ",\n" if written else "\n"
+                self._write(lead + ",\n".join(json.dumps(self._as_dict(row)) for row in rows))
         elif self._line is not None:
             for row in rows:
                 if (text := self._line(row)) is not None:
@@ -155,9 +147,8 @@ class _Report:
                summary: Iterable[str]) -> None:
         """Close the envelope with `key_recovery` and `totals`, or print `summary`."""
         if self._json:
-            self._write(("\n  ]" if self.counts["files_scanned"] else "]") + ",\n"
-                        + _field("key_recovery", key_recovery) + ",\n"
-                        + _field("totals", totals) + "\n}\n")
+            tail = json.dumps({"key_recovery": key_recovery, "totals": totals})
+            self._write("\n], " + tail[1:] + "\n")
         else:
             for line in summary:
                 click.echo(line)
@@ -190,12 +181,9 @@ _DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
 #: still restored side by side.
 _FILES_IN_FLIGHT = 1024
 
-RowFn = Callable[..., dict[str, Any]]
-FailedFn = Callable[[str, str], dict[str, Any]]
 
-
-def _in_order(pool: ThreadPoolExecutor, jobs: int, fn: Callable[[Run], list[dict[str, Any]]],
-              runs: Iterable[Run]) -> Iterator[list[dict[str, Any]]]:
+def _in_order(pool: ThreadPoolExecutor, jobs: int, fn: Callable[[Run], list[Any]],
+              runs: Iterable[Run]) -> Iterator[list[Any]]:
     """The rows `fn` gives for each of `runs`, run on `pool` of `jobs`
     workers, in order.
 
@@ -227,27 +215,29 @@ def _in_order(pool: ThreadPoolExecutor, jobs: int, fn: Callable[[Run], list[dict
             future.cancel()
 
 
-def _rows_of(futures: list[Future]) -> list[dict[str, Any]]:
+def _rows_of(futures: list[Future]) -> list[Any]:
     """The rows of `futures`, in order, once every one of them is done."""
     wait(futures)
     return [row for future in futures for row in future.result()]
 
 
-def _run_rows(run: Run, row: RowFn, failed: FailedFn, into: str | None = None
-              ) -> list[dict[str, Any]]:
+def _run_rows(run: Run, row: Callable[..., FileRecoveryReport], into: str | None = None
+              ) -> list[FileRecoveryReport]:
     """The rows of one run in path order, its directory open on one
     descriptor throughout.
 
-    `row(path, name, dir_fd)` gives a file's row, with `name` relative to
-    its directory open on `dir_fd`; `failed(path, detail)` gives a failed
-    row. With `into`, the directory's resolved path is mirrored under it,
-    in directories of mode 0700 opened without following a link, and `row`
-    gets the mirror's descriptor as a fourth argument. A directory that
-    cannot be opened or mirrored, or is no longer the one the walk listed
-    (swapped for a link or for another directory), fails every file of
-    the run, and nothing inside it is opened.
+    `row(name, dir_fd)` gives the row of the file `name` in the directory
+    open on `dir_fd`; its path is set here. With `into`, the directory's
+    resolved path is mirrored under it, in directories of mode 0700 opened
+    without following a link, and `row` gets the mirror's descriptor as a
+    third argument. A failure of the walk, a file `row` raises `OSError`
+    for, and each file of a directory that cannot be opened or mirrored,
+    or is no longer the one the walk listed (swapped for a link or for
+    another directory), gets an `io_error` row, and nothing inside such a
+    directory is opened. Every `io_error` row is logged.
     """
-    rows = [failed(path, detail) for path, detail in run.failures]
+    rows: list[FileRecoveryReport] = []
+    failures = list(run.failures)
     paths = [os.path.join(run.directory, name) for name in run.names]
     fds: list[int] = []
     try:
@@ -263,14 +253,23 @@ def _run_rows(run: Run, row: RowFn, failed: FailedFn, into: str | None = None
                         os.mkdir(part, 0o700, dir_fd=fds[-1])
                     fds.append(os.open(part, _DIR_FLAGS, dir_fd=fds[-1]))
                     os.close(fds.pop(-2))
-            rows += [row(path, name, *fds) for path, name in zip(paths, run.names)]
+            for path, name in zip(paths, run.names):
+                try:
+                    rows.append(row(name, *fds))
+                    rows[-1].path = path
+                except OSError as exc:
+                    failures.append((path, str(exc)))
     except OSError as exc:
-        rows += [failed(path, str(exc)) for path in paths]
+        failures += [(path, str(exc)) for path in paths]
     finally:
         for fd in fds:
             os.close(fd)
-    if run.failures:
-        rows.sort(key=lambda r: r["path"])
+    rows += [FileRecoveryReport(path, FileStatus.IO_ERROR, detail=detail)
+             for path, detail in failures]
+    for failed in (r for r in rows if r.status is FileStatus.IO_ERROR):
+        log.warning("%s failed: %s", failed.path, failed.detail)
+    if failures:
+        rows.sort(key=lambda r: r.path)
     return rows
 
 
@@ -298,34 +297,32 @@ def cli(verbose: bool) -> None:
 def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
     """Recursively scan PATHS and report infected files."""
     started = time.perf_counter()
-    with _Report("detect", {"paths": list(paths)}, as_json, out, _flagged) as report:
+    with _Report("detect", {"paths": list(paths)}, as_json, out, _flagged, _detect_dict) as report:
         for run in walk_runs(paths, report.skip):
-            report.add(_run_rows(run, _detect_row, _detect_failed))
+            report.add(_run_rows(run, _detect_row))
         totals = report.totals(started)
         report.finish(None, totals, [f"scanned {totals['files_scanned']} files: "
                                      f"{totals['infected']} infected, {totals['failed']} failed"])
     raise SystemExit(_exit_by_rows(totals))
 
 
-def _flagged(row: dict[str, Any]) -> str | None:
-    return None if row["status"] == "clean" else f"{row['status']:>10}  {row['path']}"
+def _flagged(row: FileRecoveryReport) -> str | None:
+    return None if row.status is FileStatus.CLEAN else f"{row.status.value:>10}  {row.path}"
 
 
-def _detect_row(path: str, name: str, dir_fd: int) -> dict[str, Any]:
-    try:
-        found = probe(name, dir_fd=dir_fd)
-    except OSError as exc:
-        return _detect_failed(path, str(exc))
+def _detect_row(name: str, dir_fd: int) -> FileRecoveryReport:
+    found = probe(name, dir_fd=dir_fd)
     if found.trailer is not None:
-        return {"path": path, "status": "infected",
-                "original_length": found.trailer.original_length}
+        return FileRecoveryReport(name, FileStatus.INFECTED, found.trailer.original_length)
     if found.damage:
-        return {"path": path, "status": "corrupt_trailer", "detail": found.damage}
-    return {"path": path, "status": "clean"}
+        return FileRecoveryReport(name, FileStatus.CORRUPT_TRAILER, detail=found.damage)
+    return FileRecoveryReport(name, FileStatus.CLEAN)
 
 
-def _detect_failed(path: str, detail: str) -> dict[str, Any]:
-    return {"path": path, "status": "io_error", "detail": detail}
+def _detect_dict(row: FileRecoveryReport) -> dict[str, Any]:
+    """A detect row: the fields of `row` that detect sets."""
+    return {field: value for field, value in row.to_dict().items()
+            if value is not None and field not in ("bytes_processed", "duration_s")}
 
 
 def _evidence_from_flags(
@@ -496,16 +493,8 @@ def cmd_decrypt(
             raise SystemExit(ExitCode.KEY_NOT_FOUND)
         key = result.key
 
-    def row(path: str, name: str, dir_fd: int, out_dir_fd: int | None = None) -> dict[str, Any]:
-        report = decrypt_file(name, key, dir_fd=dir_fd, out_dir_fd=out_dir_fd)
-        report.path = path
-        if report.status is FileStatus.IO_ERROR:
-            log.warning("could not decrypt %s: %s", path, report.detail)
-        return report.to_dict()
-
-    def failed(path: str, detail: str) -> dict[str, Any]:
-        log.warning("could not decrypt %s: %s", path, detail)
-        return FileRecoveryReport(path, FileStatus.IO_ERROR, detail=detail).to_dict()
+    def row(name: str, dir_fd: int, out_dir_fd: int | None = None) -> FileRecoveryReport:
+        return decrypt_file(name, key, dir_fd=dir_fd, out_dir_fd=out_dir_fd)
 
     parameters = {
         "paths": list(paths),
@@ -515,12 +504,17 @@ def cmd_decrypt(
     }
     if into:  # before the report opens, so that an existing one writes nothing
         os.mkdir(into, 0o700)
-    with (_Report("decrypt", parameters, as_json, out) as report,
-          ThreadPoolExecutor(max_workers=jobs) as pool):
+    try:
+        report = _Report("decrypt", parameters, as_json, out)
+    except BaseException:
+        if into:  # still empty, so that a re-run with a writable report may make it
+            os.rmdir(into)
+        raise
+    with report, ThreadPoolExecutor(max_workers=jobs) as pool:
         # one task per run of files in one directory: workers that share a
         # directory contend for it in the kernel when they create and rename
         runs = walk_runs(paths, report.skip)
-        for rows in _in_order(pool, jobs, lambda run: _run_rows(run, row, failed, into), runs):
+        for rows in _in_order(pool, jobs, lambda run: _run_rows(run, row, into), runs):
             report.add(rows)
         totals = report.totals(started)
         report.finish(key_recovery, totals, [
@@ -537,7 +531,7 @@ def cmd_decrypt(
 @click.option("--i-understand-this-writes-files", "confirmed", is_flag=True,
               help="Mandatory confirmation; without it nothing is touched.")
 @click.option("--allow-root", "allow_roots", multiple=True, type=click.Path(),
-              help="Extra allow-listed location (repeatable).")
+              help="Allow-listed location, in place of the default list (repeatable).")
 @click.option("--priority", "priority_paths", multiple=True, type=click.Path(),
               help="Folders to encrypt first, skipping the path whitelist (repeatable).")
 @click.option("--key-out", type=click.Path(dir_okay=False),
@@ -597,22 +591,13 @@ def cmd_emulate(
         "dump_out": dump_out,
         "dump_format": dump_format,
     }
-    # the report opens before the plan is made, which leaves it out, and so
-    # do the outputs of an earlier run, which this run replaces
     outputs = [key_out, operator_key_out]
     if dump_out:
         outputs += [dump_out, default_map_path(dump_out), manifest_path(dump_out)]
     with _Report("emulate", parameters, as_json, out) as report:
-        infection = emulate_infection(
-            root,
-            key,
-            SkipPolicy.default(),
-            block,
-            confirm_token=token,
-            allow_roots=allowed,
-            priority_paths=priority_paths,
-            skip=report.skip | _identities(outputs),
-        )
+        # every output is written before any file is encrypted, so that one
+        # that cannot be written leaves the sandbox as it was; the plan
+        # leaves them all out, and the report too
         if key_out:
             replace_atomically(key_out, [f"{key.hex()}\n".encode()])
             _status_note(f"session key written to {key_out}")
@@ -629,12 +614,21 @@ def cmd_emulate(
             layout.chains[0].key = key
             write_synthetic_dump(layout, dump_out)
             _status_note(f"synthetic dump written to {dump_out}")
-
+        infection = emulate_infection(
+            root,
+            key,
+            SkipPolicy.default(),
+            block,
+            confirm_token=token,
+            allow_roots=allowed,
+            priority_paths=priority_paths,
+            skip=report.skip | _identities(outputs),
+        )
         totals = {**infection.totals(), "wall_time": round(time.perf_counter() - started, 3)}
         summary = (f"encrypted {totals['encrypted']}/{totals['planned']} planned files "
                    f"({totals['bytes_encrypted']} bytes, {totals['wall_time']}s); "
                    f"{totals['skipped_infected']} already infected, {totals['errors']} errors")
-        report.add([row.to_dict() for row in infection.rows])
+        report.add(infection.rows)
         report.finish(None, totals, [summary])
     raise SystemExit(ExitCode.PARTIAL_FAILURE if infection.errors else ExitCode.OK)
 

@@ -52,6 +52,10 @@ _CHUNK_LEN = 1 << 20
 
 
 class FileStatus(str, Enum):
+    """The status of one report row, for every command that writes rows."""
+
+    INFECTED = "infected"
+    CLEAN = "clean"
     DECRYPTED = "decrypted"
     ENCRYPTED = "encrypted"
     SKIPPED_CLEAN = "skipped_clean"
@@ -62,6 +66,11 @@ class FileStatus(str, Enum):
 
     def __str__(self) -> str:
         return self.value
+
+    @property
+    def failed(self) -> bool:
+        """Whether a row of this status counts as failed."""
+        return self in (FileStatus.CORRUPT_TRAILER, FileStatus.WRONG_KEY, FileStatus.IO_ERROR)
 
 
 @dataclass

@@ -971,6 +971,25 @@ def test_emulate_never_encrypts_its_own_earlier_outputs(runner, tmp_path):
     assert (box / "key.hex").read_text() == generate_session_key(2).hex() + "\n"
 
 
+def test_emulate_key_file_that_cannot_be_written_encrypts_nothing(tmp_path, monkeypatch,
+                                                                   capsys):
+    # through `main`, whose error handler CliRunner never reaches
+    box = tmp_path / "box"
+    make_tree(box, {"a.txt": b"data" * 100, "sub/b.txt": b"more" * 100})
+    before = snapshot(box)
+    monkeypatch.setattr(sys, "argv", [
+        "avaddon-rescue", "emulate", "--sandbox", str(box), "--seed", "5",
+        "--i-understand-this-writes-files", "--key-out", str(tmp_path / "missing" / "key.hex"),
+    ])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    assert stopped.value.code == ExitCode.ERROR
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "Traceback" not in err, err
+    assert snapshot(box) == before
+
+
 def test_emulate_seeded_determinism(runner, tmp_path):
     content = {"a.txt": b"alpha" * 99, "sub/b.txt": b"beta" * 120}
     box1, box2 = tmp_path / "one", tmp_path / "two"
@@ -1667,6 +1686,31 @@ def test_decrypt_into_an_existing_directory_writes_nothing(tmp_path, session_key
     assert not report.exists()
 
 
+def test_decrypt_into_is_removed_when_the_report_cannot_be_opened(tmp_path, session_key,
+                                                                   monkeypatch, capsys):
+    box = tmp_path / "box"
+    letters = infected_letters(box, session_key, ["a.txt"])
+    infected = snapshot(box)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    into = tmp_path / "restored"
+    argv = ["avaddon-rescue", "decrypt", str(box), "--key-file", str(key_file), "--no-verify",
+            "--into", str(into), "--out"]
+    monkeypatch.setattr(sys, "argv", [*argv, str(tmp_path / "missing" / "report.json")])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    assert stopped.value.code == ExitCode.ERROR
+    assert "Traceback" not in capsys.readouterr().err
+    assert not into.exists()
+    assert snapshot(box) == infected
+    # the same run with a report that can be written makes DIR and restores
+    monkeypatch.setattr(sys, "argv", [*argv, str(tmp_path / "report.json")])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    assert stopped.value.code == ExitCode.OK
+    assert (mirrored(into, box) / "a.txt").read_bytes() == letters[box / "a.txt"]
+
+
 def test_decrypt_into_mirrors_roots_of_the_same_name_apart(runner, tmp_path, session_key):
     a, b = tmp_path / "a" / "docs", tmp_path / "b" / "docs"
     letters = infected_letters(a, session_key, ["letter.txt"], text="from a")
@@ -1917,3 +1961,38 @@ def test_bad_command_inputs_end_without_a_traceback(tmp_path, monkeypatch, capsy
         main()
     assert stopped.value.code in (ExitCode.ERROR, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt", "recover-key", "emulate"])
+def test_report_is_a_head_line_a_line_per_row_and_a_tail_line(runner, tmp_path, session_key,
+                                                                session_dump, evidence_files,
+                                                                command):
+    box = tmp_path / "box"
+    if command == "emulate":
+        make_tree(box, {"a.txt": b"data" * 100, "sub/b.txt": b"more" * 100, "c.txt": b"c" * 9})
+    else:
+        infected_letters(box, session_key, ["a.txt", "sub/b.txt"])
+        make_tree(box, {"clean.bin": b"c" * 700})
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    encrypted, original = evidence_files
+    evidence = ["--evidence-encrypted", str(encrypted), "--evidence-original", str(original)]
+    argv = {
+        "detect": ["detect", str(box)],
+        "decrypt": ["decrypt", str(box), "--dump", str(session_dump), *evidence],
+        "recover-key": ["recover-key", "--dump", str(session_dump), *evidence,
+                        "--key-out", str(tmp_path / "recovered.hex")],
+        "emulate": ["emulate", "--sandbox", str(box), "--seed", "3",
+                    "--i-understand-this-writes-files"],
+    }[command]
+    out = tmp_path / "report.json"
+    result = runner.invoke(cli, [*argv, "--json", "--out", str(out)])
+    assert result.exit_code == ExitCode.OK, result.output
+    text = out.read_text()
+    report = json.loads(text)
+    assert len(report["rows"]) == {"recover-key": 0}.get(command, 3)
+    assert text.endswith("\n") and len(text.splitlines()) == len(report["rows"]) + 2
+    assert list(report) == ["schema_version", "command", "parameters", "rows", "key_recovery",
+                            "totals"]
+    for line, row in zip(text.splitlines()[1:-1], report["rows"]):
+        assert json.loads(line.rstrip(",")) == row

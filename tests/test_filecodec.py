@@ -431,3 +431,12 @@ def test_walk_leaves_out_every_name_of_the_skipped_file(tmp_path):
     assert walked(tree / "report.json") == []
     assert walked(tree / "sub" / "copy.json") == []
     assert walked(tree) == [str(tree / "a.txt"), str(tree / "sub" / "b.txt")]
+
+
+
+def test_failed_is_true_for_exactly_the_failed_statuses():
+    assert {status.value: status.failed for status in FileStatus} == {
+        "infected": False, "clean": False, "decrypted": False, "encrypted": False,
+        "skipped_clean": False, "skipped_infected": False,
+        "corrupt_trailer": True, "wrong_key": True, "io_error": True,
+    }
