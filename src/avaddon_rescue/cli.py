@@ -654,7 +654,7 @@ def cmd_strings(batch: BinaryIO, fmt: str, out: str | None) -> None:
     rows = label_batch(parse_batch_input(batch.read()))
     rendered = rows_to_json(rows) if fmt == "json" else rows_to_tsv(rows)
     if out:
-        Path(out).write_text(rendered)
+        replace_atomically(out, [rendered.encode()])
     else:
         click.echo(rendered, nl=False)
     failed = sum(1 for r in rows if r.status != "ok")

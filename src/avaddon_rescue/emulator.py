@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import os
 import random
 import secrets
@@ -30,7 +31,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
 from .cipher import SessionKey
 from .errors import LayoutSpecError, SandboxViolation, WrapError
-from .filecodec import FileRecoveryReport, FileStatus, encrypt_file, walk_runs
+from .filecodec import FileRecoveryReport, FileStatus, encrypt_file, replace_atomically, walk_runs
 from .memscan import (
     DUMP_FORMATS,
     HANDLE_XOR_CONSTANT,
@@ -40,6 +41,8 @@ from .memscan import (
 )
 from .minidump import write_minidump
 from .trailer import VICTIM_BLOCK_LEN, VictimBlock
+
+log = logging.getLogger(__name__)
 
 #: Path fragments the encryption pass leaves untouched.
 DEFAULT_PATH_SUBSTRINGS: tuple[str, ...] = (
@@ -181,9 +184,9 @@ def plan_traversal(
     (the extension check still applies there). A file reached twice, as
     by a priority folder inside a root or a link to one, is planned once,
     where it is first reached. Symlinks inside a tree are never followed.
-    Unreadable directories are logged and skipped. Already-infected files
-    stay in the plan; `encrypt_file` refuses them. No name of a file
-    whose `(st_dev, st_ino)` is in `skip` is planned.
+    Unreadable directories and leftover temps are logged and skipped.
+    Already-infected files stay in the plan; `encrypt_file` refuses them.
+    No name of a file whose `(st_dev, st_ino)` is in `skip` is planned.
     """
     policy = policy or SkipPolicy.default()
     planned: list[Path] = []
@@ -191,6 +194,8 @@ def plan_traversal(
     for paths, check_substrings in ((priority_paths, False), (roots, True)):
         for top in paths:
             for run in walk_runs([Path(top).absolute()], skip):
+                for failed, detail in run.failures:
+                    log.warning("not planned %s: %s", failed, detail)
                 for name in run.names:
                     key = os.path.join(run.opened, name)  # the walk resolved the directory
                     if key in seen:
@@ -262,7 +267,6 @@ def ensure_sandbox(
 class InfectionReport:
     """One emulation pass: one row per planned file; every count is read off the rows."""
 
-    sandbox_root: str
     rows: list[FileRecoveryReport] = field(default_factory=list)
 
     def _count(self, status: FileStatus) -> int:
@@ -303,7 +307,7 @@ def emulate_infection(
     """
     root = ensure_sandbox(sandbox_root, confirm_token=confirm_token, allow_roots=allow_roots)
     plan = plan_traversal([root], priority_paths=priority_paths, policy=policy, skip=skip)
-    report = InfectionReport(sandbox_root=str(root))
+    report = InfectionReport()
     for path in plan:
         try:
             row = encrypt_file(path, key, victim_block, sandbox_root=root)
@@ -382,7 +386,9 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
 
     The manifest (also written to `<path>.manifest.json`) records every
     planted VA and the final file offsets so tests can assert translation
-    correctness without re-deriving the layout. As a self-check, the
+    correctness without re-deriving the layout. Each file is written by
+    `replace_atomically`, with mode 0600, and the dump from the range
+    buffers themselves, so one copy of it is held. As a self-check, the
     written dump (and its sidecar map) is opened with `load_dump`, as the
     recovery commands open it, and every planted structure is read back
     there; a failed check removes the files this call wrote.
@@ -425,13 +431,11 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
 
     # build per-range buffers
     def filler(length: int) -> bytearray:
-        if spec.fill == "zero":
-            return bytearray(length)
         buf = bytearray(length)
-        step = 16 << 20  # randbytes overflows past ~256 MiB
-        for lo in range(0, length, step):
-            n = min(step, length - lo)
-            buf[lo : lo + n] = rng.randbytes(n)
+        if spec.fill == "random":
+            step = 16 << 20  # randbytes overflows past ~256 MiB
+            for lo in range(0, length, step):
+                buf[lo : lo + step] = rng.randbytes(min(step, length - lo))
         return buf
 
     buffers = [filler(length) for _, length in ranges]
@@ -467,23 +471,23 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
         decoy_rows.append({"kind": decoy.kind, "key_data_va": decoy.key_data_va,
                            "key_va": decoy.key_va})
 
-    # lay out the container, then read it back as the recovery commands do
+    # lay out the container from the range buffers, uncopied, then read it back
     path = Path(path)
-    va_payloads = [(rva, bytes(buf)) for buf, (rva, _r) in zip(buffers, ranges)]
     if spec.container == "minidump":
-        blob = write_minidump(va_payloads, pw, list_kind=spec.minidump_list)
+        chunks = write_minidump([(rva, buf) for buf, (rva, _r) in zip(buffers, ranges)], pw,
+                                list_kind=spec.minidump_list)
     else:
         # payloads back to back; raw's one range starts at va 0, so offset == va
-        blob = b"".join(payload for _rva, payload in va_payloads)
+        chunks = buffers
     written: list[Path] = []
     try:
-        path.write_bytes(blob)
+        replace_atomically(path, chunks)
         written.append(path)
         if spec.container == "raw_with_map":
-            offsets = itertools.accumulate((len(payload) for _, payload in va_payloads), initial=0)
-            rows = [{"va": rva, "length": len(payload), "offset": offset}
-                    for (rva, payload), offset in zip(va_payloads, offsets)]
-            default_map_path(path).write_text(json.dumps(rows, indent=2))
+            offsets = itertools.accumulate((rlen for _, rlen in ranges), initial=0)
+            rows = [{"va": rva, "length": rlen, "offset": offset}
+                    for (rva, rlen), offset in zip(ranges, offsets)]
+            replace_atomically(default_map_path(path), [json.dumps(rows, indent=2).encode()])
             written.append(default_map_path(path))
         with load_dump(path, spec.container, pointer_width=pw) as image:
             if image.pointer_width != pw:
@@ -521,7 +525,7 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
         "decoys": decoy_rows,
         "ranges": range_rows,
     }
-    manifest_path(path).write_text(json.dumps(manifest, indent=2))
+    replace_atomically(manifest_path(path), [json.dumps(manifest, indent=2).encode()])
     return manifest
 
 

@@ -138,8 +138,8 @@ def walk_runs(roots: Iterable[str | os.PathLike],
     overlapping roots yield each file once. Symlinks inside a tree are
     never followed or yielded. A root that is neither a regular file nor a
     directory (a FIFO or a device) is logged and skipped; an unreadable
-    directory is logged and becomes a failure. No name of a file whose
-    `(st_dev, st_ino)` is in `skip` is yielded.
+    directory becomes a failure, which the caller logs. No name of a file
+    whose `(st_dev, st_ino)` is in `skip` is yielded.
     """
     roots = [Path(root) for root in roots]
     real = [root.resolve() for root in roots]  # once per root, never per file
@@ -220,7 +220,6 @@ def _list_dir(directory: str, opened: str, skip: AbstractSet[tuple[int, int]]) -
 
 
 def _unlistable(directory: str, exc: OSError) -> tuple[str, str]:
-    log.warning("cannot list %s: %s", directory, exc)
     return directory, f"cannot list directory: {exc}"
 
 

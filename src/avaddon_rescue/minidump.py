@@ -120,21 +120,14 @@ def _read_memory_list(data, rva: int) -> list[MemoryRange]:
     return ranges
 
 
-def _system_info_bytes(pointer_width: int) -> bytes:
-    arch = _ARCH_AMD64 if pointer_width == 8 else _ARCH_X86
-    blob = bytearray(_SYSTEM_INFO_LEN)
-    struct.pack_into("<H", blob, 0, arch)
-    blob[6] = 1  # processor count
-    return bytes(blob)
-
-
 def write_minidump(
     ranges: list[tuple[int, bytes]],
     pointer_width: int = 4,
     *,
     list_kind: str = "memory64",
-) -> bytes:
-    """Serialize (va, payload) pairs into a loadable minidump.
+) -> list[bytes]:
+    """Serialize (va, payload) pairs into a loadable minidump, as chunks to
+    write back to back: the head, then each payload itself, uncopied.
 
     `list_kind` selects the stream flavor: "memory64" (full-memory list)
     or "memory32" (the legacy fallback list, ranges capped at 4 GiB each).
@@ -166,8 +159,11 @@ def write_minidump(
             stream += struct.pack("<QII", va, len(data), offset)
             offset += len(data)
 
-    payload = b"".join(data for _, data in ranges)
     directory = _DIR_ENTRY.pack(STREAM_SYSTEM_INFO, _SYSTEM_INFO_LEN, sysinfo_rva)
     directory += _DIR_ENTRY.pack(stream_type, len(stream), list_rva)
     header = _HEADER.pack(SIGNATURE, _VERSION, n_streams, dir_rva, 0, 0, 0)
-    return header + directory + _system_info_bytes(pointer_width) + bytes(stream) + payload
+    # system info: the architecture, then the processor count at offset 6
+    arch = _ARCH_AMD64 if pointer_width == 8 else _ARCH_X86
+    system_info = struct.pack("<H4xB", arch, 1).ljust(_SYSTEM_INFO_LEN, b"\0")
+    head = header + directory + system_info + bytes(stream)
+    return [head, *(data for _, data in ranges)]

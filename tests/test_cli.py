@@ -551,6 +551,30 @@ def test_stale_temps_and_unlistable_directories_are_failed_rows(runner, tmp_path
         assert (tree / "a.txt").read_bytes() == letters[tree / "a.txt"]
 
 
+@pytest.mark.parametrize("command", ["detect", "decrypt", "emulate"])
+def test_unlistable_directory_is_one_warning(runner, tmp_path, session_key, monkeypatch, caplog,
+                                             command):
+    tree = tmp_path.resolve() / "box"
+    infected_letters(tree, session_key, ["a.txt", "locked/b.txt"])
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    real_scandir = os.scandir
+
+    def flaky_scandir(path):
+        if str(path).endswith("locked"):
+            raise PermissionError(13, "simulated denial", str(path))
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", flaky_scandir)
+    with caplog.at_level(logging.WARNING):
+        runner.invoke(cli, tree_argv(command, [tree], key_file))
+    monkeypatch.undo()
+    named = [r.getMessage() for r in caplog.records
+             if r.levelno >= logging.WARNING and str(tree / "locked") in r.getMessage()]
+    assert len(named) == 1, named
+    assert "simulated denial" in named[0]
+
+
 def tree_argv(command, roots, key_file, *extra):
     if command == "emulate":  # one sandbox, under its parent as the allow-listed root
         (root,) = roots
@@ -834,6 +858,20 @@ def test_strings_from_stdin(runner):
     assert result.exit_code == ExitCode.OK
     rows = json.loads(result.stdout)
     assert rows[0]["plaintext"] == "C:\\Temp"
+
+
+def test_strings_out_replaces_a_planted_link(runner, tmp_path):
+    batch = tmp_path / "batch.tsv"
+    batch.write_text("id1\tAnshGSgwNQ==\n")
+    target = tmp_path / "target.tsv"
+    target.write_bytes(b"not to be written through")
+    out = tmp_path / "labels.tsv"
+    out.symlink_to(target)
+    result = runner.invoke(cli, ["strings", "--input", str(batch), "--out", str(out)])
+    assert result.exit_code == ExitCode.OK, result.output
+    assert not out.is_symlink()
+    assert "C:\\Temp" in out.read_text()
+    assert target.read_bytes() == b"not to be written through"
 
 
 # --- emulate -----------------------------------------------------------------

@@ -1,10 +1,15 @@
+import hashlib
 import json
 import os
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives import serialization
 
+import avaddon_rescue
 import avaddon_rescue.emulator as emulator_mod
 import avaddon_rescue.trailer as trailer_mod
 from avaddon_rescue.emulator import (
@@ -30,7 +35,7 @@ from avaddon_rescue.errors import LayoutSpecError, SandboxViolation, WrapError
 from avaddon_rescue.filecodec import FileStatus, encrypt_file
 from avaddon_rescue.memscan import default_map_path, load_dump
 from avaddon_rescue.trailer import VICTIM_BLOCK_LEN, VictimBlock, probe
-from conftest import make_tree
+from conftest import PEAK_RSS_OF, make_tree
 
 
 # --- skip policy -------------------------------------------------------------
@@ -532,6 +537,90 @@ def test_dump_generator_decoys_never_true_key(tmp_path, session_key):
     write_synthetic_dump(spec, dump_path)
     raw = dump_path.read_bytes()
     assert raw[0x4000:0x4020] != session_key.key_bytes
+
+
+def _dump_files(dump_path: Path, container: str) -> list[Path]:
+    """The files `write_synthetic_dump` writes for a dump at `dump_path`."""
+    sidecar = [default_map_path(dump_path)] if container == "raw_with_map" else []
+    return [dump_path, *sidecar, emulator_mod.manifest_path(dump_path)]
+
+
+@pytest.mark.parametrize("container", ["raw", "raw_with_map", "minidump"])
+def test_dump_files_replace_a_planted_link_and_are_private(tmp_path, container):
+    dump_path = tmp_path / "planted.dmp"
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    targets = {}
+    for path in _dump_files(dump_path, container):
+        target = outside / path.name
+        target.write_bytes(b"not to be written through " + path.name.encode())
+        targets[target] = target.read_bytes()
+        path.symlink_to(target)
+    old_umask = os.umask(0o022)
+    try:
+        write_synthetic_dump(random_dump_layout(4, container=container, n_decoys=2,
+                                                total_bytes=1 << 20), dump_path)
+    finally:
+        os.umask(old_umask)
+    for path in _dump_files(dump_path, container):
+        st = path.lstat()
+        assert stat.S_ISREG(st.st_mode), f"{path.name} is still a link"
+        assert stat.S_IMODE(st.st_mode) == 0o600, f"{path.name} is {oct(st.st_mode)}"
+    for target, before in targets.items():
+        assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".avrescue-tmp")] == []
+
+
+# sha256 of (dump, sidecar, manifest), taken before the dump was written in chunks
+@pytest.mark.parametrize("seed, container, pointer_width, digests", [
+    (1, "raw", 4, ["50ed821b9ba1559745dbc3992ccb2956e97e2e784108ef19d5a744c646d8538b", None,
+                   "206db781c8e882b66f317ff7df192703fcad0a1767570db8cfabfca7a39fa3fa"]),
+    (2, "raw", 8, ["b77b00214e72e128f07c28bec1a3a5e0b2cc81558c792824e67c1df293dd8b85", None,
+                   "f47b22eaef55dad4a0bb01722c10b3b9118d7fc90b2ef2c8881f90cab5f1ee1f"]),
+    (7, "raw_with_map", 4, ["36b34c545fef76bc26d794bf5d49e837f1ba66bb949cfda9aa2e264bf295ca3e",
+                            "58f1e0242c449d9f628af7a5e90a995112ef37f9d484b17a3d348f4eec915753",
+                            "552d02266c7308db5398b79825a36ed5215a316ebbeeb694965b99154ce6cf43"]),
+    (5, "raw_with_map", 8, ["c56c49344e3e58755c587c439922f409f0cf08a3e130bda1f4cde1ecfd462299",
+                            "3c4780971dbfdfe731ae3fd105b4ca302a61c916360425f13e4a7e824f82a675",
+                            "e154f48157f99f6f3e846dc5d3962ee10318628b28f9287de9a5cd6d75da2116"]),
+    (10, "minidump", 4, ["9a17c61bda7795537d3d19b6e64ef13ae21a2eabc884c810412f392828256b3e", None,
+                         "3dec48f66e5aa9018f925401cdf54362376b616cd785d6b78a7f2cdfc73bc996"]),
+    (23, "minidump", 8, ["362ec2f6dd1b31b6f32ac1bf256e89ee7fc38a5a0f258dd921beb71a81ea6a77", None,
+                         "4ce378f713db4443cf9eced42666f2475e371a4f135bca32247221501f8d3d6d"]),
+])
+def test_dump_files_are_pinned_byte_for_byte(tmp_path, seed, container, pointer_width, digests):
+    # raw and multi-range raw_with_map and minidump dumps, random and zero
+    # fill, both minidump list kinds (memory64 for seed 10, memory32 for 23)
+    dump_path = tmp_path / "pinned.dmp"
+    write_synthetic_dump(random_dump_layout(seed, pointer_width=pointer_width, container=container,
+                                            n_decoys=5, total_bytes=2 << 20), dump_path)
+    found = [hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+             for path in (dump_path, default_map_path(dump_path),
+                          emulator_mod.manifest_path(dump_path))]
+    assert found == digests
+
+
+def test_writing_a_minidump_holds_one_copy_of_it(tmp_path):
+    """A 64 MiB three-range minidump is written from its range buffers:
+    measured in a child, the write peaked at 283 MiB when each range was
+    copied, joined and prefixed with the head, and at 140 MiB without."""
+    script = ("import sys; from avaddon_rescue.emulator import random_dump_layout, "
+              "write_synthetic_dump; write_synthetic_dump(random_dump_layout(5, pointer_width=8, "
+              "container='minidump', n_decoys=3, total_bytes=64 << 20, fill='random'), sys.argv[1])")
+    dump_path = tmp_path / "big.dmp"
+    src = str(Path(avaddon_rescue.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    measured = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_OF, "-c", script, str(dump_path)],
+        env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE, check=True, timeout=120,
+    )
+    child = json.loads(measured.stdout)
+    assert child["exit"] == 0
+    with load_dump(dump_path, "minidump") as dump:
+        assert len(dump.ranges) == 3
+        assert sum(r.length for r in dump.ranges) == 64 << 20
+    peak_mib = child["maxrss_kib"] / 1024
+    assert peak_mib < 200, f"writing a 64 MiB minidump peaked at {peak_mib:.1f} MiB"
 
 
 def test_random_layout_reproducible(tmp_path):

@@ -40,13 +40,13 @@ def mutated_minidumps(draw) -> bytes:
     ranges = draw(
         st.lists(st.tuples(st.integers(0, (1 << 64) - 1), st.binary(max_size=48)), max_size=3)
     )
-    blob = bytearray(
+    blob = bytearray(b"".join(
         write_minidump(
             ranges,
             draw(st.sampled_from([4, 8])),
             list_kind=draw(st.sampled_from(["memory64", "memory32"])),
         )
-    )
+    ))
     for _ in range(draw(st.integers(0, 6))):
         pos = draw(st.integers(0, len(blob) - 1))
         blob[pos] = draw(st.integers(0, 255))

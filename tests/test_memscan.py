@@ -215,11 +215,11 @@ def test_sidecar_map_overlap_rejected(tmp_path):
 def test_load_minidump_ranges_and_width(tmp_path, list_kind, pointer_width):
     payload_a = bytes([0xAA]) * 0x300
     payload_b = bytes([0xBB]) * 0x500
-    blob = write_minidump(
+    blob = b"".join(write_minidump(
         [(0x10000, payload_a), (0x20000, payload_b)],
         pointer_width,
         list_kind=list_kind,
-    )
+    ))
     f = tmp_path / "mini.dmp"
     f.write_bytes(blob)
     with load_dump(f, "minidump") as dump:
