@@ -27,6 +27,7 @@ KEY_LEN = 32
 BLOCK_LEN = 16
 
 _ZERO_IV = bytes(BLOCK_LEN)
+PAD_BYTE = b"\x00"  # fills the partial last block of a prefix
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def zero_pad16(data: bytes) -> bytes:
     """Zero-pad to the next block boundary (identity for aligned input)."""
     if len(data) % BLOCK_LEN == 0:
         return data
-    return data + bytes(ceil16(len(data)) - len(data))
+    return data + PAD_BYTE * (ceil16(len(data)) - len(data))
 
 
 def encrypt_stream(key: SessionKey, plaintext: bytes) -> bytes:

@@ -28,14 +28,13 @@ from enum import Enum
 from pathlib import Path
 from typing import AbstractSet, Any, Iterable, Iterator, NamedTuple
 
-from .cipher import SessionKey, decrypt_stream, encrypt_stream
+from .cipher import PAD_BYTE, SessionKey, decrypt_stream, encrypt_stream
 from .errors import SandboxViolation
 from .trailer import (
-    APPENDIX_LEN,
-    ENCRYPTED_PREFIX_LIMIT,
     VictimBlock,
     build_trailer,
     classify_fd,
+    encrypted_prefix_length,
     open_classified,
     open_regular,
     read_at,
@@ -44,8 +43,9 @@ from .trailer import (
 log = logging.getLogger(__name__)
 
 _TMP_SUFFIX = ".avrescue-tmp"
-#: `.<name>.<12 hex>.avrescue-tmp`, the name `replace_atomically` gives its temp
-_TMP_NAME = re.compile(r"\..+\.[0-9a-f]{12}" + re.escape(_TMP_SUFFIX), re.DOTALL)
+#: `.<12 hex>.avrescue-tmp`, the name `replace_atomically` gives its temp, or
+#: `.<name>.<12 hex>.avrescue-tmp`, the name it gave one before
+_TMP_NAME = re.compile(r"\.(?:.+\.)?[0-9a-f]{12}" + re.escape(_TMP_SUFFIX), re.DOTALL)
 _STALE_TEMP_DETAIL = "leftover temp file of an interrupted restore; not probed"
 _TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
 _CHUNK_LEN = 1 << 20
@@ -265,7 +265,7 @@ def replace_atomically(
 ) -> None:
     """Write `chunks` to a new temp sibling of `path`, then rename it over `path`.
 
-    The temp `.<name>.<random hex><_TMP_SUFFIX>` is created exclusively,
+    The temp `.<random hex><_TMP_SUFFIX>` is created exclusively,
     with mode 0600 and without following a link, so a planted link or file
     under its name is never written through. With `source`, the stat
     result of the file the replacement was made from, the replacement gets
@@ -273,11 +273,13 @@ def replace_atomically(
     copied, the set-id and sticky bits are dropped. As in `os`, a relative
     `path` is taken relative to the directory open on `dir_fd`. Any
     failure removes the temp. Key files are written here too: a reader
-    that holds the old file open never sees the key.
+    that holds the old file open never sees the key. The temp's name does
+    not repeat `path`'s, so a name as long as the directory allows can be
+    replaced.
     """
-    directory, name = os.path.split(path)
+    directory = os.path.dirname(path)
     while True:
-        tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}{_TMP_SUFFIX}")
+        tmp = os.path.join(directory, f".{os.urandom(6).hex()}{_TMP_SUFFIX}")
         try:
             fd = os.open(tmp, _TMP_FLAGS, 0o600, dir_fd=dir_fd)
             break
@@ -347,7 +349,7 @@ def encrypt_file(
             trailer = classify_fd(fd, size).trailer
             if trailer is not None:
                 return _row(path, FileStatus.SKIPPED_INFECTED, started, trailer.original_length)
-            prefix_len = min(size, ENCRYPTED_PREFIX_LIMIT)
+            prefix_len = encrypted_prefix_length(size)
             ciphertext = encrypt_stream(key, read_at(fd, prefix_len, 0))
             appendix = [victim_block.data, build_trailer(size)]
             replace_atomically(
@@ -396,18 +398,17 @@ def decrypt_file(
                 status = FileStatus.CORRUPT_TRAILER if found.damage else FileStatus.SKIPPED_CLEAN
                 return _row(path, status, started, detail=found.damage)
 
-            original_length = found.trailer.original_length
-            body = st.st_size - APPENDIX_LEN
-            enc_prefix = min(body, ENCRYPTED_PREFIX_LIMIT)
-            plaintext = decrypt_stream(key, read_at(fd, enc_prefix, 0))
+            layout = found.trailer
+            original_length = layout.original_length
+            plaintext = decrypt_stream(key, read_at(fd, layout.prefix_length, 0))
             # classify checked the recorded length against the body, so
             # what lies past it is exactly the zero padding
             padding = plaintext[original_length:]
-            if any(padding):
+            if padding.strip(PAD_BYTE):
                 return _row(path, FileStatus.WRONG_KEY, started, original_length,
                             detail="padding past the recorded length is not zero")
             # the untouched middle of a large file follows; stop before the appendix
-            rest = _read_span(fd, enc_prefix, body)
+            rest = _read_span(fd, layout.prefix_length, layout.body_length)
             chunks = itertools.chain([plaintext[:original_length]], rest)
             if out_dir_fd is None:
                 replace_atomically(path, chunks, st, dir_fd=dir_fd)
@@ -418,5 +419,5 @@ def decrypt_file(
                 os.close(fd)
     except OSError as exc:
         return _row(path, FileStatus.IO_ERROR, started, original_length, detail=str(exc))
-    return _row(path, FileStatus.DECRYPTED, started, original_length, enc_prefix,
+    return _row(path, FileStatus.DECRYPTED, started, original_length, layout.prefix_length,
                 None if padding else "no pad bytes to check")

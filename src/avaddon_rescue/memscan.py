@@ -31,7 +31,7 @@ from .cipher import SessionKey, decrypt_stream
 from .errors import DumpFormatError, EvidenceError
 from .minidump import SIGNATURE as MDMP_SIGNATURE
 from .minidump import MemoryRange, read_minidump
-from .trailer import APPENDIX_LEN, ENCRYPTED_PREFIX_LIMIT, ceil16, open_classified
+from .trailer import ceil16, open_classified
 from .trailer import open_regular, read_at
 
 log = logging.getLogger(__name__)
@@ -430,14 +430,13 @@ class Evidence:
 
     @classmethod
     def _read(cls, encrypted_path: Path, prefix: bytes | None) -> "Evidence":
-        fd, st, found = open_classified(encrypted_path.resolve())
+        fd, _st, found = open_classified(encrypted_path.resolve())
         try:
             if found.damage:
                 raise EvidenceError(f"{encrypted_path} has a damaged trailer: {found.damage}")
             if found.trailer is None:
                 raise EvidenceError(f"{encrypted_path} is not an infected file")
-            body = st.st_size - APPENDIX_LEN
-            if body < 16:
+            if found.trailer.prefix_length < 16:
                 raise EvidenceError(f"{encrypted_path} has an empty encrypted body")
 
             want = None
@@ -446,7 +445,7 @@ class Evidence:
                 want = prefix[: found.trailer.original_length]
                 if len(want) < MIN_PLAINTEXT_MATCH:
                     raise EvidenceError("known plaintext shorter than the evidence file content")
-                ct_len = min(ceil16(len(want)), body, ENCRYPTED_PREFIX_LIMIT)
+                ct_len = min(ceil16(len(want)), found.trailer.prefix_length)
             return cls(read_at(fd, ct_len, 0), want)
         finally:
             if fd is not None:

@@ -1,10 +1,11 @@
-"""On-disk infection format: the 24-byte trailer and 512-byte victim block.
+"""On-disk infection format: the one place that knows an infected file's layout.
 
-An infected file ends with 536 extra bytes: a 512-byte opaque victim block
-followed by a 24-byte trailer. The trailer records the original file length
-(little-endian u64 at offset 0) and two fixed magic constants (u32 at
-offsets 8 and 16) that mark the file as already encrypted. Detection is
-content-based only; file names and extensions are never consulted.
+An infected file is its body (`Trailer.body_length`): the encrypted prefix
+(`Trailer.prefix_length`), then the rest of the original, untouched. 536
+bytes follow: a 512-byte opaque victim block, then a 24-byte trailer that
+records the original length (little-endian u64 at offset 0) and two fixed
+magics (u32 at offsets 8 and 16) that mark the file as encrypted. Detection
+is content-based only; file names and extensions are never consulted.
 """
 
 from __future__ import annotations
@@ -44,8 +45,14 @@ class Trailer:
     tail_d: bytes
 
     @property
-    def length_sane(self) -> bool:
-        return 0 <= self.original_length <= MAX_ORIGINAL_LENGTH
+    def body_length(self) -> int:
+        """Length of the body before the appendix: `expected_body_length`."""
+        return expected_body_length(self.original_length)
+
+    @property
+    def prefix_length(self) -> int:
+        """Length of the ciphertext: `encrypted_prefix_length`, zero-padded."""
+        return ceil16(encrypted_prefix_length(self.original_length))
 
 
 @dataclass(frozen=True)
@@ -70,16 +77,16 @@ def ceil16(n: int) -> int:
     return (n + 15) & ~15
 
 
-def expected_body_length(original_length: int) -> int:
-    """Encrypted body length implied by a recorded original length.
+def encrypted_prefix_length(original_length: int) -> int:
+    """How many leading bytes of a file of `original_length` are encrypted."""
+    return min(original_length, ENCRYPTED_PREFIX_LIMIT)
 
-    Bodies shorter than the encrypted-prefix limit are zero-padded to a
-    whole block; at or past the limit only the prefix is encrypted, so the
-    body keeps the original length.
-    """
-    if original_length < ENCRYPTED_PREFIX_LIMIT:
-        return ceil16(original_length)
-    return original_length
+
+def expected_body_length(original_length: int) -> int:
+    """Body length implied by a recorded original length: the encrypted
+    prefix, zero-padded to a whole block, then the untouched rest."""
+    prefix = encrypted_prefix_length(original_length)
+    return ceil16(prefix) + original_length - prefix
 
 
 def parse_trailer(raw: bytes) -> Trailer:
@@ -108,11 +115,6 @@ def build_trailer(original_length: int) -> bytes:
     return _TRAILER_STRUCT.pack(original_length, MAGIC_A, 1, MAGIC_B, b"\x00" * 4)
 
 
-def trailer_consistent_with_body(trailer: Trailer, body_length: int) -> bool:
-    """True when the recorded original length implies exactly this body length."""
-    return trailer.length_sane and expected_body_length(trailer.original_length) == body_length
-
-
 @dataclass(frozen=True)
 class Classification:
     """What a file's size and last 24 bytes say about it.
@@ -130,9 +132,9 @@ def classify(size: int, tail: bytes) -> Classification:
     """The one infection rule, over a file's size and its last 24 bytes.
 
     A file is infected when it is large enough to carry the 536-byte
-    appendix, both magics match, and the recorded original length is
-    consistent with the encrypted body length. `tail` is ignored for
-    files too small to carry the appendix.
+    appendix, both magics match, and the recorded original length is sane
+    and implies the file's body length (`Trailer.body_length`). `tail` is
+    ignored for files too small to carry the appendix.
     """
     if size < APPENDIX_LEN:
         return Classification()
@@ -144,7 +146,7 @@ def classify(size: int, tail: bytes) -> Classification:
         return Classification(
             damage=f"one magic damaged: magic_a={trailer.magic_a:#x} magic_b={trailer.magic_b:#x}"
         )
-    if not trailer_consistent_with_body(trailer, size - APPENDIX_LEN):
+    if trailer.original_length > MAX_ORIGINAL_LENGTH or trailer.body_length != size - APPENDIX_LEN:
         return Classification(
             damage=f"magics match but recorded length {trailer.original_length} is "
             f"inconsistent with body length {size - APPENDIX_LEN}"

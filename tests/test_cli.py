@@ -513,10 +513,13 @@ def test_stale_temps_and_unlistable_directories_are_failed_rows(runner, tmp_path
     tree = tmp_path / "tree"
     letters = infected_letters(tree, session_key, ["a.txt", "locked/b.txt"])
     # what an interrupted restore can leave: a temp that still carries a
-    # valid trailer, which must never be probed or restored
+    # valid trailer, which must never be probed or restored; temps are
+    # named `.<12 hex>.avrescue-tmp`, and were once `.<name>.<12 hex>…`
     stale = tree / ".a.txt.0123456789ab.avrescue-tmp"
     shutil.copyfile(tree / "a.txt", stale)
     stale_bytes = stale.read_bytes()
+    new_stale = tree / ".0123456789ab.avrescue-tmp"
+    shutil.copyfile(tree / "a.txt", new_stale)
     locked_bytes = (tree / "locked" / "b.txt").read_bytes()
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
@@ -538,14 +541,15 @@ def test_stale_temps_and_unlistable_directories_are_failed_rows(runner, tmp_path
     rows = {os.path.relpath(r["path"], tree): r for r in payload["rows"]}
     done = "decrypted" if command == "decrypt" else "infected"
     assert {rel: r["status"] for rel, r in rows.items()} == {
-        "a.txt": done, "locked": "io_error", stale.name: "io_error"
+        "a.txt": done, "locked": "io_error", stale.name: "io_error", new_stale.name: "io_error"
     }
     assert "cannot list directory" in rows["locked"]["detail"]
     assert "simulated denial" in rows["locked"]["detail"]
     assert "leftover temp file" in rows[stale.name]["detail"]
+    assert "leftover temp file" in rows[new_stale.name]["detail"]
     totals = payload["totals"]
-    assert (totals["files_scanned"], totals["infected"], totals["failed"]) == (3, 1, 2)
-    assert stale.read_bytes() == stale_bytes
+    assert (totals["files_scanned"], totals["infected"], totals["failed"]) == (4, 1, 3)
+    assert stale.read_bytes() == new_stale.read_bytes() == stale_bytes
     assert (tree / "locked" / "b.txt").read_bytes() == locked_bytes
     if command == "decrypt":
         assert (tree / "a.txt").read_bytes() == letters[tree / "a.txt"]
@@ -1761,6 +1765,40 @@ def test_decrypt_into_mirrors_roots_of_the_same_name_apart(runner, tmp_path, ses
     assert result.exit_code == ExitCode.OK, result.output
     for root in (a, b):
         assert (mirrored(into, root) / "letter.txt").read_bytes() == letters[root / "letter.txt"]
+
+
+#: 255 bytes, the longest name ext4, tmpfs and most other file systems allow
+LONGEST_NAME = "L" * 251 + ".txt"
+
+
+def test_emulate_encrypts_a_file_with_the_longest_name(runner, tmp_path):
+    box = tmp_path / "box"
+    letters = make_tree(box, {LONGEST_NAME: b"a letter with a long name " * 40})
+    result = runner.invoke(cli, ["emulate", "--sandbox", str(box), "--seed", "4",
+                                 "--i-understand-this-writes-files", "--json"])
+    assert result.exit_code == ExitCode.OK, result.output
+    assert [r["status"] for r in json.loads(result.stdout)["rows"]] == ["encrypted"]
+    trailer = probe(box / LONGEST_NAME).trailer
+    assert trailer is not None and trailer.original_length == len(letters[box / LONGEST_NAME])
+    assert not list(tmp_path.rglob("*.avrescue-tmp"))
+
+
+@pytest.mark.parametrize("mode", ["in_place", "into"])
+def test_decrypt_restores_a_file_with_the_longest_name(runner, tmp_path, session_key, mode):
+    box = tmp_path / "box"
+    # infected under a short name, so that only the restore meets the long one
+    letters = infected_letters(box, session_key, ["short.txt"])
+    (box / "short.txt").rename(box / LONGEST_NAME)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    into = tmp_path / "restored"
+    result = runner.invoke(cli, ["decrypt", str(box), "--key-file", str(key_file), "--no-verify",
+                                 "--json", *(["--into", str(into)] if mode == "into" else [])])
+    assert result.exit_code == ExitCode.OK, result.output
+    assert [r["status"] for r in json.loads(result.stdout)["rows"]] == ["decrypted"]
+    restored = mirrored(into, box) if mode == "into" else box
+    assert (restored / LONGEST_NAME).read_bytes() == letters[box / "short.txt"]
+    assert not list(tmp_path.rglob("*.avrescue-tmp"))
 
 
 def test_decrypt_into_fails_the_files_of_a_directory_it_cannot_mirror(runner, tmp_path,

@@ -3,10 +3,15 @@ import os
 import random
 import stat
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import avaddon_rescue.filecodec as filecodec_mod
+from avaddon_rescue.cipher import encrypt_stream
 from avaddon_rescue.cli import ExitCode, cli
 from avaddon_rescue.emulator import CONFIRM_TOKEN, emulate_infection
 from avaddon_rescue.errors import EvidenceError, SandboxViolation
@@ -22,6 +27,7 @@ from avaddon_rescue.trailer import (
     ENCRYPTED_PREFIX_LIMIT,
     VictimBlock,
     build_trailer,
+    classify,
     expected_body_length,
     TRAILER_LEN,
     parse_trailer,
@@ -269,6 +275,49 @@ def test_decrypt_failure_leaves_source(tmp_path, session_key, monkeypatch, step)
     monkeypatch.undo()
     assert f.read_bytes() == infected
     assert list(tmp_path.glob("*avrescue-tmp*")) == []
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(size=st.one_of(st.integers(0, 3 << 20),
+                      st.integers(0, (3 << 20) // 16).map(lambda blocks: 16 * blocks)))
+@example(size=ENCRYPTED_PREFIX_LIMIT - 1)
+@example(size=ENCRYPTED_PREFIX_LIMIT)
+@example(size=ENCRYPTED_PREFIX_LIMIT + 1)
+def test_layout_of_an_encrypted_file_is_what_decrypt_reads(tmp_path, session_key, size):
+    f = tmp_path / "layout.bin"
+    content = write_sample(f, size, seed=size)
+    encrypted = encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
+    assert encrypted.status is FileStatus.ENCRYPTED
+    infected = f.read_bytes()
+    layout = classify(len(infected), infected[-TRAILER_LEN:]).trailer
+    assert layout is not None and layout.original_length == size
+    assert layout.body_length == len(infected) - APPENDIX_LEN
+    assert layout.prefix_length == min(layout.body_length, ENCRYPTED_PREFIX_LIMIT)
+    # the prefix is the ciphertext of the first 1 MiB at most; the rest is untouched
+    first = content[:ENCRYPTED_PREFIX_LIMIT]
+    assert infected[: layout.prefix_length] == encrypt_stream(session_key, first)
+    assert infected[layout.prefix_length : layout.body_length] == content[len(first):]
+    # a body 16 bytes off the recorded length is damaged
+    for off in (-16, 16):
+        if len(infected) + off >= APPENDIX_LEN:
+            assert classify(len(infected) + off, infected[-TRAILER_LEN:]).damage
+
+    reads = []
+
+    def read_at(fd, n, offset):
+        reads.append((offset, offset + n))
+        return real_read_at(fd, n, offset)
+
+    real_read_at = filecodec_mod.read_at
+    with mock.patch.object(filecodec_mod, "read_at", read_at):
+        row = decrypt_file(f, session_key)
+    assert (row.status, row.bytes_processed) == (FileStatus.DECRYPTED, layout.prefix_length)
+    assert f.read_bytes() == content
+    # one read of the prefix, then the rest of the body in order, and not a byte past it
+    assert reads[0] == (0, layout.prefix_length)
+    assert [start for start, _ in reads[1:]] == [end for _, end in reads[:-1]]
+    assert reads[-1][1] == layout.body_length
 
 
 def test_restore_never_writes_through_a_planted_temp_link(tmp_path, session_key):

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +20,6 @@ from avaddon_rescue.trailer import (
     expected_body_length,
     parse_trailer,
     probe,
-    trailer_consistent_with_body,
 )
 
 # 24 trailer bytes as printed in the hexdump of an observed sample
@@ -123,10 +124,14 @@ def test_expected_body_length(original, expected_body):
 
 
 def test_consistency_rule():
-    t = parse_trailer(build_trailer(20045))
-    assert trailer_consistent_with_body(t, 20048)
-    assert not trailer_consistent_with_body(t, 20045)
-    assert not trailer_consistent_with_body(t, 20064)
+    tail = build_trailer(20045)
+    assert classify(20048 + APPENDIX_LEN, tail) == Classification(trailer=parse_trailer(tail))
+    assert classify(20045 + APPENDIX_LEN, tail).damage
+    assert classify(20064 + APPENDIX_LEN, tail).damage
+    # past the sanity bound a recorded length is damage, even where the body fits it
+    insane = MAX_ORIGINAL_LENGTH + 16
+    tail = struct.pack("<QIII4s", insane, MAGIC_A, 1, MAGIC_B, bytes(4))
+    assert classify(insane + APPENDIX_LEN, tail).damage
 
 
 def test_ceil16():
