@@ -36,6 +36,7 @@ from .filecodec import (
 )
 from .memscan import (
     DUMP_FORMATS,
+    HEADER_MAGICS,
     Evidence,
     RecoveryOutcome,
     RecoveryResult,
@@ -45,7 +46,7 @@ from .memscan import (
     verify_key,
 )
 from .strings import label_batch, parse_batch_input, rows_to_json, rows_to_tsv
-from .trailer import probe
+from .trailer import open_classified, probe
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -63,6 +64,11 @@ class ExitCode(IntEnum):
     GATE_REFUSAL = 7
 
 
+#: How `_Report` opens --out: never through a link at its name, and a new
+#: report is private, as `recover-key --show-key` puts the key in it
+_REPORT_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
 class _Report:
     """One command's report, written while the command runs.
 
@@ -74,9 +80,10 @@ class _Report:
     and the summary follows. `counts` are the tree commands' totals so far.
 
     The --out file is opened when the report is, before any tree is
-    walked: a report that cannot be written stops the command before it
-    touches a file, and the walk leaves out every name of the file the
-    report goes to, by its `skip`.
+    walked, never through a link at its name, and made with mode 0600: a
+    report that cannot be written stops the command before it touches a
+    file, and the walk leaves out every name of the file the report goes
+    to, by its `skip`.
     """
 
     def __init__(self, command: str, parameters: dict[str, Any], as_json: bool,
@@ -87,7 +94,7 @@ class _Report:
         self._line = line
         self._as_dict = as_dict
         self._json = as_json or bool(out)
-        self._file = open(out, "w") if out else None
+        self._file = open(os.open(out, _REPORT_FLAGS, 0o600), "w") if out else None
         if self._json:
             head = {"schema_version": REPORT_SCHEMA_VERSION, "command": command,
                     "parameters": parameters}
@@ -152,6 +159,14 @@ class _Report:
         else:
             for line in summary:
                 click.echo(line)
+
+
+#: The exit code of each outcome of a key recovery
+_EXIT_BY_OUTCOME = {
+    RecoveryOutcome.FOUND: ExitCode.OK,
+    RecoveryOutcome.NOT_FOUND: ExitCode.KEY_NOT_FOUND,
+    RecoveryOutcome.AMBIGUOUS: ExitCode.AMBIGUOUS_KEY,
+}
 
 
 def _status_note(message: str) -> None:
@@ -273,7 +288,27 @@ def _run_rows(run: Run, row: Callable[..., FileRecoveryReport], into: str | None
     return rows
 
 
-_OUT_OPTION = click.option("--out", type=click.Path(dir_okay=False),
+def _not_evidence(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
+    """The callback of every output path: a usage error if `path` names an
+    infected file or one with a damaged trailer, which the output would
+    destroy. A path that cannot be classified (none there, a link, a
+    directory, an unreadable file) is left to the writer."""
+    if path is None:
+        return None
+    try:
+        fd, _st, found = open_classified(path)
+    except OSError:
+        return path
+    if fd is not None:
+        os.close(fd)
+    if found.trailer or found.damage:
+        kind = "an infected file" if found.trailer else "a file with a damaged trailer"
+        raise click.BadParameter(f"{path} is {kind}; writing there would destroy it",
+                                 ctx, param)
+    return path
+
+
+_OUT_OPTION = click.option("--out", type=click.Path(dir_okay=False), callback=_not_evidence,
                            help="Write the report to a file instead of stdout.")
 _JSON_OPTION = click.option("--json", "as_json", is_flag=True, help="Emit the full JSON report.")
 
@@ -325,35 +360,30 @@ def _detect_dict(row: FileRecoveryReport) -> dict[str, Any]:
             if value is not None and field not in ("bytes_processed", "duration_s")}
 
 
-def _evidence_from_flags(
-    evidence_encrypted: str | None,
-    evidence_original: str | None,
-    header_magic: bool,
-) -> Evidence:
+def _evidence_from_flags(evidence_encrypted: str | None, evidence_original: str | None
+                         ) -> Evidence:
+    """Known plaintext when the original is given, else the header magics."""
     if not evidence_encrypted:
         raise click.UsageError("--evidence-encrypted is required to verify a key")
-    if evidence_original and header_magic:
-        raise click.UsageError("--evidence-original and --header-magic are mutually exclusive")
     if evidence_original:
         return Evidence.from_original(evidence_encrypted, evidence_original)
-    if header_magic:
-        return Evidence.from_header_magics(evidence_encrypted)
-    raise click.UsageError("pass --evidence-original FILE or --header-magic")
+    evidence = Evidence.from_header_magics(evidence_encrypted)
+    # named, so that exit 4 or 7 on a type outside the library is not read as a wrong key
+    _status_note(f"no --evidence-original: a key is proven only if {evidence_encrypted} "
+                 f"starts as one of {', '.join(name for name, _ in HEADER_MAGICS)}")
+    return evidence
 
 
 _KEY_SOURCE_OPTIONS = (
-    click.option("--format", "fmt", type=click.Choice(["auto", *DUMP_FORMATS]),
-                 default="auto", show_default=True, help="Dump container."),
     click.option("--map", "map_path", type=click.Path(exists=True, dir_okay=False),
-                 help="Sidecar VA map (raw_with_map)."),
+                 help="Sidecar VA map of a raw dump (default <dump>.map.json)."),
     click.option("--pointer-width", type=click.Choice(["4", "8"]), default=None,
                  help="Override pointer width for raw dumps."),
     click.option("--evidence-encrypted", type=click.Path(exists=True, dir_okay=False),
                  help="One encrypted file to verify candidate keys against."),
     click.option("--evidence-original", type=click.Path(exists=True, dir_okay=False),
-                 help="The original (pre-infection) copy of that file."),
-    click.option("--header-magic", is_flag=True,
-                 help="Verify against known file-type headers instead of an original copy."),
+                 help="The original (pre-infection) copy of that file; without it, "
+                      "the encrypted file must be of a type whose header is known."),
 )
 
 
@@ -366,13 +396,12 @@ def _key_source_options(command):
 
 def _recover_from_dump(
     dump: str,
-    fmt: str,
     map_path: str | None,
     pointer_width: str | None,
     evidence: Evidence,
 ) -> RecoveryResult:
     width = int(pointer_width) if pointer_width else None
-    with load_dump(dump, fmt, map_path=map_path, pointer_width=width) as image:
+    with load_dump(dump, map_path=map_path, pointer_width=width) as image:
         _status_note(
             f"scanning {dump} ({image.format}, {len(image.ranges)} ranges, "
             f"{image.pointer_width * 8}-bit)"
@@ -380,23 +409,26 @@ def _recover_from_dump(
         return recover_key(image, evidence)
 
 
+def _recovery_summary(result: RecoveryResult) -> list[str]:
+    return [f"outcome: {result.outcome}", f"candidates: {len(result.candidates)}"]
+
+
 @cli.command("recover-key")
 @click.option("--dump", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Process memory dump.")
 @_key_source_options
 @click.option("--key-out", type=click.Path(dir_okay=False), default="avaddon_session_key.hex",
-              show_default=True, help="Where to store the recovered key (mode 0600).")
+              show_default=True, callback=_not_evidence,
+              help="Where to store the recovered key (mode 0600).")
 @click.option("--show-key", is_flag=True, help="Also print the key hex to the report.")
 @_JSON_OPTION
 @_OUT_OPTION
 def cmd_recover_key(
     dump: str,
-    fmt: str,
     map_path: str | None,
     pointer_width: str | None,
     evidence_encrypted: str | None,
     evidence_original: str | None,
-    header_magic: bool,
     key_out: str,
     show_key: bool,
     as_json: bool,
@@ -404,11 +436,10 @@ def cmd_recover_key(
 ) -> None:
     """Scan a memory dump for the AES-256 session key and verify it."""
     started = time.perf_counter()
-    evidence = _evidence_from_flags(evidence_encrypted, evidence_original, header_magic)
-    result = _recover_from_dump(dump, fmt, map_path, pointer_width, evidence)
+    evidence = _evidence_from_flags(evidence_encrypted, evidence_original)
+    result = _recover_from_dump(dump, map_path, pointer_width, evidence)
 
-    summary = [f"outcome: {result.outcome}", f"candidates: {len(result.candidates)}"]
-    code = ExitCode.KEY_NOT_FOUND
+    summary = _recovery_summary(result)
     if result.outcome is RecoveryOutcome.FOUND:
         assert result.key is not None
         replace_atomically(key_out, [f"{result.key.hex()}\n".encode()])
@@ -416,21 +447,16 @@ def cmd_recover_key(
         summary.append(f"key file: {key_out}")
         if show_key:
             summary.append(f"key: {result.key.hex()}")
-        code = ExitCode.OK
-    elif result.outcome is RecoveryOutcome.AMBIGUOUS:
-        code = ExitCode.AMBIGUOUS_KEY
 
     parameters = {
         "dump": dump,
-        "format": fmt,
         "evidence_encrypted": evidence_encrypted,
         "evidence_original": evidence_original,
-        "header_magic": header_magic,
     }
     with _Report("recover-key", parameters, as_json, out) as report:
         report.finish(result.to_dict(include_key=show_key),
                       {"wall_time": round(time.perf_counter() - started, 3)}, summary)
-    raise SystemExit(code)
+    raise SystemExit(_EXIT_BY_OUTCOME[result.outcome])
 
 
 @cli.command("decrypt")
@@ -452,12 +478,10 @@ def cmd_decrypt(
     paths: tuple[str, ...],
     key_file: str | None,
     dump: str | None,
-    fmt: str,
     map_path: str | None,
     pointer_width: str | None,
     evidence_encrypted: str | None,
     evidence_original: str | None,
-    header_magic: bool,
     no_verify: bool,
     into: str | None,
     jobs: int,
@@ -471,37 +495,37 @@ def cmd_decrypt(
     if into and any(Path(into).resolve().is_relative_to(Path(p).resolve()) for p in paths):
         raise click.UsageError(f"--into {into} lies inside a PATH")
 
-    key_recovery: dict[str, Any] | None = None
-    if key_file:
-        key = SessionKey.from_hex(Path(key_file).read_bytes())
-        if no_verify:
-            _status_note("key verification skipped (--no-verify)")
-        else:
-            evidence = _evidence_from_flags(evidence_encrypted, evidence_original, header_magic)
-            if not verify_key(key, evidence):
-                _status_note("key failed verification against the evidence; refusing to touch files")
-                raise SystemExit(ExitCode.GATE_REFUSAL)
-    else:
-        if no_verify:
-            raise click.UsageError("--no-verify requires --key-file")
-        evidence = _evidence_from_flags(evidence_encrypted, evidence_original, header_magic)
-        result = _recover_from_dump(dump, fmt, map_path, pointer_width, evidence)
-        key_recovery = result.to_dict(include_key=False)
-        if result.outcome is RecoveryOutcome.AMBIGUOUS:
-            raise SystemExit(ExitCode.AMBIGUOUS_KEY)
-        if result.outcome is not RecoveryOutcome.FOUND:
-            raise SystemExit(ExitCode.KEY_NOT_FOUND)
-        key = result.key
-
-    def row(name: str, dir_fd: int, out_dir_fd: int | None = None) -> FileRecoveryReport:
-        return decrypt_file(name, key, dir_fd=dir_fd, out_dir_fd=out_dir_fd)
-
     parameters = {
         "paths": list(paths),
         "into": into,
         "jobs": jobs,
         "key_source": "key_file" if key_file else "dump",
     }
+    key_recovery: dict[str, Any] | None = None
+    if key_file:
+        key = SessionKey.from_hex(Path(key_file).read_bytes())
+        if no_verify:
+            _status_note("key verification skipped (--no-verify)")
+        else:
+            evidence = _evidence_from_flags(evidence_encrypted, evidence_original)
+            if not verify_key(key, evidence):
+                _status_note("key failed verification against the evidence; refusing to touch files")
+                raise SystemExit(ExitCode.GATE_REFUSAL)
+    else:
+        if no_verify:
+            raise click.UsageError("--no-verify requires --key-file")
+        evidence = _evidence_from_flags(evidence_encrypted, evidence_original)
+        result = _recover_from_dump(dump, map_path, pointer_width, evidence)
+        key_recovery = result.to_dict(include_key=False)
+        if result.outcome is not RecoveryOutcome.FOUND:  # reported, and no file opened
+            with _Report("decrypt", parameters, as_json, out) as report:
+                report.finish(key_recovery, report.totals(started), _recovery_summary(result))
+            raise SystemExit(_EXIT_BY_OUTCOME[result.outcome])
+        key = result.key
+
+    def row(name: str, dir_fd: int, out_dir_fd: int | None = None) -> FileRecoveryReport:
+        return decrypt_file(name, key, dir_fd=dir_fd, out_dir_fd=out_dir_fd)
+
     if into:  # before the report opens, so that an existing one writes nothing
         os.mkdir(into, 0o700)
     try:
@@ -534,11 +558,11 @@ def cmd_decrypt(
               help="Allow-listed location, in place of the default list (repeatable).")
 @click.option("--priority", "priority_paths", multiple=True, type=click.Path(),
               help="Folders to encrypt first, skipping the path whitelist (repeatable).")
-@click.option("--key-out", type=click.Path(dir_okay=False),
+@click.option("--key-out", type=click.Path(dir_okay=False), callback=_not_evidence,
               help="Store the session key hex (mode 0600).")
-@click.option("--operator-key-out", type=click.Path(dir_okay=False),
+@click.option("--operator-key-out", type=click.Path(dir_okay=False), callback=_not_evidence,
               help="Store the generated operator RSA private key PEM (mode 0600).")
-@click.option("--dump-out", type=click.Path(dir_okay=False),
+@click.option("--dump-out", type=click.Path(dir_okay=False), callback=_not_evidence,
               help="Also write a synthetic memory dump embedding the session key.")
 @click.option("--dump-format", type=click.Choice(DUMP_FORMATS),
               default="minidump", show_default=True)

@@ -329,21 +329,24 @@ def encrypt_file(
 ) -> FileRecoveryReport:
     """Infect one regular file in place. Emulator and fixture use only.
 
-    The mandatory `sandbox_root` is a hard gate: the resolved target must
-    live strictly inside it. Already-infected files are refused, mirroring
+    The mandatory `sandbox_root` is a hard gate: `path`, its directory
+    resolved, must live strictly inside it, and a link at its name is
+    refused, never followed. Already-infected files are refused, mirroring
     the re-encryption check the format was designed around.
     """
     started = time.perf_counter()
     path = Path(path)
     root = Path(sandbox_root).resolve()
-    real = path.resolve()
+    real = path.parent.resolve() / path.name
     if root == Path(root.anchor) or not real.is_relative_to(root) or real == root:
         raise SandboxViolation(f"{path} is not inside the sandbox root {root}")
+    if real.is_symlink():
+        raise SandboxViolation(f"{path} is a symbolic link")
 
     try:
         # the stat of the bytes read, even if the name is swapped; a FIFO
-        # swapped in for a planned file raises here instead of blocking
-        fd, st = open_regular(real)
+        # or a link swapped in for a planned file raises here instead
+        fd, st = open_regular(real, follow_symlinks=False)
         try:
             size = st.st_size
             trailer = classify_fd(fd, size).trailer

@@ -1127,7 +1127,7 @@ def test_recover_key_not_found(runner, tmp_path, evidence_files):
     result = runner.invoke(
         cli,
         [
-            "recover-key", "--dump", str(blank), "--format", "raw",
+            "recover-key", "--dump", str(blank),
             "--evidence-encrypted", str(encrypted),
             "--evidence-original", str(original),
             "--key-out", str(tmp_path / "k.hex"),
@@ -1151,7 +1151,7 @@ def test_recover_key_ambiguous(runner, tmp_path, evidence_files, session_key, ot
     result = runner.invoke(
         cli,
         [
-            "recover-key", "--dump", str(dump_path), "--format", "raw",
+            "recover-key", "--dump", str(dump_path),
             "--evidence-encrypted", str(encrypted),
             "--evidence-original", str(original),
             "--key-out", str(tmp_path / "k.hex"),
@@ -1159,6 +1159,69 @@ def test_recover_key_ambiguous(runner, tmp_path, evidence_files, session_key, ot
     )
     assert result.exit_code == ExitCode.AMBIGUOUS_KEY
     assert not (tmp_path / "k.hex").exists()
+
+
+@pytest.mark.parametrize("command", ["recover-key", "decrypt"])
+def test_a_key_is_proven_on_a_header_magic_without_an_original(runner, tmp_path, session_key,
+                                                              session_dump, command):
+    """With no original copy, an encrypted file of a known type proves the
+    key, and stderr names that proof."""
+    photo = tmp_path / "photo.png"
+    photo.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(range(256)) * 4)
+    encrypt_file(photo, session_key, VictimBlock.zeros(), sandbox_root=tmp_path)
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt", "sub/b.txt"])
+    key_out = tmp_path / "k.hex"
+    target = ["recover-key", "--key-out", str(key_out)] if command == "recover-key" \
+        else ["decrypt", str(tree)]
+    result = runner.invoke(cli, [*target, "--dump", str(session_dump),
+                                 "--evidence-encrypted", str(photo), "--json"])
+    assert result.exit_code == ExitCode.OK, result.output
+    assert json.loads(result.stdout)["key_recovery"]["outcome"] == "found"
+    assert "no --evidence-original" in result.stderr and "png" in result.stderr
+    if command == "recover-key":
+        assert key_out.read_text().strip() == session_key.hex()
+    else:
+        assert {p: p.read_bytes() for p in letters} == letters
+
+
+@pytest.mark.parametrize("outcome", ["not_found", "ambiguous"])
+def test_decrypt_that_finds_no_key_still_writes_its_report(runner, tmp_path, evidence_files,
+                                                           session_key, other_key, monkeypatch,
+                                                           outcome):
+    """The report holds the candidates as recover-key's does, no rows and
+    zero totals; no file is opened and no --into directory is made."""
+    encrypted, original = evidence_files
+    import avaddon_rescue.memscan as memscan_mod
+
+    # one wrong key, or two that both pass a verification that passes all
+    layout = random_dump_layout(13, container="raw", n_decoys=0, total_bytes=1 << 20,
+                                n_chains=2 if outcome == "ambiguous" else 1)
+    for chain, key in zip(layout.chains, [other_key, session_key]):
+        chain.key = key
+    dump_path = tmp_path / "proc.dmp"
+    write_synthetic_dump(layout, dump_path)
+    if outcome == "ambiguous":
+        monkeypatch.setattr(memscan_mod, "verify_key", lambda key, ev: True)
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt"])
+    infected = {p: p.read_bytes() for p in letters}
+    report = tmp_path / "report.json"
+    result = runner.invoke(cli, [
+        "decrypt", str(tree), "--dump", str(dump_path), "--evidence-encrypted", str(encrypted),
+        "--evidence-original", str(original), "--into", str(tmp_path / "into"),
+        "--json", "--out", str(report),
+    ])
+    want = {"not_found": ExitCode.KEY_NOT_FOUND, "ambiguous": ExitCode.AMBIGUOUS_KEY}[outcome]
+    assert result.exit_code == want, result.output
+    written = json.loads(report.read_text())
+    assert written["command"] == "decrypt" and written["rows"] == []
+    assert written["key_recovery"]["outcome"] == outcome
+    assert written["key_recovery"]["candidates"]
+    totals = {k: v for k, v in written["totals"].items() if k != "wall_time"}
+    assert totals == {"files_scanned": 0, "infected": 0, "decrypted": 0, "failed": 0, "bytes": 0}
+    assert not (tmp_path / "into").exists()
+    assert {p: p.read_bytes() for p in letters} == infected
 
 
 def test_dump_that_shrinks_after_loading_ends_in_one_error_line(tmp_path, evidence_files,
@@ -1175,7 +1238,7 @@ def test_dump_that_shrinks_after_loading_ends_in_one_error_line(tmp_path, eviden
 
     monkeypatch.setattr(cli_mod, "load_dump", load_then_shrink)
     monkeypatch.setattr(sys, "argv", [
-        "avaddon-rescue", "recover-key", "--dump", str(dump_path), "--format", "raw",
+        "avaddon-rescue", "recover-key", "--dump", str(dump_path),
         "--evidence-encrypted", str(encrypted), "--evidence-original", str(original),
         "--key-out", str(tmp_path / "k.hex"),
     ])
@@ -1239,8 +1302,8 @@ def test_unusable_evidence_fails_before_the_scan(
     monkeypatch.setattr(memscan_mod, "scan_key_candidates", no_scan)
     target = ["recover-key"] if command == "recover-key" else ["decrypt", str(tree)]
     monkeypatch.setattr(sys, "argv", [
-        "avaddon-rescue", *target, "--dump", str(dump_path), "--format", "raw",
-        "--evidence-encrypted", str(evidence), "--header-magic",
+        "avaddon-rescue", *target, "--dump", str(dump_path),
+        "--evidence-encrypted", str(evidence),
     ])
     with pytest.raises(SystemExit) as stopped:
         main()
@@ -1296,9 +1359,9 @@ def _cli_in_child(argv: list[str]) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("flag", ["--dump", "--evidence-original", "--map"])
 def test_dump_or_original_that_is_a_fifo_is_an_error(tmp_path, session_key, session_dump,
                                                      evidence_files, command, flag):
-    """A FIFO given as the dump, as its sidecar map or as the original copy
-    ends in one error line naming it and exit 1, before the dump is
-    scanned or a file is touched."""
+    """A FIFO given as the dump, as the sidecar map of a raw dump or as the
+    original copy ends in one error line naming it and exit 1, before the
+    dump is scanned or a file is touched."""
     encrypted, original = evidence_files
     fifo = tmp_path / "input.fifo"
     os.mkfifo(fifo)
@@ -1308,7 +1371,11 @@ def test_dump_or_original_that_is_a_fifo_is_an_error(tmp_path, session_key, sess
     given = {"--dump": session_dump, "--evidence-original": original, flag: fifo}
     target = ["recover-key", "--key-out", str(tmp_path / "k.hex")] if command == "recover-key" \
         else ["decrypt", str(tree)]
-    sidecar = ["--format", "raw_with_map", "--map", str(fifo)] if flag == "--map" else []
+    sidecar = []
+    if flag == "--map":  # a map is read only beside a dump with no MDMP signature
+        given["--dump"] = tmp_path / "flat.dmp"
+        given["--dump"].write_bytes(random.Random(9).randbytes(4096))
+        sidecar = ["--map", str(fifo)]
     done = _cli_in_child([*target, "--dump", str(given["--dump"]), *sidecar,
                           "--evidence-encrypted", str(encrypted),
                           "--evidence-original", str(given["--evidence-original"])])
@@ -2026,7 +2093,7 @@ def test_bad_command_inputs_end_without_a_traceback(tmp_path, monkeypatch, capsy
         "key_file_is_a_directory": ["decrypt", str(tree), "--key-file", str(tmp_path),
                                     "--no-verify"],
         "dump_is_a_directory": ["recover-key", "--dump", str(tmp_path),
-                                "--evidence-encrypted", str(binary), "--header-magic"],
+                                "--evidence-encrypted", str(binary)],
         "key_file_not_ascii": ["decrypt", str(tree), "--key-file", str(binary), "--no-verify"],
         "batch_not_utf8": ["strings", "--input", str(binary)],
         "report_directory_missing": ["detect", str(tree), "--out",
@@ -2072,3 +2139,86 @@ def test_report_is_a_head_line_a_line_per_row_and_a_tail_line(runner, tmp_path, 
                             "totals"]
     for line, row in zip(text.splitlines()[1:-1], report["rows"]):
         assert json.loads(line.rstrip(",")) == row
+
+
+OUTPUT_OPTIONS = ["detect --out", "decrypt --out", "recover-key --out", "recover-key --key-out",
+                  "emulate --out", "emulate --key-out", "emulate --operator-key-out",
+                  "emulate --dump-out", "strings --out"]
+
+
+@pytest.mark.parametrize("option", OUTPUT_OPTIONS)
+@pytest.mark.parametrize("evidence", ["infected", "damaged"])
+def test_an_output_never_lands_on_an_infected_file(runner, tmp_path, session_key, session_dump,
+                                                   evidence_files, option, evidence):
+    """An output path naming an infected file, or one with a damaged
+    trailer, is a usage error, and the file stays as it was."""
+    box = tmp_path / "box"
+    letters = infected_letters(box, session_key, ["a.txt", "b.txt"])
+    victim = box / "a.txt"
+    if evidence == "damaged":
+        damaged = bytearray(victim.read_bytes())
+        damaged[-16] ^= 0xFF  # one trailer magic byte
+        victim.write_bytes(bytes(damaged))
+    before = {p: p.read_bytes() for p in letters}
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    batch = tmp_path / "batch.tsv"
+    batch.write_text("id1\tAnshGSgwNQ==\n")
+    encrypted, original = evidence_files
+    command, flag = option.split()
+    argv = {
+        "detect": ["detect", str(box), "--json"],
+        "decrypt": ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", "--json"],
+        "recover-key": ["recover-key", "--dump", str(session_dump),
+                        "--evidence-encrypted", str(encrypted),
+                        "--evidence-original", str(original),
+                        "--key-out", str(tmp_path / "k.hex")],
+        "emulate": ["emulate", "--sandbox", str(box), "--seed", "3",
+                    "--i-understand-this-writes-files"],
+        "strings": ["strings", "--input", str(batch)],
+    }[command]
+    result = runner.invoke(cli, [*argv, flag, str(victim)])
+    assert result.exit_code == 2, result.output
+    kind = "an infected file" if evidence == "infected" else "a file with a damaged trailer"
+    assert f"is {kind}; writing there would destroy it" in result.stderr
+    assert {p: p.read_bytes() for p in letters} == before
+
+
+@pytest.mark.parametrize("command", ["detect", "decrypt"])
+def test_report_is_never_written_through_a_link(tmp_path, session_key, monkeypatch, capsys,
+                                                command):
+    """A link at --out ends in one error line and exit 1 before any file
+    is opened, and the file it leads to stays as it was."""
+    box = tmp_path / "box"
+    letters = infected_letters(box, session_key, ["a/f1.txt", "b/f2.txt"])
+    before = {p: p.read_bytes() for p in letters}
+    key_file = tmp_path / "k.hex"
+    key_file.write_text(session_key.hex() + "\n")
+    link = box / "b" / "link.json"
+    link.symlink_to(os.path.join("..", "..", "k.hex"))
+    argv = {"detect": ["detect", str(box)],
+            "decrypt": ["decrypt", str(box), "--key-file", str(key_file), "--no-verify"]}[command]
+    monkeypatch.setattr(sys, "argv", ["avaddon-rescue", *argv, "--json", "--out", str(link)])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    assert stopped.value.code == ExitCode.ERROR
+    assert "error: " in capsys.readouterr().err
+    assert key_file.read_text() == session_key.hex() + "\n"
+    assert link.is_symlink()
+    assert {p: p.read_bytes() for p in letters} == before
+
+
+def test_a_new_report_file_is_private(runner, tmp_path, session_dump, evidence_files,
+                                      session_key):
+    """`recover-key --show-key --out` puts the key in the report, so a new
+    report file gets mode 0600."""
+    encrypted, original = evidence_files
+    report = tmp_path / "report.json"
+    result = runner.invoke(cli, [
+        "recover-key", "--dump", str(session_dump), "--evidence-encrypted", str(encrypted),
+        "--evidence-original", str(original), "--key-out", str(tmp_path / "k.hex"),
+        "--show-key", "--out", str(report),
+    ])
+    assert result.exit_code == ExitCode.OK, result.output
+    assert json.loads(report.read_text())["key_recovery"]["key_hex"] == session_key.hex()
+    assert stat.S_IMODE(report.stat().st_mode) == 0o600

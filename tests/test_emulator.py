@@ -381,6 +381,30 @@ def test_emulate_classifies_each_planned_file_once(tmp_path, session_key, monkey
     assert len(calls) == report.planned
 
 
+def test_emulate_never_follows_a_link_swapped_in_at_a_planned_name(tmp_path, session_key,
+                                                                    monkeypatch):
+    """A planned file replaced by a link after the plan is an io_error row;
+    the file the link leads to is encrypted once, under its own name."""
+    make_tree(tmp_path, {"a.txt": b"a" * 700, "b.txt": b"b" * 700})
+    real_plan = emulator_mod.plan_traversal
+
+    def plan_then_swap(*args, **kwargs):
+        plan = real_plan(*args, **kwargs)
+        (tmp_path / "a.txt").unlink()
+        (tmp_path / "a.txt").symlink_to("b.txt")
+        return plan
+
+    monkeypatch.setattr(emulator_mod, "plan_traversal", plan_then_swap)
+    report = emulate_infection(
+        tmp_path, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN
+    )
+    statuses = {os.path.basename(row.path): row.status for row in report.rows}
+    assert statuses == {"a.txt": FileStatus.IO_ERROR, "b.txt": FileStatus.ENCRYPTED}
+    assert "symbolic link" in report.rows[0].detail
+    assert (tmp_path / "a.txt").is_symlink()
+    assert probe(tmp_path / "b.txt").trailer.original_length == 700
+
+
 def test_emulate_gate_refusal_touches_nothing(tmp_path, session_key):
     files = make_tree(tmp_path, {"a.txt": b"payload" * 10})
     with pytest.raises(SandboxViolation):

@@ -913,7 +913,7 @@ def test_recover_key_memory_does_not_grow_with_the_dump(tmp_path, session_key):
     report = tmp_path / "report.json"
     measured = subprocess.run(
         [sys.executable, "-c", PEAK_RSS_OF, "-m", "avaddon_rescue.cli", "recover-key",
-         "--dump", str(dump_path), "--format", "raw", "--evidence-encrypted", str(encrypted),
+         "--dump", str(dump_path), "--evidence-encrypted", str(encrypted),
          "--evidence-original", str(original), "--key-out", str(tmp_path / "key.hex"),
          "--out", str(report)],
         env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE, check=True,
@@ -944,7 +944,7 @@ def _recover_key_peak_mib(tmp_path: Path, session_key, dump_bytes: int) -> float
     report = tmp_path / "report.json"
     measured = subprocess.run(
         [sys.executable, "-c", PEAK_RSS_OF, "-m", "avaddon_rescue.cli", "recover-key",
-         "--dump", str(dump_path), "--format", "raw", "--evidence-encrypted", str(encrypted),
+         "--dump", str(dump_path), "--evidence-encrypted", str(encrypted),
          "--evidence-original", str(original), "--key-out", str(tmp_path / "key.hex"),
          "--out", str(report)],
         env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE, check=True,
