@@ -46,7 +46,7 @@ from .memscan import (
     verify_key,
 )
 from .strings import label_batch, parse_batch_input, rows_to_json, rows_to_tsv
-from .trailer import open_classified, probe
+from .trailer import open_classified, open_regular, probe
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -64,9 +64,10 @@ class ExitCode(IntEnum):
     GATE_REFUSAL = 7
 
 
-#: How `_Report` opens --out: never through a link at its name, and a new
-#: report is private, as `recover-key --show-key` puts the key in it
-_REPORT_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW | os.O_CLOEXEC
+#: How `_Report` opens --out: never through a link at its name, never
+#: blocked by a FIFO with no reader (ENXIO instead), and a new report is
+#: private, as `recover-key --show-key` puts the key in it
+_REPORT_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
 
 
 class _Report:
@@ -80,10 +81,10 @@ class _Report:
     and the summary follows. `counts` are the tree commands' totals so far.
 
     The --out file is opened when the report is, before any tree is
-    walked, never through a link at its name, and made with mode 0600: a
-    report that cannot be written stops the command before it touches a
-    file, and the walk leaves out every name of the file the report goes
-    to, by its `skip`.
+    walked, never through a link at its name nor blocked by a FIFO with
+    no reader, and made with mode 0600: a report that cannot be written
+    stops the command before it touches a file, and the walk leaves out
+    every name of the file the report goes to, by its `skip`.
     """
 
     def __init__(self, command: str, parameters: dict[str, Any], as_json: bool,
@@ -94,7 +95,11 @@ class _Report:
         self._line = line
         self._as_dict = as_dict
         self._json = as_json or bool(out)
-        self._file = open(os.open(out, _REPORT_FLAGS, 0o600), "w") if out else None
+        self._file = None
+        if out:
+            fd = os.open(out, _REPORT_FLAGS, 0o600)
+            os.set_blocking(fd, True)  # so a pipe with a reader is written as a file is
+            self._file = open(fd, "w")
         if self._json:
             head = {"schema_version": REPORT_SCHEMA_VERSION, "command": command,
                     "parameters": parameters}
@@ -377,8 +382,6 @@ def _evidence_from_flags(evidence_encrypted: str | None, evidence_original: str 
 _KEY_SOURCE_OPTIONS = (
     click.option("--map", "map_path", type=click.Path(exists=True, dir_okay=False),
                  help="Sidecar VA map of a raw dump (default <dump>.map.json)."),
-    click.option("--pointer-width", type=click.Choice(["4", "8"]), default=None,
-                 help="Override pointer width for raw dumps."),
     click.option("--evidence-encrypted", type=click.Path(exists=True, dir_okay=False),
                  help="One encrypted file to verify candidate keys against."),
     click.option("--evidence-original", type=click.Path(exists=True, dir_okay=False),
@@ -394,18 +397,10 @@ def _key_source_options(command):
     return command
 
 
-def _recover_from_dump(
-    dump: str,
-    map_path: str | None,
-    pointer_width: str | None,
-    evidence: Evidence,
-) -> RecoveryResult:
-    width = int(pointer_width) if pointer_width else None
-    with load_dump(dump, map_path=map_path, pointer_width=width) as image:
-        _status_note(
-            f"scanning {dump} ({image.format}, {len(image.ranges)} ranges, "
-            f"{image.pointer_width * 8}-bit)"
-        )
+def _recover_from_dump(dump: str, map_path: str | None, evidence: Evidence) -> RecoveryResult:
+    with load_dump(dump, map_path=map_path) as image:
+        bits = "/".join(str(8 * pw) for pw in image.pointer_widths)
+        _status_note(f"scanning {dump} ({image.format}, {len(image.ranges)} ranges, {bits}-bit)")
         return recover_key(image, evidence)
 
 
@@ -426,7 +421,6 @@ def _recovery_summary(result: RecoveryResult) -> list[str]:
 def cmd_recover_key(
     dump: str,
     map_path: str | None,
-    pointer_width: str | None,
     evidence_encrypted: str | None,
     evidence_original: str | None,
     key_out: str,
@@ -437,23 +431,23 @@ def cmd_recover_key(
     """Scan a memory dump for the AES-256 session key and verify it."""
     started = time.perf_counter()
     evidence = _evidence_from_flags(evidence_encrypted, evidence_original)
-    result = _recover_from_dump(dump, map_path, pointer_width, evidence)
-
-    summary = _recovery_summary(result)
-    if result.outcome is RecoveryOutcome.FOUND:
-        assert result.key is not None
-        replace_atomically(key_out, [f"{result.key.hex()}\n".encode()])
-        _status_note(f"key recovered and written to {key_out}")
-        summary.append(f"key file: {key_out}")
-        if show_key:
-            summary.append(f"key: {result.key.hex()}")
+    result = _recover_from_dump(dump, map_path, evidence)
 
     parameters = {
         "dump": dump,
         "evidence_encrypted": evidence_encrypted,
         "evidence_original": evidence_original,
     }
+    # opened before the key file is written, so that a report that cannot be leaves none
     with _Report("recover-key", parameters, as_json, out) as report:
+        summary = _recovery_summary(result)
+        if result.outcome is RecoveryOutcome.FOUND:
+            assert result.key is not None
+            replace_atomically(key_out, [f"{result.key.hex()}\n".encode()])
+            _status_note(f"key recovered and written to {key_out}")
+            summary.append(f"key file: {key_out}")
+            if show_key:
+                summary.append(f"key: {result.key.hex()}")
         report.finish(result.to_dict(include_key=show_key),
                       {"wall_time": round(time.perf_counter() - started, 3)}, summary)
     raise SystemExit(_EXIT_BY_OUTCOME[result.outcome])
@@ -479,7 +473,6 @@ def cmd_decrypt(
     key_file: str | None,
     dump: str | None,
     map_path: str | None,
-    pointer_width: str | None,
     evidence_encrypted: str | None,
     evidence_original: str | None,
     no_verify: bool,
@@ -503,7 +496,9 @@ def cmd_decrypt(
     }
     key_recovery: dict[str, Any] | None = None
     if key_file:
-        key = SessionKey.from_hex(Path(key_file).read_bytes())
+        fd, _st = open_regular(key_file)  # never blocks on a FIFO
+        with open(fd, "rb") as fh:
+            key = SessionKey.from_hex(fh.read())
         if no_verify:
             _status_note("key verification skipped (--no-verify)")
         else:
@@ -515,7 +510,7 @@ def cmd_decrypt(
         if no_verify:
             raise click.UsageError("--no-verify requires --key-file")
         evidence = _evidence_from_flags(evidence_encrypted, evidence_original)
-        result = _recover_from_dump(dump, map_path, pointer_width, evidence)
+        result = _recover_from_dump(dump, map_path, evidence)
         key_recovery = result.to_dict(include_key=False)
         if result.outcome is not RecoveryOutcome.FOUND:  # reported, and no file opened
             with _Report("decrypt", parameters, as_json, out) as report:

@@ -99,8 +99,8 @@ class DumpImage:
     The file is opened as one of `DUMP_FORMATS`, or sniffed. raw maps the
     whole file at virtual address 0 (offset == VA); raw_with_map takes
     ranges from a JSON sidecar; minidump parses the stream directory.
-    `pointer_width` overrides the default of 4 for the raw flavors; for
-    minidumps it is read from the system-info stream.
+    `pointer_width` is the width a minidump's system-info stream records,
+    and None where the container records none (raw flavors included).
 
     Read-only after construction; safe to share across scanning threads.
     """
@@ -111,7 +111,6 @@ class DumpImage:
         fmt: str = "auto",
         *,
         map_path: str | os.PathLike | None = None,
-        pointer_width: int | None = None,
     ) -> None:
         self.path = path = Path(path)
         self.fd, st = open_regular(path)
@@ -125,7 +124,7 @@ class DumpImage:
                 else:
                     fmt = "raw"
 
-            width = None  # a minidump gives its own
+            self.pointer_width = None  # a minidump may record its own
             if fmt == "raw":
                 ranges = [MemoryRange(0, self._size, 0)]
             elif fmt == "raw_with_map":
@@ -136,12 +135,9 @@ class DumpImage:
             elif fmt == "minidump":
                 if self[:4] != MDMP_SIGNATURE:
                     raise DumpFormatError(f"{path} does not start with the MDMP signature")
-                ranges, width = read_minidump(self)
+                ranges, self.pointer_width = read_minidump(self)
             else:
                 raise ValueError(f"unknown dump format {fmt!r}")
-            self.pointer_width = width = width or pointer_width or 4
-            if width not in (4, 8):
-                raise DumpFormatError(f"pointer width must be 4 or 8, got {width}")
             for r in ranges:
                 if min(r.va, r.length, r.offset) < 0:
                     raise DumpFormatError(f"range va={r.va:#x} length={r.length:#x} "
@@ -163,6 +159,11 @@ class DumpImage:
             self.close()
             raise
         self.format = fmt
+
+    @property
+    def pointer_widths(self) -> tuple[int, ...]:
+        """The widths to read a pointer at: the recorded one, else both."""
+        return (self.pointer_width,) if self.pointer_width else (4, 8)
 
     def __len__(self) -> int:
         return self._size
@@ -323,13 +324,13 @@ def scan_key_candidates(dump: DumpImage) -> list[KeyCandidate]:
     """Single linear pass over all mapped ranges for the key-data triple.
 
     The triple is searched at every byte offset: verification, not the
-    scan, culls false hits. Every pattern hit becomes a candidate even
-    when its key pointer cannot be resolved; candidates with identical key
-    bytes are collapsed to the first occurrence. An empty list is a normal
+    scan, culls false hits. Each hit's key pointer is read at each of the
+    dump's `pointer_widths`, and each key read is a candidate; a hit whose
+    pointer yields no key is still one. Candidates with identical key bytes
+    are collapsed to the first occurrence. An empty list is a normal
     result. Each window is searched from its top down, and the hits are
     put in file order before they are collapsed.
     """
-    pw = dump.pointer_width
     n = len(KEY_DATA_PATTERN)
     hits: list[KeyCandidate] = []
     for window, lo, hi, offset, va in _windows(dump, n):
@@ -337,14 +338,16 @@ def scan_key_candidates(dump: DumpImage) -> list[KeyCandidate]:
         # 0x10, where `find` skips on its last, 0x00, the commonest byte in memory
         while (found := window.rfind(KEY_DATA_PATTERN, lo, hi)) != -1:
             hi = found + n - 1  # the next match starts below this one, overlapping it or not
-            cand = KeyCandidate(struct_offset=offset + found, struct_va=va + found)
-            # by VA, so a pointer that runs on into the next range is still read
-            ptr = dump.read_va(va + found + n, pw)
-            if ptr is not None:
-                key_ptr = int.from_bytes(ptr, "little")
-                cand.key_va = key_ptr
-                cand.key, cand.key_source = _read_candidate_key(dump, key_ptr)
-            hits.append(cand)
+            read = []  # one candidate per width at which the key pointer is mapped
+            for pw in dump.pointer_widths:
+                # by VA, so a pointer that runs on into the next range is still read
+                if (ptr := dump.read_va(va + found + n, pw)) is not None:
+                    key_va = int.from_bytes(ptr, "little")
+                    read.append(KeyCandidate(offset + found, va + found, key_va,
+                                             *_read_candidate_key(dump, key_va)))
+            # a hit that yields no key is one candidate, with the first pointer read
+            keyed = [c for c in read if c.key is not None]
+            hits += keyed or read[:1] or [KeyCandidate(offset + found, va + found)]
 
     hits.sort(key=lambda c: c.struct_offset)
     seen: set[bytes] = set()
@@ -361,27 +364,28 @@ def scan_key_candidates(dump: DumpImage) -> list[KeyCandidate]:
 def confirm_chain(dump: DumpImage, candidate: KeyCandidate) -> bool:
     """Look for the two upper links of the key-handle chain.
 
-    True iff some cell points at the candidate's key-data record and some
-    other cell holds that cell's address XOR-masked with the handle
-    constant. Only raises candidate confidence; never disqualifies.
+    True iff, at one of the dump's `pointer_widths`, some cell points at
+    the candidate's key-data record and some other cell holds that cell's
+    address XOR-masked with the handle constant. Only raises candidate
+    confidence; never disqualifies.
     """
     if candidate.struct_va is None:
         return False
-    pw = dump.pointer_width
-    mask = (1 << (8 * pw)) - 1
-    key_data_va = candidate.struct_va - pw
-    if not 0 <= key_data_va <= mask:  # no pointer cell can hold it
-        return False
     step = POINTER_CELL_ALIGNMENT
-    pointer = key_data_va.to_bytes(pw, "little")
-    # one pass at a time: each cell's search ends before the next begins
-    magic_cell = _first_aligned(dump, pointer, step)
-    while magic_cell is not None:
-        _, magic_cell_va = magic_cell
-        masked = (magic_cell_va ^ HANDLE_XOR_CONSTANT) & mask
-        if _first_aligned(dump, masked.to_bytes(pw, "little"), step) is not None:
-            return True
-        magic_cell = _first_aligned(dump, pointer, step, magic_cell_va + 1)
+    for pw in dump.pointer_widths:
+        mask = (1 << (8 * pw)) - 1
+        key_data_va = candidate.struct_va - pw
+        if not 0 <= key_data_va <= mask:  # no pointer cell of this width can hold it
+            continue
+        pointer = key_data_va.to_bytes(pw, "little")
+        # one pass at a time: each cell's search ends before the next begins
+        magic_cell = _first_aligned(dump, pointer, step)
+        while magic_cell is not None:
+            _, magic_cell_va = magic_cell
+            masked = (magic_cell_va ^ HANDLE_XOR_CONSTANT) & mask
+            if _first_aligned(dump, masked.to_bytes(pw, "little"), step) is not None:
+                return True
+            magic_cell = _first_aligned(dump, pointer, step, magic_cell_va + 1)
     return False
 
 

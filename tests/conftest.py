@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from avaddon_rescue.cipher import SessionKey
-from avaddon_rescue.emulator import generate_session_key
+from avaddon_rescue.emulator import DumpLayoutSpec, generate_session_key
 
 
 @pytest.fixture
@@ -16,6 +17,28 @@ def session_key() -> SessionKey:
 @pytest.fixture
 def other_key() -> SessionKey:
     return generate_session_key(9999)
+
+
+#: Where a 64-bit process's heap sits, far above 4 GiB; its low 32 bits are 0
+HIGH_VA_BASE = 0x7FF6_0000_0000
+
+
+def moved_up(layout: DumpLayoutSpec) -> DumpLayoutSpec:
+    """A copy of a 64-bit `layout` with every virtual address moved up by
+    `HIGH_VA_BASE`: its ranges, its chains' structures and its decoys'. Not
+    for a raw container, which maps its bytes from virtual address 0."""
+    def up(va):
+        return None if va is None else va + HIGH_VA_BASE
+
+    return dataclasses.replace(
+        layout,
+        ranges=[(up(va), length) for va, length in layout.ranges],
+        chains=[dataclasses.replace(c, key_data_va=up(c.key_data_va), key_va=up(c.key_va),
+                                    magic_s_va=up(c.magic_s_va), hcryptkey_va=up(c.hcryptkey_va))
+                for c in layout.chains],
+        decoys=[dataclasses.replace(d, key_data_va=up(d.key_data_va), key_va=up(d.key_va))
+                for d in layout.decoys],
+    )
 
 
 def make_tree(root: Path, files: dict[str, bytes]) -> dict[Path, bytes]:

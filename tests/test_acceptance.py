@@ -205,9 +205,8 @@ def test_criterion_4_key_recovery_50_dumps(tmp_path):
         planted = SessionKey(bytes.fromhex(manifest["key_hex"]))
         evidence = _evidence_for(tmp_path, planted, f"{seed:02d}")
 
-        # raw containers carry no width metadata; the operator supplies it
-        width = layout.pointer_width if container == "raw" else None
-        with load_dump(dump_path, container, pointer_width=width) as dump:
+        # raw containers carry no width metadata; the key is read at both widths
+        with load_dump(dump_path, container) as dump:
             result = recover_key(dump, evidence)
         assert result.outcome is RecoveryOutcome.FOUND, f"seed {seed}: {result.outcome}"
         assert result.key == planted, f"seed {seed}: wrong key returned"
@@ -261,7 +260,7 @@ def test_criterion_5_xor_chain_fidelity(tmp_path):
         pw = manifest["pointer_width"]
         raw = dump_path.read_bytes()
 
-        with load_dump(dump_path, layout.container, pointer_width=pw) as dump:
+        with load_dump(dump_path, layout.container) as dump:
             candidates = {c.struct_va: c for c in scan_key_candidates(dump)}
             for chain in manifest["chains"]:
                 # generator self-check recomputed from the file bytes

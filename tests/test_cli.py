@@ -27,7 +27,14 @@ from avaddon_rescue.emulator import (
 from avaddon_rescue.filecodec import encrypt_file
 from avaddon_rescue.strings import encode_string
 from avaddon_rescue.trailer import APPENDIX_LEN, TRAILER_LEN, VictimBlock, build_trailer, probe
-from conftest import PEAK_RSS_OF, deny_open, make_tree, random_corpus, shrink_after_stat
+from conftest import (
+    PEAK_RSS_OF,
+    deny_open,
+    make_tree,
+    moved_up,
+    random_corpus,
+    shrink_after_stat,
+)
 
 
 @pytest.fixture
@@ -703,7 +710,8 @@ def test_short_regular_files_are_never_opened(runner, tmp_path, session_key, mon
     rows = {Path(r["path"]).name: r["status"] for r in json.loads(result.stdout)["rows"]}
     clean = "skipped_clean" if command == "decrypt" else "clean"
     assert {rows[path.name] for path in short} == {clean}
-    assert sorted(opened) == ["a.txt", "b.txt"]
+    key_read = ["key.hex"] if command == "decrypt" else []  # by os.open, as every input is
+    assert sorted(opened) == ["a.txt", "b.txt", *key_read]
 
 
 @pytest.mark.parametrize("command", ["detect", "decrypt"])
@@ -1254,19 +1262,21 @@ def test_recover_key_requires_evidence(runner, tmp_path, session_dump, evidence_
     result = runner.invoke(cli, ["recover-key", "--dump", str(session_dump)])
     assert result.exit_code == 2  # usage error
 
-    # the scan step is not an option: the triple is searched at every offset
+    # neither the scan step nor the pointer width is an option: the triple
+    # is searched at every offset, and a dump's width is what it records
     encrypted, original = evidence_files
     key_out = tmp_path / "k.hex"
-    result = runner.invoke(
-        cli,
-        [
-            "recover-key", "--dump", str(session_dump), "--alignment", "4",
-            "--evidence-encrypted", str(encrypted), "--evidence-original", str(original),
-            "--key-out", str(key_out),
-        ],
-    )
-    assert result.exit_code == 2, result.output
-    assert not key_out.exists()
+    for extra in (["--alignment", "4"], ["--pointer-width", "8"]):
+        result = runner.invoke(
+            cli,
+            [
+                "recover-key", "--dump", str(session_dump), *extra,
+                "--evidence-encrypted", str(encrypted), "--evidence-original", str(original),
+                "--key-out", str(key_out),
+            ],
+        )
+        assert result.exit_code == 2, (extra, result.output)
+        assert not key_out.exists()
 
 
 @pytest.mark.parametrize("command", ["recover-key", "decrypt"])
@@ -1355,13 +1365,14 @@ def _cli_in_child(argv: list[str]) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("command", ["recover-key", "decrypt"])
-@pytest.mark.parametrize("flag", ["--dump", "--evidence-original", "--map"])
+@pytest.mark.parametrize("flag, command", [
+    (flag, command) for flag in ("--dump", "--evidence-original", "--map")
+    for command in ("decrypt", "recover-key")] + [("--key-file", "decrypt")])
 def test_dump_or_original_that_is_a_fifo_is_an_error(tmp_path, session_key, session_dump,
                                                      evidence_files, command, flag):
-    """A FIFO given as the dump, as the sidecar map of a raw dump or as the
-    original copy ends in one error line naming it and exit 1, before the
-    dump is scanned or a file is touched."""
+    """A FIFO given as the dump, as the sidecar map of a raw dump, as the
+    original copy or as decrypt's key file ends in one error line naming
+    it and exit 1, before the dump is scanned or a file is touched."""
     encrypted, original = evidence_files
     fifo = tmp_path / "input.fifo"
     os.mkfifo(fifo)
@@ -1371,13 +1382,16 @@ def test_dump_or_original_that_is_a_fifo_is_an_error(tmp_path, session_key, sess
     given = {"--dump": session_dump, "--evidence-original": original, flag: fifo}
     target = ["recover-key", "--key-out", str(tmp_path / "k.hex")] if command == "recover-key" \
         else ["decrypt", str(tree)]
+    if flag == "--key-file":  # in place of a dump, and read before the evidence
+        target += ["--key-file", str(fifo)]
+        del given["--dump"]
     sidecar = []
     if flag == "--map":  # a map is read only beside a dump with no MDMP signature
         given["--dump"] = tmp_path / "flat.dmp"
         given["--dump"].write_bytes(random.Random(9).randbytes(4096))
         sidecar = ["--map", str(fifo)]
-    done = _cli_in_child([*target, "--dump", str(given["--dump"]), *sidecar,
-                          "--evidence-encrypted", str(encrypted),
+    dump = ["--dump", str(given["--dump"])] if "--dump" in given else []
+    done = _cli_in_child([*target, *dump, *sidecar, "--evidence-encrypted", str(encrypted),
                           "--evidence-original", str(given["--evidence-original"])])
     assert done.returncode == ExitCode.ERROR, done.stderr
     errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
@@ -1386,6 +1400,116 @@ def test_dump_or_original_that_is_a_fifo_is_an_error(tmp_path, session_key, sess
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "k.hex").exists()
     assert {p: p.read_bytes() for p in letters} == infected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command", ["detect", "recover-key", "decrypt"])
+def test_report_to_a_fifo_with_no_reader_is_an_error(tmp_path, session_key, session_dump,
+                                                     evidence_files, command):
+    """--out naming a FIFO that no process reads ends in one error line
+    and exit 1 at once, not a hang: before the walk, and before
+    recover-key writes its key file."""
+    encrypted, original = evidence_files
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt", "sub/b.txt"])
+    infected = {p: p.read_bytes() for p in letters}
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    argv = {
+        "detect": ["detect", str(tree)],
+        "recover-key": ["recover-key", "--dump", str(session_dump),
+                        "--evidence-encrypted", str(encrypted),
+                        "--evidence-original", str(original), "--key-out", str(tmp_path / "k.hex")],
+        "decrypt": ["decrypt", str(tree), "--key-file", str(key_file), "--no-verify"],
+    }[command]
+    done = _cli_in_child([*argv, "--out", str(fifo)])
+    assert done.returncode == ExitCode.ERROR, done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and fifo.name in errors[0], done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "k.hex").exists()
+    assert {p: p.read_bytes() for p in letters} == infected
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs named pipes and FIONREAD")
+def test_report_to_a_fifo_with_a_reader_is_written_whole(tmp_path):
+    """A FIFO that a process reads takes the whole report, also one larger
+    than the pipe holds: the command waits on the full pipe, as on any
+    pipe, until the reader takes what it holds."""
+    import fcntl
+    import termios
+
+    tree = tmp_path / "tree"
+    make_tree(tree, {f"d{i % 7}/clean{i:04d}.txt": b"clean" for i in range(1500)})
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    # a writer of our own, so that the reader sees no end before the command's
+    writer = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+    os.set_blocking(reader, True)
+    ended = threading.Event()
+    chunks = []
+
+    def drain():
+        # nothing is read until the pipe holds bytes that stay put, or the command ends
+        held = 0
+        while not ended.wait(0.2):
+            now = int.from_bytes(fcntl.ioctl(reader, termios.FIONREAD, bytes(4)), sys.byteorder)
+            if now and now == held:
+                break
+            held = now
+        while chunk := os.read(reader, 1 << 16):
+            chunks.append(chunk)
+
+    draining = threading.Thread(target=drain)
+    draining.start()
+    try:
+        done = _cli_in_child(["detect", str(tree), "--out", str(fifo)])
+    finally:
+        ended.set()
+        os.close(writer)
+        draining.join(timeout=20)
+        os.close(reader)
+    assert done.returncode == ExitCode.NOTHING_INFECTED, done.stderr
+    report = b"".join(chunks)
+    assert len(report) > 1 << 16
+    assert json.loads(report)["totals"]["files_scanned"] == 1500
+
+
+@pytest.fixture
+def high_dump(tmp_path, session_key):
+    """A raw_with_map dump of a 64-bit process whose ranges, and the key
+    chain in them, lie above 4 GiB: it records no width of its own."""
+    layout = moved_up(random_dump_layout(11, pointer_width=8, container="raw_with_map",
+                                         n_decoys=2, total_bytes=2 << 20))
+    layout.chains[0].key = session_key
+    dump_path = tmp_path / "high.dmp"
+    write_synthetic_dump(layout, dump_path)
+    return dump_path
+
+
+def test_a_64_bit_dump_above_4_gib_gives_up_its_key(runner, tmp_path, session_key, high_dump,
+                                                    evidence_files):
+    """recover-key finds the key with no width given, and decrypt --dump
+    restores every file byte for byte: a dump that records no width is
+    read at both."""
+    encrypted, original = evidence_files
+    evidence = ["--dump", str(high_dump), "--evidence-encrypted", str(encrypted),
+                "--evidence-original", str(original)]
+    key_out = tmp_path / "k.hex"
+    result = runner.invoke(cli, ["recover-key", *evidence, "--key-out", str(key_out), "--json"])
+    assert result.exit_code == ExitCode.OK, result.output
+    assert "(raw_with_map, 2 ranges, 32/64-bit)" in result.stderr
+    assert json.loads(result.stdout)["key_recovery"]["outcome"] == "found"
+    assert key_out.read_text().strip() == session_key.hex()
+
+    tree = tmp_path / "tree"
+    letters = infected_letters(tree, session_key, ["a.txt", "sub/b.txt"])
+    result = runner.invoke(cli, ["decrypt", str(tree), *evidence])
+    assert result.exit_code == ExitCode.OK, result.output
+    assert {p: p.read_bytes() for p in letters} == letters
 
 
 def test_recovery_commands_never_import_the_emulator():
@@ -1524,7 +1648,7 @@ def test_decrypt_requires_exactly_one_key_source(
     assert result.exit_code == 2
 
     # a worker count below 1 is a usage error, not a silent default, and
-    # there is no scan-step option
+    # there is no scan-step or pointer-width option
     root, originals, _report = infected_sandbox
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
@@ -1536,6 +1660,7 @@ def test_decrypt_requires_exactly_one_key_source(
         [*from_key_file, "--jobs", "0"],
         [*from_key_file, "--jobs", "-2"],
         [*from_dump, "--alignment", "4"],
+        [*from_dump, "--pointer-width", "8"],
     ):
         result = runner.invoke(cli, ["decrypt", str(root), *extra])
         assert result.exit_code == 2, (extra, result.output)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from avaddon_rescue.cipher import decrypt_stream
 from avaddon_rescue.errors import AvaddonRescueError
 from avaddon_rescue.filecodec import FileStatus, decrypt_file
-from avaddon_rescue.memscan import confirm_chain, load_dump, scan_key_candidates
+from avaddon_rescue.memscan import KEY_DATA_PATTERN, confirm_chain, load_dump, scan_key_candidates
 from avaddon_rescue.minidump import read_minidump, write_minidump
 from avaddon_rescue.trailer import (
     APPENDIX_LEN,
@@ -31,7 +31,11 @@ from avaddon_rescue.trailer import (
 
 FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-DUMP_BYTES = bytes(range(256)) * 16
+#: The raw dump under every fuzzed sidecar: a key-data triple at offset
+#: 0x100, its key pointer 0x200 when read at 4 bytes and 0x1_0000_0200 at 8
+DUMP_BYTES = (bytes(range(256)) + KEY_DATA_PATTERN + (0x1_0000_0200).to_bytes(8, "little")
+              + bytes(range(20, 256)) + bytes(range(256)) * 14)
+assert len(DUMP_BYTES) == 4096
 
 
 @st.composite
@@ -126,6 +130,9 @@ def test_fuzz_sidecar_map(tmp_path, sidecar):
         for r in dump.ranges:
             assert min(r.va, r.length, r.offset) >= 0
             assert dump.read_va(r.va, r.length) == DUMP_BYTES[r.offset : r.offset + r.length]
+        # a raw dump records no width: it is scanned and chain-walked at both
+        for cand in scan_key_candidates(dump):
+            confirm_chain(dump, cand)
 
 
 @given(raw=st.binary(max_size=2 * TRAILER_LEN), size=st.integers(0, 1 << 50))

@@ -38,7 +38,7 @@ from avaddon_rescue.memscan import (
 )
 from avaddon_rescue.minidump import write_minidump
 from avaddon_rescue.trailer import TRAILER_LEN, VictimBlock
-from conftest import PEAK_RSS_OF
+from conftest import HIGH_VA_BASE, PEAK_RSS_OF, moved_up
 
 
 def simple_chain_spec(key, *, container="raw", pointer_width=4, decoys=(), fill="zero"):
@@ -82,7 +82,8 @@ def test_load_raw_identity(tmp_path):
     f.write_bytes(bytes(1 << 20))
     with load_dump(f, "raw") as dump:
         assert dump.format == "raw"
-        assert dump.pointer_width == 4
+        assert dump.pointer_width is None  # a raw dump records no width: both are read
+        assert dump.pointer_widths == (4, 8)
         assert [(r.va, r.length, r.offset) for r in dump.ranges] == [(0, 1 << 20, 0)]
         assert dump.translate(0x123) == 0x123
         assert dump.translate(1 << 20) is None
@@ -622,7 +623,8 @@ def test_scan_pointer_straddles_contiguous_ranges(tmp_path, session_key):
 
 
 def test_confirm_chain_record_above_pointer_range(tmp_path):
-    """A record mapped above 4 GiB in a 32-bit dump has no chain, not a crash."""
+    """A record mapped above 4 GiB has no chain of 32-bit cells, and no
+    64-bit one in a dump that holds none: not a crash."""
     blob = bytearray(0x1000)
     blob[0x10:0x1C] = KEY_DATA_PATTERN
     f = tmp_path / "high.dmp"
@@ -633,6 +635,66 @@ def test_confirm_chain_record_above_pointer_range(tmp_path):
     with load_dump(f, "raw_with_map") as dump:
         (cand,) = scan_key_candidates(dump)
         assert confirm_chain(dump, cand) is False
+
+
+# --- pointer width --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("container, pointer_width, high", [
+    ("raw", 4, False), ("raw", 8, False),
+    ("raw_with_map", 4, False), ("raw_with_map", 8, False), ("raw_with_map", 8, True),
+    ("minidump", 4, False), ("minidump", 8, False), ("minidump", 8, True),
+])
+def test_every_dump_gives_up_its_key_with_no_width_given(tmp_path, evidence_pair, session_key,
+                                                         container, pointer_width, high):
+    """Each container at each width, below 4 GiB and, for a 64-bit
+    process, above it, recovers the planted key, its chain confirmed, from
+    what the dump says of itself. A raw dump is identity-mapped, so it
+    lies below 4 GiB; a 32-bit process has nothing above it."""
+    encrypted, original = evidence_pair
+    layout = random_dump_layout(11, pointer_width=pointer_width, container=container,
+                                n_decoys=4, total_bytes=2 << 20)
+    if high:
+        layout = moved_up(layout)
+    layout.chains[0].key = session_key
+    dump_path = tmp_path / "proc.dmp"
+    manifest = write_synthetic_dump(layout, dump_path)
+    assert (manifest["chains"][0]["key_va"] > HIGH_VA_BASE) is high
+    with load_dump(dump_path) as dump:
+        assert dump.format == container
+        assert dump.pointer_width == (pointer_width if container == "minidump" else None)
+        result = recover_key(dump, Evidence.from_original(encrypted, original))
+    assert result.outcome is RecoveryOutcome.FOUND
+    assert result.key == session_key
+    assert result.candidates[0].key == session_key
+    assert result.candidates[0].chain_confirmed is True
+
+
+def test_a_second_width_that_reads_a_mapped_key_adds_a_candidate_that_fails(
+    tmp_path, evidence_pair, session_key
+):
+    """A 64-bit key pointer above 4 GiB, read at 4 bytes, gives its low
+    half; with a range mapped there, that reading is a second keyed
+    candidate of the same hit. It fails verification, and the key read at
+    8 bytes is found."""
+    encrypted, original = evidence_pair
+    layout = moved_up(random_dump_layout(11, pointer_width=8, container="raw_with_map",
+                                         total_bytes=2 << 20))
+    chain = layout.chains[0]
+    chain.key = session_key
+    low_key_va = chain.key_va & 0xFFFF_FFFF
+    layout.ranges.append((low_key_va - low_key_va % 0x1000, 0x2000))
+    dump_path = tmp_path / "proc.dmp"
+    write_synthetic_dump(layout, dump_path)
+    with load_dump(dump_path) as dump:
+        candidates = scan_key_candidates(dump)
+        assert [(c.struct_va, c.key_va) for c in candidates if c.key is not None] == [
+            (chain.key_data_va + 8, low_key_va), (chain.key_data_va + 8, chain.key_va)]
+        result = recover_key(dump, Evidence.from_original(encrypted, original))
+    assert result.outcome is RecoveryOutcome.FOUND
+    assert result.key == session_key
+    assert [(c.key_va, c.verified) for c in result.candidates if c.key is not None] == [
+        (chain.key_va, True), (low_key_va, False)]
 
 
 # --- verify first, then confirm --------------------------------------------------
@@ -697,7 +759,7 @@ def test_recover_key_confirms_only_verified(
         return real_confirm(dump, cand)
 
     monkeypatch.setattr(memscan_mod, "confirm_chain", counting_confirm)
-    with load_dump(dump_path, layout.container, pointer_width=layout.pointer_width) as dump:
+    with load_dump(dump_path, layout.container) as dump:
         keys = [c.key for c in scan_key_candidates(dump) if c.key is not None]
         assert len(keys) >= 20
         if case == "ambiguous":
@@ -740,22 +802,33 @@ def _naive_find(dump, needle, alignment):
 
 def _naive_scan(dump):
     """`scan_key_candidates` done byte by byte: every hit of `_naive_find`
-    in file order, its key read where the scan reads it, and a keyed hit
-    dropped when a lower hit holds the same key."""
+    in file order, its key read where the scan reads it, at each pointer
+    width the dump is read at; a hit with no key at any width kept once,
+    with the first pointer read, and a keyed candidate dropped when an
+    earlier one holds the same key."""
     import avaddon_rescue.memscan as memscan_mod
 
     out, seen = [], set()
     for off, va in sorted(_naive_find(dump, KEY_DATA_PATTERN, 1)):
-        cand = KeyCandidate(struct_offset=off, struct_va=va)
-        ptr = dump.read_va(va + len(KEY_DATA_PATTERN), dump.pointer_width)
-        if ptr is not None:
-            cand.key_va = int.from_bytes(ptr, "little")
-            cand.key, cand.key_source = memscan_mod._read_candidate_key(dump, cand.key_va)
-        if cand.key is not None:
-            if cand.key.key_bytes in seen:
+        keyless = KeyCandidate(struct_offset=off, struct_va=va)
+        keyed = []
+        for pw in dump.pointer_widths:
+            ptr = dump.read_va(va + len(KEY_DATA_PATTERN), pw)
+            if ptr is None:
                 continue
-            seen.add(cand.key.key_bytes)
-        out.append(cand)
+            cand = KeyCandidate(struct_offset=off, struct_va=va,
+                                key_va=int.from_bytes(ptr, "little"))
+            cand.key, cand.key_source = memscan_mod._read_candidate_key(dump, cand.key_va)
+            if cand.key is not None:
+                keyed.append(cand)
+            elif keyless.key_va is None:
+                keyless = cand
+        for cand in keyed or [keyless]:
+            if cand.key is not None:
+                if cand.key.key_bytes in seen:
+                    continue
+                seen.add(cand.key.key_bytes)
+            out.append(cand)
     return out
 
 
@@ -813,7 +886,7 @@ def test_windowed_scan_edges(tmp_path, monkeypatch):
     )
     needles = [KEY_DATA_PATTERN, (a_va - pw).to_bytes(pw, "little"),
                (magic_cell ^ HANDLE_XOR_CONSTANT).to_bytes(pw, "little")]
-    with load_dump(f, "raw_with_map", pointer_width=pw) as dump:
+    with load_dump(f, "raw_with_map") as dump:
         wide = scan_key_candidates(dump)
         wide_chain = [confirm_chain(dump, c) for c in wide]
         monkeypatch.setattr(memscan_mod, "_SCAN_WINDOW", page)
@@ -841,7 +914,7 @@ def test_windowed_scan_edges(tmp_path, monkeypatch):
     assert at < 2 * page - n // 2
     f = tmp_path / "zeros.dmp"
     f.write_bytes(bytes(zeros))
-    with load_dump(f, "raw", pointer_width=pw) as dump:
+    with load_dump(f, "raw") as dump:
         hits = _naive_scan(dump)
         assert len(_naive_find(dump, KEY_DATA_PATTERN, 1)) == n - 1 + 4
         assert not any(4 * page <= c.struct_offset for c in hits)
@@ -860,10 +933,9 @@ def test_windowed_scan_edges(tmp_path, monkeypatch):
     edges=st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(-12, 12)),
                    max_size=6),
     spots=st.lists(st.floats(0, 1), max_size=4),
-    pointer_width=st.sampled_from([4, 8]),
 )
 def test_scan_equals_the_naive_search(seed, zero_fill, pages, windows, tail, skew, split, edges,
-                                      spots, pointer_width):
+                                      spots):
     """Windows of 1 to 3 allocation units over two ranges of random or
     zero bytes, each starting at a random file offset: patterns planted at
     random offsets and up to 12 bytes either side of window edges."""
@@ -886,7 +958,7 @@ def test_scan_equals_the_naive_search(seed, zero_fill, pages, windows, tail, ske
         f = Path(tmp, "random.dmp")
         f.write_bytes(bytes(blob))
         f.with_name("random.dmp.map.json").write_text(json.dumps(ranges))
-        with load_dump(f, "raw_with_map", pointer_width=pointer_width) as dump, \
+        with load_dump(f, "raw_with_map") as dump, \
                 mock.patch.object(memscan_mod, "_SCAN_WINDOW", window):
             assert scan_key_candidates(dump) == _naive_scan(dump)
 
