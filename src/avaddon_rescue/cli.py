@@ -517,9 +517,12 @@ def cmd_decrypt(
                 report.finish(key_recovery, report.totals(started), _recovery_summary(result))
             raise SystemExit(_EXIT_BY_OUTCOME[result.outcome])
         key = result.key
+    # only the files of the evidence file's session; --no-verify has no evidence
+    victim_block = None if no_verify else evidence.victim_block
 
     def row(name: str, dir_fd: int, out_dir_fd: int | None = None) -> FileRecoveryReport:
-        return decrypt_file(name, key, dir_fd=dir_fd, out_dir_fd=out_dir_fd)
+        return decrypt_file(name, key, dir_fd=dir_fd, out_dir_fd=out_dir_fd,
+                            victim_block=victim_block)
 
     if into:  # before the report opens, so that an existing one writes nothing
         os.mkdir(into, 0o700)

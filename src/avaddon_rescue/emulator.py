@@ -340,8 +340,7 @@ class Decoy:
     """A key-data pattern that must never verify.
 
     kind "wrong_key": valid pointer to 32 garbage bytes at `key_va`.
-    kind "bad_pointer": pointer that resolves neither as VA nor as a file
-    offset.
+    kind "bad_pointer": pointer to a virtual address that no range maps.
     """
 
     kind: str
@@ -389,9 +388,11 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
     correctness without re-deriving the layout. Each file is written by
     `replace_atomically`, with mode 0600, and the dump from the range
     buffers themselves, so one copy of it is held. As a self-check, the
-    written dump (and its sidecar map) is opened with `load_dump`, as the
-    recovery commands open it, and every planted structure is read back
-    there; a failed check removes the files this call wrote.
+    written dump is opened with `load_dump`, as the recovery commands open
+    it: it must read back as `spec.container` (a raw dump beside a sidecar
+    map it did not write reads as raw_with_map), and every planted
+    structure must read back there; a failed check removes the files this
+    call wrote.
     """
     if spec.pointer_width not in (4, 8):
         raise LayoutSpecError("pointer width must be 4 or 8")
@@ -414,10 +415,7 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
     if any(length <= 0 for _, length in ranges):
         raise LayoutSpecError("ranges must have positive length")
 
-    total = sum(length for _, length in ranges)
     bad_pointer = _BAD_POINTER_32 if pw == 4 else _BAD_POINTER_64
-    if total > bad_pointer:
-        raise LayoutSpecError("dump too large for the reserved bad-pointer value")
     if any(d.kind == "bad_pointer" for d in spec.decoys) and any(
         rva <= bad_pointer < rva + rlen for rva, rlen in ranges
     ):
@@ -489,7 +487,10 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
                     for (rva, rlen), offset in zip(ranges, offsets)]
             replace_atomically(default_map_path(path), [json.dumps(rows, indent=2).encode()])
             written.append(default_map_path(path))
-        with load_dump(path, spec.container) as image:
+        with load_dump(path) as image:
+            if image.format != spec.container:
+                raise LayoutSpecError(f"self-check failed: the {spec.container} dump reads back "
+                                      f"as {image.format}")
             if image.pointer_width not in (None, pw):  # a raw flavor records no width
                 raise LayoutSpecError(f"self-check failed: the {spec.container} reads back "
                                       f"with pointer width {image.pointer_width}, not {pw}")

@@ -62,6 +62,7 @@ class FileStatus(str, Enum):
     SKIPPED_INFECTED = "skipped_infected"
     CORRUPT_TRAILER = "corrupt_trailer"
     WRONG_KEY = "wrong_key"
+    OTHER_SESSION = "other_session"
     IO_ERROR = "io_error"
 
     def __str__(self) -> str:
@@ -70,7 +71,8 @@ class FileStatus(str, Enum):
     @property
     def failed(self) -> bool:
         """Whether a row of this status counts as failed."""
-        return self in (FileStatus.CORRUPT_TRAILER, FileStatus.WRONG_KEY, FileStatus.IO_ERROR)
+        return self in (FileStatus.CORRUPT_TRAILER, FileStatus.WRONG_KEY,
+                        FileStatus.OTHER_SESSION, FileStatus.IO_ERROR)
 
 
 @dataclass
@@ -372,6 +374,7 @@ def decrypt_file(
     *,
     dir_fd: int | None = None,
     out_dir_fd: int | None = None,
+    victim_block: bytes | None = None,
 ) -> FileRecoveryReport:
     """Recover one infected file.
 
@@ -384,6 +387,11 @@ def decrypt_file(
     with no pad bytes (its length a multiple of 16, or at least 1 MiB)
     cannot be checked, and a wrong key restores it to garbage with correct
     structure. Verification belongs to the memory-scan side.
+
+    With `victim_block`, the block of the file the key was verified on,
+    only a file of that key's session is restored: a file whose victim
+    block differs was infected under another session's key, and is left
+    untouched with an `other_session` row.
 
     The file is classified as `probe` does it (`trailer.open_classified`): a
     regular file too small to be infected is never opened, and a link, a
@@ -403,6 +411,10 @@ def decrypt_file(
 
             layout = found.trailer
             original_length = layout.original_length
+            if victim_block is not None and found.victim_block != victim_block:
+                return _row(path, FileStatus.OTHER_SESSION, started, original_length,
+                            detail="victim block differs from the evidence file's: "
+                                   "infected under another session's key")
             plaintext = decrypt_stream(key, read_at(fd, layout.prefix_length, 0))
             # classify checked the recorded length against the body, so
             # what lies past it is exactly the zero padding

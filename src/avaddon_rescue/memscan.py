@@ -68,7 +68,10 @@ MIN_PLAINTEXT_MATCH = 16
 
 
 def _load_sidecar_map(map_path: Path) -> list[MemoryRange]:
-    fd, _st = open_regular(map_path)
+    try:
+        fd, _st = open_regular(map_path)
+    except FileNotFoundError:
+        raise DumpFormatError(f"sidecar map not found: {map_path}") from None
     with open(fd, "rb") as fh:
         text = fh.read()
     try:
@@ -96,48 +99,35 @@ class DumpImage:
     would, each slice one `pread`, and `window` maps one span of it.
     Nothing maps the whole file.
 
-    The file is opened as one of `DUMP_FORMATS`, or sniffed. raw maps the
-    whole file at virtual address 0 (offset == VA); raw_with_map takes
-    ranges from a JSON sidecar; minidump parses the stream directory.
+    The container is sniffed, the one way every caller reads a dump: a
+    file that starts with the MDMP signature is a minidump, whose stream
+    directory gives its ranges; else a `map_path` that is given, or a
+    `<dump>.map.json` beside the dump, makes it raw_with_map, whose ranges
+    come from that JSON sidecar; else it is raw, the whole file mapped at
+    virtual address 0 (offset == VA). `format` names the container.
     `pointer_width` is the width a minidump's system-info stream records,
     and None where the container records none (raw flavors included).
 
     Read-only after construction; safe to share across scanning threads.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        fmt: str = "auto",
-        *,
-        map_path: str | os.PathLike | None = None,
-    ) -> None:
+    def __init__(self, path: str | os.PathLike, *,
+                 map_path: str | os.PathLike | None = None) -> None:
         self.path = path = Path(path)
         self.fd, st = open_regular(path)
         self._size = st.st_size
         try:
-            if fmt == "auto":
-                if self[:4] == MDMP_SIGNATURE:
-                    fmt = "minidump"
-                elif (map_path and Path(map_path).exists()) or default_map_path(path).exists():
-                    fmt = "raw_with_map"
-                else:
-                    fmt = "raw"
-
             self.pointer_width = None  # a minidump may record its own
-            if fmt == "raw":
-                ranges = [MemoryRange(0, self._size, 0)]
-            elif fmt == "raw_with_map":
-                side = Path(map_path) if map_path else default_map_path(path)
-                if not side.exists():
-                    raise DumpFormatError(f"sidecar map not found: {side}")
-                ranges = _load_sidecar_map(side)
-            elif fmt == "minidump":
-                if self[:4] != MDMP_SIGNATURE:
-                    raise DumpFormatError(f"{path} does not start with the MDMP signature")
+            side = Path(map_path) if map_path else default_map_path(path)
+            if self[:4] == MDMP_SIGNATURE:
+                self.format = "minidump"
                 ranges, self.pointer_width = read_minidump(self)
+            elif map_path or side.exists():
+                self.format = "raw_with_map"
+                ranges = _load_sidecar_map(side)
             else:
-                raise ValueError(f"unknown dump format {fmt!r}")
+                self.format = "raw"
+                ranges = [MemoryRange(0, self._size, 0)]
             for r in ranges:
                 if min(r.va, r.length, r.offset) < 0:
                     raise DumpFormatError(f"range va={r.va:#x} length={r.length:#x} "
@@ -158,7 +148,6 @@ class DumpImage:
         except BaseException:
             self.close()
             raise
-        self.format = fmt
 
     @property
     def pointer_widths(self) -> tuple[int, ...]:
@@ -221,11 +210,6 @@ class DumpImage:
             count -= take
         return bytes(out)
 
-    def read_offset(self, offset: int, count: int) -> bytes | None:
-        if offset < 0 or offset + count > self._size:
-            return None
-        return self[offset : offset + count]
-
 
 #: The name every caller opens a dump by.
 load_dump = DumpImage
@@ -236,10 +220,9 @@ class KeyCandidate:
     """One scan hit: where the pattern sat and what the key pointer yielded."""
 
     struct_offset: int
-    struct_va: int | None
+    struct_va: int
     key_va: int | None = None
     key: SessionKey | None = None
-    key_source: str | None = None  # "va" | "file_offset"
     chain_confirmed: bool | None = None  # None: not checked (only verified keys are)
     verified: bool = False
 
@@ -249,21 +232,9 @@ class KeyCandidate:
             "struct_va": self.struct_va,
             "key_va": self.key_va,
             "key_present": self.key is not None,
-            "key_source": self.key_source,
             "chain_confirmed": self.chain_confirmed,
             "verified": self.verified,
         }
-
-
-def _read_candidate_key(dump: DumpImage, key_ptr: int) -> tuple[SessionKey | None, str | None]:
-    raw = dump.read_va(key_ptr, 32)
-    if raw is not None:
-        return SessionKey(raw), "va"
-    # flat dumps and damaged maps: the pointer may already be a file offset
-    raw = dump.read_offset(key_ptr, 32)
-    if raw is not None:
-        return SessionKey(raw), "file_offset"
-    return None, None
 
 
 #: Bytes of a range that `_windows` maps at a time, and so the most of
@@ -343,8 +314,10 @@ def scan_key_candidates(dump: DumpImage) -> list[KeyCandidate]:
                 # by VA, so a pointer that runs on into the next range is still read
                 if (ptr := dump.read_va(va + found + n, pw)) is not None:
                     key_va = int.from_bytes(ptr, "little")
+                    # a key is read only where the dump maps all 32 of its bytes
+                    key = dump.read_va(key_va, 32)
                     read.append(KeyCandidate(offset + found, va + found, key_va,
-                                             *_read_candidate_key(dump, key_va)))
+                                             None if key is None else SessionKey(key)))
             # a hit that yields no key is one candidate, with the first pointer read
             keyed = [c for c in read if c.key is not None]
             hits += keyed or read[:1] or [KeyCandidate(offset + found, va + found)]
@@ -369,8 +342,6 @@ def confirm_chain(dump: DumpImage, candidate: KeyCandidate) -> bool:
     address XOR-masked with the handle constant. Only raises candidate
     confidence; never disqualifies.
     """
-    if candidate.struct_va is None:
-        return False
     step = POINTER_CELL_ALIGNMENT
     for pw in dump.pointer_widths:
         mask = (1 << (8 * pw)) - 1
@@ -395,7 +366,10 @@ class Evidence:
     of one encrypted file, and the plaintext they must decrypt to, which is
     the first bytes (at least 16) of that file's original version. When no
     original is at hand, `plaintext` is None and the built-in library of
-    file-type header magics stands in for it.
+    file-type header magics stands in for it. `victim_block` is the
+    encrypted file's (`trailer.Classification.victim_block`): the files a
+    key found by this evidence may restore are the ones of its session,
+    which carry the same block.
 
     Both factories read the files when called, so verifying many candidates
     costs one small decrypt each. The encrypted file's path is resolved
@@ -406,6 +380,7 @@ class Evidence:
 
     ciphertext: bytes
     plaintext: bytes | None = None
+    victim_block: bytes | None = None
 
     def __post_init__(self) -> None:
         if self.plaintext is not None and len(self.plaintext) < MIN_PLAINTEXT_MATCH:
@@ -450,7 +425,7 @@ class Evidence:
                 if len(want) < MIN_PLAINTEXT_MATCH:
                     raise EvidenceError("known plaintext shorter than the evidence file content")
                 ct_len = min(ceil16(len(want)), found.trailer.prefix_length)
-            return cls(read_at(fd, ct_len, 0), want)
+            return cls(read_at(fd, ct_len, 0), want, found.victim_block)
         finally:
             if fd is not None:
                 os.close(fd)

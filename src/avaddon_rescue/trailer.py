@@ -121,11 +121,14 @@ class Classification:
 
     Infected: `trailer` is set. Damaged: `damage` says why (one magic
     matches, or both match but the recorded length does not fit the body).
-    Clean: neither is set.
+    Clean: neither is set. `victim_block` is the 512 bytes before an
+    infected file's trailer, as `classify_fd` read them: every file of one
+    session carries the same block, so it tells the sessions apart.
     """
 
     trailer: Trailer | None = None
     damage: str | None = None
+    victim_block: bytes | None = None
 
 
 def classify(size: int, tail: bytes) -> Classification:
@@ -163,14 +166,20 @@ def read_at(fd: int, n: int, offset: int) -> bytes:
 
 
 def classify_fd(fd: int, size: int) -> Classification:
-    """`classify` the file open on `fd`, of `size` bytes: one `pread` of its tail.
+    """`classify` the file open on `fd`, of `size` bytes: one `pread` of its
+    536-byte appendix, whose victim block an infected file's
+    `Classification` carries.
 
     Raises:
         OSError: if the file is now shorter than `size`.
     """
     if size < APPENDIX_LEN:  # cannot be infected; spare the read
         return classify(size, b"")
-    return classify(size, read_at(fd, TRAILER_LEN, size - TRAILER_LEN))
+    appendix = read_at(fd, APPENDIX_LEN, size - APPENDIX_LEN)
+    found = classify(size, appendix[VICTIM_BLOCK_LEN:])
+    if found.trailer is None:
+        return found
+    return Classification(found.trailer, victim_block=appendix[:VICTIM_BLOCK_LEN])
 
 
 #: How a file is opened for reading: without blocking, so a FIFO or device
@@ -216,7 +225,7 @@ def open_classified(
     FIFO or device put in its place after a walk cannot hang the caller;
     the `fstat` of the open file, which is the stat returned, must show a
     file no shorter than the `stat` saw; it is classified at the size the
-    `fstat` shows, with one 24-byte `pread` of the tail. I/O problems
+    `fstat` shows, with one `pread` of the appendix. I/O problems
     propagate as OSError, with nothing left open, so callers can tell
     "unreadable" from "clean".
     """

@@ -206,7 +206,7 @@ def test_criterion_4_key_recovery_50_dumps(tmp_path):
         evidence = _evidence_for(tmp_path, planted, f"{seed:02d}")
 
         # raw containers carry no width metadata; the key is read at both widths
-        with load_dump(dump_path, container) as dump:
+        with load_dump(dump_path) as dump:
             result = recover_key(dump, evidence)
         assert result.outcome is RecoveryOutcome.FOUND, f"seed {seed}: {result.outcome}"
         assert result.key == planted, f"seed {seed}: wrong key returned"
@@ -232,7 +232,7 @@ def test_criterion_4_512mib_scan_budget(tmp_path):
     evidence = _evidence_for(tmp_path, planted, "big")
 
     started = time.perf_counter()
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         result = recover_key(dump, evidence)
     elapsed = time.perf_counter() - started
     assert result.outcome is RecoveryOutcome.FOUND
@@ -260,7 +260,7 @@ def test_criterion_5_xor_chain_fidelity(tmp_path):
         pw = manifest["pointer_width"]
         raw = dump_path.read_bytes()
 
-        with load_dump(dump_path, layout.container) as dump:
+        with load_dump(dump_path) as dump:
             candidates = {c.struct_va: c for c in scan_key_candidates(dump)}
             for chain in manifest["chains"]:
                 # generator self-check recomputed from the file bytes

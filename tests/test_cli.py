@@ -1089,6 +1089,34 @@ def test_emulate_dump_out_pipeline(runner, tmp_path, session_key):
     assert (box / "doc.txt").read_bytes() == original_bytes
 
 
+def test_emulate_raw_dump_beside_a_stale_sidecar_is_an_error(tmp_path, monkeypatch, capsys):
+    """A map left beside --dump-out would make recover-key read the raw
+    dump through it and miss the key; emulate reads the dump as
+    recover-key does and ends in one error line, with no dump written and
+    the map as it was."""
+    box = tmp_path / "box"
+    make_tree(box, {"doc.txt": b"important words " * 64})
+    infected_before = (box / "doc.txt").read_bytes()
+    dump_out = tmp_path / "proc.dmp"
+    stale = json.dumps([{"va": 0x700000, "length": 0x1000, "offset": 0}])
+    sidecar = tmp_path / "proc.dmp.map.json"
+    sidecar.write_text(stale)
+    monkeypatch.setattr(sys, "argv", [
+        "avaddon-rescue", "emulate", "--sandbox", str(box), "--seed", "7",
+        "--i-understand-this-writes-files", "--dump-out", str(dump_out), "--dump-format", "raw",
+    ])
+    with pytest.raises(SystemExit) as stopped:
+        main()
+    assert stopped.value.code == ExitCode.ERROR
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        "error: self-check failed: the raw dump reads back as raw_with_map"]
+    assert "Traceback" not in err
+    assert not dump_out.exists()
+    assert sidecar.read_text() == stale
+    assert (box / "doc.txt").read_bytes() == infected_before  # nothing encrypted
+
+
 # --- recover-key ----------------------------------------------------------------
 
 
@@ -1597,6 +1625,64 @@ def test_decrypt_wrong_key_gate_refusal(runner, tmp_path, infected_sandbox, othe
     )
     assert result.exit_code == ExitCode.GATE_REFUSAL
     assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == infected_snapshot
+
+
+@pytest.fixture
+def two_sessions(runner, tmp_path):
+    """`t/s1` and `t/s2`, each infected by `emulate` in a session of its own
+    (seeds 1 and 2): per session, three .docx files of 4,096·i bytes,
+    which carry no pad bytes, and three of 1,000·i + 7 bytes. Returns the
+    tree, the originals, and per session its key file, its dump and one
+    of its files as evidence, with that file's original."""
+    rng = random.Random(12)
+    tree = tmp_path / "t"
+    originals, sessions = {}, {}
+    for s in (1, 2):
+        files = {f"s{s}/a{i}.docx": rng.randbytes(4096 * i) for i in (1, 2, 3)}
+        files.update({f"s{s}/b{i}.docx": rng.randbytes(1000 * i + 7) for i in (1, 2, 3)})
+        originals.update(make_tree(tree, files))
+        key_file, dump = tmp_path / f"K{s}", tmp_path / f"D{s}.dmp"
+        result = runner.invoke(cli, [
+            "emulate", "--sandbox", str(tree / f"s{s}"), "--seed", str(s),
+            "--i-understand-this-writes-files", "--key-out", str(key_file),
+            "--dump-out", str(dump)])
+        assert result.exit_code == ExitCode.OK, result.output
+        evidence_original = tmp_path / f"s{s}-b1.orig"
+        evidence_original.write_bytes(originals[tree / f"s{s}" / "b1.docx"])
+        sessions[s] = (key_file, dump, tree / f"s{s}" / "b1.docx", evidence_original)
+    return tree, originals, sessions
+
+
+@pytest.mark.parametrize("key_source", ["--key-file", "--dump"])
+def test_a_verified_key_never_restores_another_sessions_files(runner, two_sessions, key_source):
+    """Session 1's key, verified on session 1's evidence, restores session
+    1's files and leaves each of session 2's as it was, with a failed
+    other_session row; session 2's key then restores the rest."""
+    tree, originals, sessions = two_sessions
+    infected = {path: path.read_bytes() for path in originals}
+
+    def restore(s):
+        key_file, dump, evidence, evidence_original = sessions[s]
+        source = [key_source, str(key_file if key_source == "--key-file" else dump)]
+        return runner.invoke(cli, [
+            "decrypt", str(tree), *source, "--evidence-encrypted", str(evidence),
+            "--evidence-original", str(evidence_original), "--jobs", "1", "--json"])
+
+    result = restore(1)
+    assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
+    rows = {Path(row["path"]): row for row in json.loads(result.stdout)["rows"]}
+    for path in originals:
+        if path.parent.name == "s1":
+            assert rows[path]["status"] == "decrypted"
+            assert path.read_bytes() == originals[path]
+        else:
+            assert rows[path]["status"] == "other_session"
+            assert rows[path]["original_length"] == len(originals[path])
+            assert path.read_bytes() == infected[path]
+
+    result = restore(2)
+    assert result.exit_code == ExitCode.OK, result.output
+    assert {path: path.read_bytes() for path in originals} == originals
 
 
 def test_decrypt_no_verify_wrong_key_refuses_padded_files(runner, tmp_path, session_key,

@@ -439,7 +439,7 @@ def test_dump_generator_manifest_and_load(tmp_path, session_key):
         manifest_file = json.loads((tmp_path / f"gen_{container}.dmp.manifest.json").read_text())
         assert manifest_file == manifest
 
-        with load_dump(dump_path, container if container != "raw" else "auto") as dump:
+        with load_dump(dump_path) as dump:
             # every manifest range translates exactly
             for row in manifest["ranges"]:
                 assert dump.translate(row["va"]) == row["offset"]
@@ -464,7 +464,7 @@ def test_dump_generator_minidump_range_table_round_trip(tmp_path, session_key):
     )
     dump_path = tmp_path / "self_read.dmp"
     manifest = write_synthetic_dump(spec, dump_path)
-    with load_dump(dump_path, "minidump") as dump:
+    with load_dump(dump_path) as dump:
         loaded = [{"va": r.va, "length": r.length, "offset": r.offset} for r in dump.ranges]
     assert loaded == manifest["ranges"]
 
@@ -535,10 +535,31 @@ def test_dump_generator_failed_check_keeps_a_sidecar_it_did_not_write(tmp_path, 
         chains=[PlantedChain(key=session_key, key_data_va=0x1000, key_va=0x1008)],
         container=container,
     )
-    with pytest.raises(LayoutSpecError, match="collide"):
+    # a raw dump beside a map it did not write reads as raw_with_map first
+    failure = "reads back as raw_with_map" if container == "raw" else "collide"
+    with pytest.raises(LayoutSpecError, match=failure):
         write_synthetic_dump(spec, dump_path)
     assert not dump_path.exists()
     assert default_map_path(dump_path).read_text() == "[]"
+
+
+def test_a_raw_dump_beside_a_stale_sidecar_is_refused(tmp_path, session_key):
+    """A sidecar map left beside the name of a raw dump makes the recovery
+    commands read the dump through that map, where the key is not found:
+    the self-check reads it as they do, and refuses it."""
+    dump_path = tmp_path / "proc.dmp"
+    stale = json.dumps([{"va": 0x700000, "length": 0x1000, "offset": 0}])
+    default_map_path(dump_path).write_text(stale)
+    spec = DumpLayoutSpec(
+        ranges=[(0, 0x10000)],
+        chains=[PlantedChain(key=session_key, key_data_va=0x1000, key_va=0x2000)],
+        container="raw",
+    )
+    with pytest.raises(LayoutSpecError, match="the raw dump reads back as raw_with_map"):
+        write_synthetic_dump(spec, dump_path)
+    assert not dump_path.exists()
+    assert not emulator_mod.manifest_path(dump_path).exists()
+    assert default_map_path(dump_path).read_text() == stale
 
 
 def test_dump_generator_rejects_stray_vas(tmp_path, session_key):
@@ -640,7 +661,7 @@ def test_writing_a_minidump_holds_one_copy_of_it(tmp_path):
     )
     child = json.loads(measured.stdout)
     assert child["exit"] == 0
-    with load_dump(dump_path, "minidump") as dump:
+    with load_dump(dump_path) as dump:
         assert len(dump.ranges) == 3
         assert sum(r.length for r in dump.ranges) == 64 << 20
     peak_mib = child["maxrss_kib"] / 1024

@@ -487,5 +487,5 @@ def test_failed_is_true_for_exactly_the_failed_statuses():
     assert {status.value: status.failed for status in FileStatus} == {
         "infected": False, "clean": False, "decrypted": False, "encrypted": False,
         "skipped_clean": False, "skipped_infected": False,
-        "corrupt_trailer": True, "wrong_key": True, "io_error": True,
+        "corrupt_trailer": True, "wrong_key": True, "other_session": True, "io_error": True,
     }

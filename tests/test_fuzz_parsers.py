@@ -7,6 +7,7 @@ bytes get one infection verdict, whichever path reads them.
 """
 
 import json
+import os
 import struct
 
 from hypothesis import HealthCheck, example, given, settings
@@ -25,6 +26,7 @@ from avaddon_rescue.trailer import (
     VICTIM_BLOCK_LEN,
     ceil16,
     classify,
+    classify_fd,
     parse_trailer,
     probe,
 )
@@ -78,7 +80,7 @@ def test_fuzz_read_minidump(tmp_path, data):
     dump_path = tmp_path / "fuzz.dmp"
     dump_path.write_bytes(data)
     try:
-        dump = load_dump(dump_path, "minidump")
+        dump = load_dump(dump_path)
     except AvaddonRescueError:
         return
     with dump:
@@ -123,7 +125,7 @@ def test_fuzz_sidecar_map(tmp_path, sidecar):
     dump_path.write_bytes(DUMP_BYTES)
     dump_path.with_name("fuzz.dmp.map.json").write_bytes(sidecar)
     try:
-        dump = load_dump(dump_path, "raw_with_map")
+        dump = load_dump(dump_path)
     except AvaddonRescueError:
         return
     with dump:
@@ -171,7 +173,8 @@ def test_fuzz_probe_and_decrypt_agree_with_classify(tmp_path, session_key, data)
     f = tmp_path / "evidence.bin"
     f.write_bytes(data)
     verdict = classify(len(data), data[-TRAILER_LEN:])
-    assert probe(f) == verdict
+    found = probe(f)
+    assert (found.trailer, found.damage) == (verdict.trailer, verdict.damage)
     report = decrypt_file(f, session_key)
     if verdict.trailer is None:
         want = FileStatus.CORRUPT_TRAILER if verdict.damage else FileStatus.SKIPPED_CLEAN
@@ -183,3 +186,24 @@ def test_fuzz_probe_and_decrypt_agree_with_classify(tmp_path, session_key, data)
     padding = decrypt_stream(session_key, data[: len(data) - APPENDIX_LEN])[n:]
     want = FileStatus.WRONG_KEY if any(padding) else FileStatus.DECRYPTED
     assert (report.status, report.original_length) == (want, n)
+
+
+@FUZZ
+@given(data=st.one_of(st.binary(max_size=2 * APPENDIX_LEN), trailed_files()),
+       block=st.binary(min_size=VICTIM_BLOCK_LEN, max_size=VICTIM_BLOCK_LEN))
+def test_fuzz_classify_fd_reads_the_appendix_as_classify_reads_the_trailer(tmp_path, data,
+                                                                           block):
+    """One `pread` of the whole appendix gives the verdict that the last 24
+    bytes give, and an infected file's victim block, whatever it holds."""
+    if len(data) >= APPENDIX_LEN:
+        data = data[:-APPENDIX_LEN] + block + data[-TRAILER_LEN:]
+    f = tmp_path / "appendix.bin"
+    f.write_bytes(data)
+    verdict = classify(len(data), data[-TRAILER_LEN:])
+    fd = os.open(f, os.O_RDONLY)
+    try:
+        found = classify_fd(fd, len(data))
+    finally:
+        os.close(fd)
+    assert (found.trailer, found.damage) == (verdict.trailer, verdict.damage)
+    assert found.victim_block == (block if verdict.trailer else None)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avaddon_rescue
+from avaddon_rescue.cipher import SessionKey
 from avaddon_rescue.emulator import (
     Decoy,
     DumpLayoutSpec,
@@ -36,7 +37,7 @@ from avaddon_rescue.memscan import (
     scan_key_candidates,
     verify_key,
 )
-from avaddon_rescue.minidump import write_minidump
+from avaddon_rescue.minidump import read_minidump, write_minidump
 from avaddon_rescue.trailer import TRAILER_LEN, VictimBlock
 from conftest import HIGH_VA_BASE, PEAK_RSS_OF, moved_up
 
@@ -80,7 +81,7 @@ def evidence_pair(tmp_path, session_key):
 def test_load_raw_identity(tmp_path):
     f = tmp_path / "flat.dmp"
     f.write_bytes(bytes(1 << 20))
-    with load_dump(f, "raw") as dump:
+    with load_dump(f) as dump:
         assert dump.format == "raw"
         assert dump.pointer_width is None  # a raw dump records no width: both are read
         assert dump.pointer_widths == (4, 8)
@@ -101,7 +102,7 @@ def test_load_raw_with_sidecar_map(tmp_path):
             ]
         )
     )
-    with load_dump(f, "raw_with_map") as dump:
+    with load_dump(f) as dump:
         # edges of both ranges translate; the gap does not
         assert dump.translate(0x400000) == 0
         assert dump.translate(0x4007FF) == 0x7FF
@@ -117,10 +118,11 @@ def test_load_raw_with_sidecar_map(tmp_path):
 
 
 def test_load_raw_with_map_requires_sidecar(tmp_path):
+    """A map that is named but not there is an error, not a raw dump."""
     f = tmp_path / "lonely.dmp"
     f.write_bytes(bytes(64))
-    with pytest.raises(DumpFormatError):
-        load_dump(f, "raw_with_map")
+    with pytest.raises(DumpFormatError, match="sidecar map not found"):
+        load_dump(f, map_path=tmp_path / "missing.map.json")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -147,8 +149,13 @@ def test_loaded_dump_holds_one_descriptor(tmp_path, session_key, container):
     finally:
         image.close()
     assert descriptors_on_dump() == 0
-    with pytest.raises(DumpFormatError):
-        load_dump(dump_path, "minidump" if container != "minidump" else "raw_with_map")
+    if container == "minidump":  # a minidump reads no map: cut its header short instead
+        os.truncate(dump_path, 12)
+        with pytest.raises(DumpFormatError):
+            load_dump(dump_path)
+    else:
+        with pytest.raises(DumpFormatError, match="sidecar map not found"):
+            load_dump(dump_path, map_path=tmp_path / "missing.map.json")
     assert descriptors_on_dump() == 0
 
 
@@ -188,7 +195,7 @@ def test_dump_file_is_mapped_one_window_at_a_time(tmp_path, session_key, monkeyp
 def test_dump_that_shrinks_after_loading_is_an_os_error(tmp_path):
     dump_path = tmp_path / "proc.dmp"
     dump_path.write_bytes(random.Random(3).randbytes(1 << 20))
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         os.truncate(dump_path, 1000)
         with pytest.raises(OSError, match="shrank") as shrank:
             scan_key_candidates(dump)
@@ -208,7 +215,7 @@ def test_sidecar_map_overlap_rejected(tmp_path):
         )
     )
     with pytest.raises(DumpFormatError):
-        load_dump(f, "raw_with_map")
+        load_dump(f)
 
 
 @pytest.mark.parametrize("list_kind", ["memory64", "memory32"])
@@ -223,7 +230,7 @@ def test_load_minidump_ranges_and_width(tmp_path, list_kind, pointer_width):
     ))
     f = tmp_path / "mini.dmp"
     f.write_bytes(blob)
-    with load_dump(f, "minidump") as dump:
+    with load_dump(f) as dump:
         assert dump.pointer_width == pointer_width
         assert len(dump.ranges) == 2
         assert dump.read_va(0x10000, 4) == b"\xaa" * 4
@@ -239,14 +246,12 @@ def test_truncated_minidump_header(tmp_path):
     f = tmp_path / "trunc.dmp"
     f.write_bytes(b"MDMP" + bytes(8))
     with pytest.raises(DumpFormatError):
-        load_dump(f, "minidump")
+        load_dump(f)
 
 
-def test_minidump_bad_signature(tmp_path):
-    f = tmp_path / "notmini.dmp"
-    f.write_bytes(b"XXXX" + bytes(64))
-    with pytest.raises(DumpFormatError):
-        load_dump(f, "minidump")
+def test_minidump_bad_signature():
+    with pytest.raises(DumpFormatError, match="bad signature"):
+        read_minidump(b"XXXX" + bytes(64))
 
 
 def test_minidump_without_memory_list(tmp_path):
@@ -257,7 +262,7 @@ def test_minidump_without_memory_list(tmp_path):
     f = tmp_path / "nomem.dmp"
     f.write_bytes(header + directory + sysinfo)
     with pytest.raises(UnusableDumpError):
-        load_dump(f, "minidump")
+        load_dump(f)
 
 
 # --- scanning --------------------------------------------------------------
@@ -266,21 +271,21 @@ def test_minidump_without_memory_list(tmp_path):
 def test_scan_zero_dump_is_empty(tmp_path):
     f = tmp_path / "zero.dmp"
     f.write_bytes(bytes(1 << 20))
-    with load_dump(f, "raw") as dump:
+    with load_dump(f) as dump:
         assert scan_key_candidates(dump) == []
 
 
 def test_scan_empty_file(tmp_path):
     f = tmp_path / "empty.dmp"
     f.write_bytes(b"")
-    with load_dump(f, "raw") as dump:
+    with load_dump(f) as dump:
         assert scan_key_candidates(dump) == []
 
 
 def test_scan_finds_planted_key(tmp_path, session_key):
     dump_path = tmp_path / "one_chain.dmp"
     manifest = write_synthetic_dump(simple_chain_spec(session_key), dump_path)
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         candidates = scan_key_candidates(dump)
     assert len(candidates) == 1
     cand = candidates[0]
@@ -299,7 +304,7 @@ def test_scan_alignment_step(tmp_path, session_key):
     blob[0x2000:0x2020] = session_key.key_bytes
     f = tmp_path / "unaligned.dmp"
     f.write_bytes(bytes(blob))
-    with load_dump(f, "raw") as dump:
+    with load_dump(f) as dump:
         found = scan_key_candidates(dump)
     assert [c.struct_va for c in found] == [misaligned]
     assert found[0].key == session_key
@@ -314,7 +319,7 @@ def test_scan_dedups_by_key(tmp_path, session_key):
     blob[0x2000:0x2020] = session_key.key_bytes
     f = tmp_path / "dup.dmp"
     f.write_bytes(bytes(blob))
-    with load_dump(f, "raw") as dump:
+    with load_dump(f) as dump:
         candidates = scan_key_candidates(dump)
     assert len(candidates) == 1
     assert candidates[0].struct_offset == 0x1000
@@ -326,15 +331,16 @@ def test_scan_keeps_candidate_with_unresolvable_pointer(tmp_path):
     blob[0x100C:0x1010] = (0xDEAD0000).to_bytes(4, "little")  # resolves nowhere
     f = tmp_path / "dangling.dmp"
     f.write_bytes(bytes(blob))
-    with load_dump(f, "raw") as dump:
+    with load_dump(f) as dump:
         candidates = scan_key_candidates(dump)
     assert len(candidates) == 1
     assert candidates[0].key is None
     assert candidates[0].key_va == 0xDEAD0000
 
 
-def test_pointer_fallback_to_file_offset(tmp_path, session_key):
-    """A mapped record whose key pointer only makes sense as a raw offset."""
+def test_a_key_pointer_is_never_read_as_a_file_offset(tmp_path, session_key, evidence_pair):
+    """A mapped record whose key pointer names the key's file offset, not
+    a mapped address: the hit is keyless, and no key is recovered."""
     blob = bytearray(0x3000)
     blob[0x100 : 0x100 + 12] = KEY_DATA_PATTERN
     blob[0x10C:0x110] = (0x2800).to_bytes(4, "little")  # raw file offset
@@ -344,18 +350,19 @@ def test_pointer_fallback_to_file_offset(tmp_path, session_key):
     # map only the first 0x1000 bytes at a high va: 0x2800 is unmapped as a va
     map_path = tmp_path / "flat_offset.dmp.map.json"
     map_path.write_text(json.dumps([{"va": 0x700000, "length": 0x1000, "offset": 0}]))
-    with load_dump(f, "raw_with_map") as dump:
+    with load_dump(f) as dump:
         candidates = scan_key_candidates(dump)
-    assert len(candidates) == 1
-    assert candidates[0].key == session_key
-    assert candidates[0].key_source == "file_offset"
+        assert [(c.key_va, c.key) for c in candidates] == [(0x2800, None)]
+        result = recover_key(dump, Evidence.from_original(*evidence_pair))
+    assert result.outcome is RecoveryOutcome.NOT_FOUND
+    assert result.key is None
 
 
 def test_scan_minidump_64bit_layout(tmp_path, session_key):
     spec = simple_chain_spec(session_key, container="minidump", pointer_width=8)
     dump_path = tmp_path / "wide.dmp"
     write_synthetic_dump(spec, dump_path)
-    with load_dump(dump_path, "minidump") as dump:
+    with load_dump(dump_path) as dump:
         assert dump.pointer_width == 8
         candidates = scan_key_candidates(dump)
     assert [c.key for c in candidates] == [session_key]
@@ -367,7 +374,7 @@ def test_scan_minidump_64bit_layout(tmp_path, session_key):
 def test_confirm_chain_full(tmp_path, session_key):
     dump_path = tmp_path / "full_chain.dmp"
     manifest = write_synthetic_dump(simple_chain_spec(session_key), dump_path)
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         (cand,) = scan_key_candidates(dump)
         assert confirm_chain(dump, cand) is True
     # XOR fidelity straight from the manifest
@@ -385,7 +392,7 @@ def test_confirm_chain_bare_record(tmp_path, session_key):
     spec.chains[0].hcryptkey_va = None
     dump_path = tmp_path / "bare.dmp"
     write_synthetic_dump(spec, dump_path)
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         (cand,) = scan_key_candidates(dump)
         assert cand.key == session_key  # still eligible
         assert confirm_chain(dump, cand) is False
@@ -406,12 +413,12 @@ def test_confirm_chain_past_a_cell_without_a_handle(tmp_path, session_key, monke
     blob = bytearray(dump_path.read_bytes())
     blob[0x2800:0x2804] = chain["key_data_va"].to_bytes(4, "little")
     dump_path.write_bytes(bytes(blob))
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         (cand,) = scan_key_candidates(dump)
         assert confirm_chain(dump, cand) is True
     blob[chain["magic_s_va"] : chain["magic_s_va"] + 4] = bytes(4)  # only the decoy cell left
     dump_path.write_bytes(bytes(blob))
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         (cand,) = scan_key_candidates(dump)
         assert confirm_chain(dump, cand) is False
 
@@ -473,7 +480,7 @@ def test_keyless_candidates_never_verify(tmp_path, session_key, evidence_pair, m
     write_synthetic_dump(spec, dump_path)
     checked = []
     monkeypatch.setattr(memscan_mod, "verify_key", lambda key, ev: checked.append(key) or True)
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         result = recover_key(dump, Evidence.from_original(encrypted, original))
     assert [c.key for c in result.candidates] == [None]
     assert (result.outcome, result.candidates[0].verified, checked) == (
@@ -493,7 +500,7 @@ def test_recover_key_end_to_end(tmp_path, session_key, evidence_pair):
         Decoy(kind="wrong_key", key_data_va=0xB000, key_va=0xC000),
     ]
     write_synthetic_dump(simple_chain_spec(session_key, decoys=decoys), dump_path)
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         candidates = scan_key_candidates(dump)
         assert len(candidates) >= 4  # planted + three decoys
         result = recover_key(dump, Evidence.from_original(encrypted, original))
@@ -508,7 +515,7 @@ def test_recover_key_not_found(tmp_path, evidence_pair):
     encrypted, original = evidence_pair
     f = tmp_path / "blank.dmp"
     f.write_bytes(bytes(1 << 16))
-    with load_dump(f, "raw") as dump:
+    with load_dump(f) as dump:
         result = recover_key(dump, Evidence.from_original(encrypted, original))
     assert result.outcome is RecoveryOutcome.NOT_FOUND
     assert result.key is None
@@ -528,7 +535,7 @@ def test_recover_key_two_keys_one_matches(tmp_path, session_key, other_key, evid
     )
     dump_path = tmp_path / "two_keys.dmp"
     write_synthetic_dump(spec, dump_path)
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         result = recover_key(dump, Evidence.from_original(encrypted, original))
     assert result.outcome is RecoveryOutcome.FOUND
     assert result.key == session_key
@@ -546,7 +553,7 @@ def test_recover_key_ambiguous(tmp_path, session_key, other_key, evidence_pair, 
     import avaddon_rescue.memscan as memscan_mod
 
     monkeypatch.setattr(memscan_mod, "verify_key", lambda key, ev: True)
-    with load_dump(dump_path, "raw") as dump:
+    with load_dump(dump_path) as dump:
         result = recover_key(dump, Evidence.from_original(encrypted, original))
     assert result.outcome is RecoveryOutcome.AMBIGUOUS
     assert result.key is None
@@ -563,7 +570,7 @@ def test_recover_key_soundness_random_dumps(tmp_path, evidence_pair, session_key
         layout.chains[0].key = session_key
         dump_path = tmp_path / f"rand_{seed}.dmp"
         write_synthetic_dump(layout, dump_path)
-        with load_dump(dump_path, "minidump") as dump:
+        with load_dump(dump_path) as dump:
             result = recover_key(dump, evidence)
         assert result.outcome is RecoveryOutcome.FOUND, f"seed {seed}"
         assert result.key == session_key
@@ -585,7 +592,7 @@ def test_range_of_matches_linear_search(tmp_path):
     f.with_name("many.dmp.map.json").write_text(
         json.dumps([{"va": va, "length": n, "offset": off} for va, n, off in reversed(layout)])
     )
-    with load_dump(f, "raw_with_map") as dump:
+    with load_dump(f) as dump:
         for va in range(0xF000, 0x10000 + 8 * 0x3000 + 0x1000, 0x100):
             want = next((off + va - b for b, n, off in layout if b <= va < b + n), None)
             assert dump.translate(va) == want, hex(va)
@@ -614,12 +621,11 @@ def test_scan_pointer_straddles_contiguous_ranges(tmp_path, session_key):
             ]
         )
     )
-    with load_dump(f, "raw_with_map") as dump:
+    with load_dump(f) as dump:
         (cand,) = scan_key_candidates(dump)
     assert cand.struct_va == triple_va
     assert cand.key_va == 0x1180
     assert cand.key == session_key
-    assert cand.key_source == "va"
 
 
 def test_confirm_chain_record_above_pointer_range(tmp_path):
@@ -632,7 +638,7 @@ def test_confirm_chain_record_above_pointer_range(tmp_path):
     f.with_name("high.dmp.map.json").write_text(
         json.dumps([{"va": 1 << 32, "length": 0x1000, "offset": 0}])
     )
-    with load_dump(f, "raw_with_map") as dump:
+    with load_dump(f) as dump:
         (cand,) = scan_key_candidates(dump)
         assert confirm_chain(dump, cand) is False
 
@@ -759,7 +765,7 @@ def test_recover_key_confirms_only_verified(
         return real_confirm(dump, cand)
 
     monkeypatch.setattr(memscan_mod, "confirm_chain", counting_confirm)
-    with load_dump(dump_path, layout.container) as dump:
+    with load_dump(dump_path) as dump:
         keys = [c.key for c in scan_key_candidates(dump) if c.key is not None]
         assert len(keys) >= 20
         if case == "ambiguous":
@@ -806,8 +812,6 @@ def _naive_scan(dump):
     width the dump is read at; a hit with no key at any width kept once,
     with the first pointer read, and a keyed candidate dropped when an
     earlier one holds the same key."""
-    import avaddon_rescue.memscan as memscan_mod
-
     out, seen = [], set()
     for off, va in sorted(_naive_find(dump, KEY_DATA_PATTERN, 1)):
         keyless = KeyCandidate(struct_offset=off, struct_va=va)
@@ -818,8 +822,8 @@ def _naive_scan(dump):
                 continue
             cand = KeyCandidate(struct_offset=off, struct_va=va,
                                 key_va=int.from_bytes(ptr, "little"))
-            cand.key, cand.key_source = memscan_mod._read_candidate_key(dump, cand.key_va)
-            if cand.key is not None:
+            if (key := dump.read_va(cand.key_va, 32)) is not None:
+                cand.key = SessionKey(key)
                 keyed.append(cand)
             elif keyless.key_va is None:
                 keyless = cand
@@ -886,7 +890,7 @@ def test_windowed_scan_edges(tmp_path, monkeypatch):
     )
     needles = [KEY_DATA_PATTERN, (a_va - pw).to_bytes(pw, "little"),
                (magic_cell ^ HANDLE_XOR_CONSTANT).to_bytes(pw, "little")]
-    with load_dump(f, "raw_with_map") as dump:
+    with load_dump(f) as dump:
         wide = scan_key_candidates(dump)
         wide_chain = [confirm_chain(dump, c) for c in wide]
         monkeypatch.setattr(memscan_mod, "_SCAN_WINDOW", page)
@@ -914,7 +918,7 @@ def test_windowed_scan_edges(tmp_path, monkeypatch):
     assert at < 2 * page - n // 2
     f = tmp_path / "zeros.dmp"
     f.write_bytes(bytes(zeros))
-    with load_dump(f, "raw") as dump:
+    with load_dump(f) as dump:
         hits = _naive_scan(dump)
         assert len(_naive_find(dump, KEY_DATA_PATTERN, 1)) == n - 1 + 4
         assert not any(4 * page <= c.struct_offset for c in hits)
@@ -958,7 +962,7 @@ def test_scan_equals_the_naive_search(seed, zero_fill, pages, windows, tail, ske
         f = Path(tmp, "random.dmp")
         f.write_bytes(bytes(blob))
         f.with_name("random.dmp.map.json").write_text(json.dumps(ranges))
-        with load_dump(f, "raw_with_map") as dump, \
+        with load_dump(f) as dump, \
                 mock.patch.object(memscan_mod, "_SCAN_WINDOW", window):
             assert scan_key_candidates(dump) == _naive_scan(dump)
 
