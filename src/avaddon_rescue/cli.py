@@ -365,11 +365,8 @@ def _detect_dict(row: FileRecoveryReport) -> dict[str, Any]:
             if value is not None and field not in ("bytes_processed", "duration_s")}
 
 
-def _evidence_from_flags(evidence_encrypted: str | None, evidence_original: str | None
-                         ) -> Evidence:
+def _evidence_from_flags(evidence_encrypted: str, evidence_original: str | None) -> Evidence:
     """Known plaintext when the original is given, else the header magics."""
-    if not evidence_encrypted:
-        raise click.UsageError("--evidence-encrypted is required to verify a key")
     if evidence_original:
         return Evidence.from_original(evidence_encrypted, evidence_original)
     evidence = Evidence.from_header_magics(evidence_encrypted)
@@ -382,7 +379,8 @@ def _evidence_from_flags(evidence_encrypted: str | None, evidence_original: str 
 _KEY_SOURCE_OPTIONS = (
     click.option("--map", "map_path", type=click.Path(exists=True, dir_okay=False),
                  help="Sidecar VA map of a raw dump (default <dump>.map.json)."),
-    click.option("--evidence-encrypted", type=click.Path(exists=True, dir_okay=False),
+    click.option("--evidence-encrypted", required=True,
+                 type=click.Path(exists=True, dir_okay=False),
                  help="One encrypted file to verify candidate keys against."),
     click.option("--evidence-original", type=click.Path(exists=True, dir_okay=False),
                  help="The original (pre-infection) copy of that file; without it, "
@@ -421,7 +419,7 @@ def _recovery_summary(result: RecoveryResult) -> list[str]:
 def cmd_recover_key(
     dump: str,
     map_path: str | None,
-    evidence_encrypted: str | None,
+    evidence_encrypted: str,
     evidence_original: str | None,
     key_out: str,
     show_key: bool,
@@ -460,8 +458,6 @@ def cmd_recover_key(
 @click.option("--dump", type=click.Path(exists=True, dir_okay=False),
               help="Recover the key from this dump first.")
 @_key_source_options
-@click.option("--no-verify", is_flag=True,
-              help="Skip the key verification gate (only with --key-file).")
 @click.option("--into", type=click.Path(file_okay=False),
               help="Restore into this new directory, leaving PATHS untouched.")
 @click.option("--jobs", type=click.IntRange(min=1), default=os.cpu_count() or 1,
@@ -473,9 +469,8 @@ def cmd_decrypt(
     key_file: str | None,
     dump: str | None,
     map_path: str | None,
-    evidence_encrypted: str | None,
+    evidence_encrypted: str,
     evidence_original: str | None,
-    no_verify: bool,
     into: str | None,
     jobs: int,
     as_json: bool,
@@ -494,35 +489,29 @@ def cmd_decrypt(
         "jobs": jobs,
         "key_source": "key_file" if key_file else "dump",
     }
-    key_recovery: dict[str, Any] | None = None
+    evidence = _evidence_from_flags(evidence_encrypted, evidence_original)
+    key: SessionKey | None
     if key_file:
         fd, _st = open_regular(key_file)  # never blocks on a FIFO
         with open(fd, "rb") as fh:
             key = SessionKey.from_hex(fh.read())
-        if no_verify:
-            _status_note("key verification skipped (--no-verify)")
-        else:
-            evidence = _evidence_from_flags(evidence_encrypted, evidence_original)
-            if not verify_key(key, evidence):
-                _status_note("key failed verification against the evidence; refusing to touch files")
-                raise SystemExit(ExitCode.GATE_REFUSAL)
+        if not verify_key(key, evidence):
+            _status_note("key failed verification against the evidence; refusing to touch files")
+            key = None
+        key_recovery, refusal, summary = None, ExitCode.GATE_REFUSAL, []
     else:
-        if no_verify:
-            raise click.UsageError("--no-verify requires --key-file")
-        evidence = _evidence_from_flags(evidence_encrypted, evidence_original)
         result = _recover_from_dump(dump, map_path, evidence)
-        key_recovery = result.to_dict(include_key=False)
-        if result.outcome is not RecoveryOutcome.FOUND:  # reported, and no file opened
-            with _Report("decrypt", parameters, as_json, out) as report:
-                report.finish(key_recovery, report.totals(started), _recovery_summary(result))
-            raise SystemExit(_EXIT_BY_OUTCOME[result.outcome])
-        key = result.key
-    # only the files of the evidence file's session; --no-verify has no evidence
-    victim_block = None if no_verify else evidence.victim_block
+        key, key_recovery = result.key, result.to_dict(include_key=False)
+        refusal, summary = _EXIT_BY_OUTCOME[result.outcome], _recovery_summary(result)
+    if key is None:  # reported, and no file opened
+        with _Report("decrypt", parameters, as_json, out) as report:
+            report.finish(key_recovery, report.totals(started), summary)
+        raise SystemExit(refusal)
 
     def row(name: str, dir_fd: int, out_dir_fd: int | None = None) -> FileRecoveryReport:
+        # only the files of the evidence file's session
         return decrypt_file(name, key, dir_fd=dir_fd, out_dir_fd=out_dir_fd,
-                            victim_block=victim_block)
+                            victim_block=evidence.victim_block)
 
     if into:  # before the report opens, so that an existing one writes nothing
         os.mkdir(into, 0o700)

@@ -7,6 +7,8 @@ import pytest
 
 from avaddon_rescue.cipher import SessionKey
 from avaddon_rescue.emulator import DumpLayoutSpec, generate_session_key
+from avaddon_rescue.filecodec import encrypt_file
+from avaddon_rescue.trailer import VictimBlock
 
 
 @pytest.fixture
@@ -50,6 +52,19 @@ def make_tree(root: Path, files: dict[str, bytes]) -> dict[Path, bytes]:
         path.write_bytes(content)
         out[path] = content
     return out
+
+
+def evidence_flags(where: Path, key: SessionKey, block: VictimBlock | None = None) -> list[str]:
+    """The `decrypt` flags that prove `key` for the files of its session,
+    those infected with `key` and `block` (default zeros): an infected copy
+    of one file, made in the directory `where`, outside every walked tree,
+    beside that file's original. Each call makes the pair anew."""
+    where.mkdir(parents=True, exist_ok=True)
+    encrypted, original = where / "evidence.txt", where / "evidence.orig"
+    for path in (encrypted, original):
+        path.write_bytes(b"known plaintext for verification " * 8)
+    encrypt_file(encrypted, key, block or VictimBlock.zeros(), sandbox_root=where)
+    return ["--evidence-encrypted", str(encrypted), "--evidence-original", str(original)]
 
 
 def deny_open(monkeypatch, target: Path) -> None:

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 import avaddon_rescue
 import avaddon_rescue.cli as cli_mod
 import avaddon_rescue.trailer as trailer_mod
+from avaddon_rescue.cipher import SessionKey
 from avaddon_rescue.cli import ExitCode, cli, main
 from avaddon_rescue.emulator import (
     CONFIRM_TOKEN,
@@ -30,6 +31,7 @@ from avaddon_rescue.trailer import APPENDIX_LEN, TRAILER_LEN, VictimBlock, build
 from conftest import (
     PEAK_RSS_OF,
     deny_open,
+    evidence_flags,
     make_tree,
     moved_up,
     random_corpus,
@@ -196,6 +198,7 @@ def test_single_file_argument(runner, tmp_path, infected_sandbox, session_key):
     untouched = root / "docs" / "file1.txt"
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     result = runner.invoke(cli, ["detect", str(target), "--json"])
     assert result.exit_code == ExitCode.OK
@@ -204,7 +207,7 @@ def test_single_file_argument(runner, tmp_path, infected_sandbox, session_key):
     ]
 
     result = runner.invoke(
-        cli, ["decrypt", str(target), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(target), "--key-file", str(key_file), *proof, "--json"]
     )
     assert result.exit_code == ExitCode.OK, result.output
     assert json.loads(result.stdout)["totals"]["decrypted"] == 1
@@ -224,6 +227,7 @@ def test_symlinks_never_reported_or_touched(runner, tmp_path, infected_sandbox, 
     linked_dir.symlink_to(outside / "docs", target_is_directory=True)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     result = runner.invoke(cli, ["detect", str(root), "--json"])
     assert result.exit_code == ExitCode.OK
@@ -232,7 +236,7 @@ def test_symlinks_never_reported_or_touched(runner, tmp_path, infected_sandbox, 
     assert not any("alias" in r["path"] or "linked_docs" in r["path"] for r in payload["rows"])
 
     result = runner.invoke(
-        cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(root), "--key-file", str(key_file), *proof, "--json"]
     )
     assert result.exit_code == ExitCode.OK, result.output
     payload = json.loads(result.stdout)
@@ -249,6 +253,7 @@ def test_symlink_root_to_a_file_is_followed(runner, tmp_path, infected_sandbox, 
     link.symlink_to(target)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     result = runner.invoke(cli, ["detect", str(link), "--json"])
     assert result.exit_code == ExitCode.OK, result.output
@@ -257,7 +262,7 @@ def test_symlink_root_to_a_file_is_followed(runner, tmp_path, infected_sandbox, 
     ]
 
     result = runner.invoke(
-        cli, ["decrypt", str(link), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(link), "--key-file", str(key_file), *proof, "--json"]
     )
     assert result.exit_code == ExitCode.OK, result.output
     payload = json.loads(result.stdout)
@@ -276,9 +281,10 @@ def test_symlink_root_to_a_directory_keeps_the_link_in_row_paths(runner, tmp_pat
     link.symlink_to(root, target_is_directory=True)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     result = runner.invoke(
-        cli, ["decrypt", str(link), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(link), "--key-file", str(key_file), *proof, "--json"]
     )
     assert result.exit_code == ExitCode.OK, result.output
     rows = {r["path"]: r["status"] for r in json.loads(result.stdout)["rows"]}
@@ -298,9 +304,10 @@ def test_file_that_shrinks_while_read_is_an_io_error_row(runner, tmp_path, sessi
     emulate_infection(tree, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     argv = [command, str(tree), "--json"]
     if command == "decrypt":
-        argv += ["--key-file", str(key_file), "--no-verify", "--jobs", "1"]
+        argv += ["--key-file", str(key_file), *proof, "--jobs", "1"]
 
     shrink_after_stat(monkeypatch, tree / "b.txt")
     result = runner.invoke(cli, argv)
@@ -337,9 +344,11 @@ def test_file_that_grows_while_read_is_classified_at_its_new_size(runner, tmp_pa
     monkeypatch.setattr(os, "stat", growing)
     argv = [command, str(tree), "--json"]
     if command == "decrypt":
+        key = generate_session_key(seed=3)
         key_file = tmp_path / "key.hex"
-        key_file.write_text(generate_session_key(seed=3).hex())
-        argv += ["--key-file", str(key_file), "--no-verify", "--jobs", "1"]
+        key_file.write_text(key.hex())
+        argv += ["--key-file", str(key_file), *evidence_flags(tmp_path / "evidence", key),
+                 "--jobs", "1"]
     result = runner.invoke(cli, argv)
     monkeypatch.undo()
     assert result.exit_code == ExitCode.NOTHING_INFECTED, result.output
@@ -375,10 +384,11 @@ def test_overlapping_roots_are_walked_once(runner, tmp_path, session_key, comman
     assert report.encrypted == 6
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     argv = [command, *(str(tmp_path / root) for root in roots), "--json"]
     if command == "decrypt":
-        argv += ["--key-file", str(key_file), "--no-verify", "--jobs", "4"]
+        argv += ["--key-file", str(key_file), *proof, "--jobs", "4"]
     result = runner.invoke(cli, argv)
     assert result.exit_code == ExitCode.OK, result.output
     payload = json.loads(result.stdout)
@@ -457,6 +467,7 @@ def test_restore_never_enters_a_directory_swapped_after_the_walk(runner, tmp_pat
     sub_bytes = {p.name: p.read_bytes() for p in (tree / "sub").iterdir()}
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     def swap_sub():
         (tree / "sub").rename(tmp_path / "moved")
@@ -467,7 +478,7 @@ def test_restore_never_enters_a_directory_swapped_after_the_walk(runner, tmp_pat
 
     after_the_walk(monkeypatch, swap_sub)
     result = runner.invoke(
-        cli, ["decrypt", str(tree), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(tree), "--key-file", str(key_file), *proof, "--json"]
     )
     monkeypatch.undo()
     assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
@@ -492,9 +503,10 @@ def test_walked_file_swapped_for_a_link_is_an_io_error_row(runner, tmp_path, ses
     target_bytes = (outside / "target.txt").read_bytes()
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     argv = [command, str(tree), "--json"]
     if command == "decrypt":
-        argv += ["--key-file", str(key_file), "--no-verify"]
+        argv += ["--key-file", str(key_file), *proof]
 
     def swap_b():
         (tree / "b.txt").unlink()
@@ -530,9 +542,10 @@ def test_stale_temps_and_unlistable_directories_are_failed_rows(runner, tmp_path
     locked_bytes = (tree / "locked" / "b.txt").read_bytes()
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     argv = [command, str(tree), "--json"]
     if command == "decrypt":
-        argv += ["--key-file", str(key_file), "--no-verify"]
+        argv += ["--key-file", str(key_file), *proof]
     real_scandir = os.scandir
 
     def flaky_scandir(path):
@@ -592,8 +605,10 @@ def tree_argv(command, roots, key_file, *extra):
         return [command, "--sandbox", str(root), "--allow-root", str(Path(root).parent),
                 "--i-understand-this-writes-files", *extra]
     argv = [command, *map(str, roots), *extra]
-    if command == "decrypt":
-        argv += ["--key-file", str(key_file), "--no-verify"]
+    if command == "decrypt":  # the key proven on evidence beside the key file
+        key = SessionKey.from_hex(Path(key_file).read_text())
+        evidence = Path(key_file).parent / "evidence"
+        argv += ["--key-file", str(key_file), *evidence_flags(evidence, key)]
     return argv
 
 
@@ -695,6 +710,7 @@ def test_short_regular_files_are_never_opened(runner, tmp_path, session_key, mon
                              "sub/tiny.doc": b"t"})
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    argv = tree_argv(command, [tree], key_file, "--json")
     opened = []
     real_open = os.open
 
@@ -704,14 +720,15 @@ def test_short_regular_files_are_never_opened(runner, tmp_path, session_key, mon
         return real_open(file, flags, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", counting_open)
-    result = runner.invoke(cli, tree_argv(command, [tree], key_file, "--json"))
+    result = runner.invoke(cli, argv)
     monkeypatch.undo()
     assert result.exit_code == ExitCode.OK, result.output
     rows = {Path(r["path"]).name: r["status"] for r in json.loads(result.stdout)["rows"]}
     clean = "skipped_clean" if command == "decrypt" else "clean"
     assert {rows[path.name] for path in short} == {clean}
-    key_read = ["key.hex"] if command == "decrypt" else []  # by os.open, as every input is
-    assert sorted(opened) == ["a.txt", "b.txt", *key_read]
+    # by os.open, as every input is: the key file and the evidence pair
+    inputs = ["evidence.orig", "evidence.txt", "key.hex"] if command == "decrypt" else []
+    assert sorted(opened) == ["a.txt", "b.txt", *inputs]
 
 
 @pytest.mark.parametrize("command", ["detect", "decrypt"])
@@ -1221,41 +1238,61 @@ def test_a_key_is_proven_on_a_header_magic_without_an_original(runner, tmp_path,
         assert {p: p.read_bytes() for p in letters} == letters
 
 
-@pytest.mark.parametrize("outcome", ["not_found", "ambiguous"])
+@pytest.mark.parametrize("outcome", ["not_found", "ambiguous", "wrong_key_file"])
 def test_decrypt_that_finds_no_key_still_writes_its_report(runner, tmp_path, evidence_files,
                                                            session_key, other_key, monkeypatch,
                                                            outcome):
-    """The report holds the candidates as recover-key's does, no rows and
-    zero totals; no file is opened and no --into directory is made."""
+    """The report holds the candidates as recover-key's does (none for a
+    key file that fails verification), no rows and zero totals; no file
+    but the report is opened for writing, and no --into directory is
+    made."""
     encrypted, original = evidence_files
     import avaddon_rescue.memscan as memscan_mod
 
-    # one wrong key, or two that both pass a verification that passes all
-    layout = random_dump_layout(13, container="raw", n_decoys=0, total_bytes=1 << 20,
-                                n_chains=2 if outcome == "ambiguous" else 1)
-    for chain, key in zip(layout.chains, [other_key, session_key]):
-        chain.key = key
-    dump_path = tmp_path / "proc.dmp"
-    write_synthetic_dump(layout, dump_path)
+    if outcome == "wrong_key_file":
+        source = ["--key-file", str(tmp_path / "wrong.hex")]
+        (tmp_path / "wrong.hex").write_text(other_key.hex())
+    else:  # one wrong key, or two that both pass a verification that passes all
+        layout = random_dump_layout(13, container="raw", n_decoys=0, total_bytes=1 << 20,
+                                    n_chains=2 if outcome == "ambiguous" else 1)
+        for chain, key in zip(layout.chains, [other_key, session_key]):
+            chain.key = key
+        source = ["--dump", str(tmp_path / "proc.dmp")]
+        write_synthetic_dump(layout, tmp_path / "proc.dmp")
     if outcome == "ambiguous":
         monkeypatch.setattr(memscan_mod, "verify_key", lambda key, ev: True)
     tree = tmp_path / "tree"
     letters = infected_letters(tree, session_key, ["a.txt"])
     infected = {p: p.read_bytes() for p in letters}
     report = tmp_path / "report.json"
+    written_to = []
+    real_open = os.open
+
+    def recording_open(file, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+            written_to.append(os.fspath(file))
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
     result = runner.invoke(cli, [
-        "decrypt", str(tree), "--dump", str(dump_path), "--evidence-encrypted", str(encrypted),
+        "decrypt", str(tree), *source, "--evidence-encrypted", str(encrypted),
         "--evidence-original", str(original), "--into", str(tmp_path / "into"),
         "--json", "--out", str(report),
     ])
-    want = {"not_found": ExitCode.KEY_NOT_FOUND, "ambiguous": ExitCode.AMBIGUOUS_KEY}[outcome]
+    monkeypatch.undo()
+    want = {"not_found": ExitCode.KEY_NOT_FOUND, "ambiguous": ExitCode.AMBIGUOUS_KEY,
+            "wrong_key_file": ExitCode.GATE_REFUSAL}[outcome]
     assert result.exit_code == want, result.output
     written = json.loads(report.read_text())
     assert written["command"] == "decrypt" and written["rows"] == []
-    assert written["key_recovery"]["outcome"] == outcome
-    assert written["key_recovery"]["candidates"]
+    if outcome == "wrong_key_file":
+        assert written["key_recovery"] is None
+    else:
+        assert written["key_recovery"]["outcome"] == outcome
+        assert written["key_recovery"]["candidates"]
     totals = {k: v for k, v in written["totals"].items() if k != "wall_time"}
     assert totals == {"files_scanned": 0, "infected": 0, "decrypted": 0, "failed": 0, "bytes": 0}
+    assert written_to == [str(report)]
     assert not (tmp_path / "into").exists()
     assert {p: p.read_bytes() for p in letters} == infected
 
@@ -1445,12 +1482,13 @@ def test_report_to_a_fifo_with_no_reader_is_an_error(tmp_path, session_key, sess
     infected = {p: p.read_bytes() for p in letters}
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     argv = {
         "detect": ["detect", str(tree)],
         "recover-key": ["recover-key", "--dump", str(session_dump),
                         "--evidence-encrypted", str(encrypted),
                         "--evidence-original", str(original), "--key-out", str(tmp_path / "k.hex")],
-        "decrypt": ["decrypt", str(tree), "--key-file", str(key_file), "--no-verify"],
+        "decrypt": ["decrypt", str(tree), "--key-file", str(key_file), *proof],
     }[command]
     done = _cli_in_child([*argv, "--out", str(fifo)])
     assert done.returncode == ExitCode.ERROR, done.stderr
@@ -1685,16 +1723,21 @@ def test_a_verified_key_never_restores_another_sessions_files(runner, two_sessio
     assert {path: path.read_bytes() for path in originals} == originals
 
 
-def test_decrypt_no_verify_wrong_key_refuses_padded_files(runner, tmp_path, session_key,
-                                                          other_key, monkeypatch):
-    # 1,020 and 3,001 bytes carry 4 and 7 pad bytes, which only the right key
-    # decrypts to zeros
+def test_decrypt_proven_key_refuses_a_file_whose_padding_is_not_zero(runner, tmp_path,
+                                                                     session_key, monkeypatch):
+    # 1,020 and 3,001 bytes carry 4 and 7 pad bytes; one byte flipped in
+    # the last ciphertext block garbles the pad bytes it decrypts to
     tree = tmp_path / "tree"
     make_tree(tree, {"a.txt": b"alpha " * 170, "sub/b.txt": b"b" * 3001})
     emulate_infection(tree, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
+    for path in tree.rglob("*.txt"):
+        data = bytearray(path.read_bytes())
+        data[probe(path).trailer.prefix_length - 16] ^= 0x01
+        path.write_bytes(bytes(data))
     infected = {p: p.read_bytes() for p in tree.rglob("*.txt")}
-    key_file = tmp_path / "wrong.hex"
-    key_file.write_text(other_key.hex())
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     created = []
     real_open = os.open
 
@@ -1705,7 +1748,7 @@ def test_decrypt_no_verify_wrong_key_refuses_padded_files(runner, tmp_path, sess
 
     monkeypatch.setattr(os, "open", recording_open)
     result = runner.invoke(
-        cli, ["decrypt", str(tree), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(tree), "--key-file", str(key_file), *proof, "--json"]
     )
     monkeypatch.undo()
     assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
@@ -1719,13 +1762,6 @@ def test_decrypt_no_verify_wrong_key_refuses_padded_files(runner, tmp_path, sess
     assert created == []
 
 
-def test_decrypt_no_verify_requires_key_file(runner, tmp_path, session_dump):
-    result = runner.invoke(
-        cli, ["decrypt", str(tmp_path), "--dump", str(session_dump), "--no-verify"]
-    )
-    assert result.exit_code == 2
-
-
 def test_decrypt_requires_exactly_one_key_source(
     runner, tmp_path, infected_sandbox, session_key, session_dump, evidence_files
 ):
@@ -1734,15 +1770,20 @@ def test_decrypt_requires_exactly_one_key_source(
     assert result.exit_code == 2
 
     # a worker count below 1 is a usage error, not a silent default, and
-    # there is no scan-step or pointer-width option
+    # there is no scan-step, pointer-width or no-verify option
     root, originals, _report = infected_sandbox
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
     encrypted, original = evidence_files
-    from_key_file = ["--key-file", str(key_file), "--no-verify"]
-    from_dump = ["--dump", str(session_dump), "--evidence-encrypted", str(encrypted),
-                 "--evidence-original", str(original)]
+    evidence = ["--evidence-encrypted", str(encrypted), "--evidence-original", str(original)]
+    from_key_file = ["--key-file", str(key_file), *evidence]
+    from_dump = ["--dump", str(session_dump), *evidence]
     for extra in (
+        # every key is proven on evidence, and nothing skips the proof
+        ["--key-file", str(key_file)],
+        ["--key-file", str(key_file), "--no-verify"],
+        [*from_key_file, "--no-verify"],
+        [*from_dump, "--no-verify"],
         [*from_key_file, "--jobs", "0"],
         [*from_key_file, "--jobs", "-2"],
         [*from_dump, "--alignment", "4"],
@@ -1757,10 +1798,11 @@ def test_decrypt_nothing_infected(runner, tmp_path, session_key):
     make_tree(tmp_path / "clean", {"a.txt": b"clean" * 200})
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     out = tmp_path / "report.json"
     result = runner.invoke(
         cli,
-        ["decrypt", str(tmp_path / "clean"), "--key-file", str(key_file), "--no-verify",
+        ["decrypt", str(tmp_path / "clean"), "--key-file", str(key_file), *proof,
          "--out", str(out)],
     )
     assert result.exit_code == ExitCode.NOTHING_INFECTED
@@ -1782,6 +1824,7 @@ def test_decrypt_jobs_invariance(runner, tmp_path, session_key):
     infected = files_of(pristine)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     for mode in ("in_place", "into"):
         outcomes = []
@@ -1791,7 +1834,7 @@ def test_decrypt_jobs_invariance(runner, tmp_path, session_key):
             into = box.with_name(box.name + "-restored")
             result = runner.invoke(
                 cli,
-                ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", *jobs, "--json",
+                ["decrypt", str(box), "--key-file", str(key_file), *proof, *jobs, "--json",
                  *(["--into", str(into)] if mode == "into" else [])],
             )
             assert result.exit_code == ExitCode.OK, result.output
@@ -1909,16 +1952,17 @@ def test_decrypt_into_restores_a_read_only_source(tmp_path, session_key):
     emulate_infection(box, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     infected = snapshot(box)
 
     # the shim bites: in place, every restore is refused and fails its row
-    done = run_read_only(box, ["decrypt", box, "--key-file", key_file, "--no-verify"])
+    done = run_read_only(box, ["decrypt", box, "--key-file", key_file, *proof])
     assert done.returncode == ExitCode.PARTIAL_FAILURE, done.stderr
     assert "under the read-only source" in done.stderr
     assert snapshot(box) == infected
 
     into = tmp_path / "restored"
-    done = run_read_only(box, ["decrypt", box, "--key-file", key_file, "--no-verify",
+    done = run_read_only(box, ["decrypt", box, "--key-file", key_file, *proof,
                                "--into", into])
     assert done.returncode == ExitCode.OK, done.stderr
     assert snapshot(box) == infected
@@ -1937,26 +1981,23 @@ def test_decrypt_into_restores_a_read_only_source(tmp_path, session_key):
 def test_decrypt_into_with_a_wrong_key_leaves_the_source_as_it_was(tmp_path, session_key,
                                                                    other_key):
     box = tmp_path / "box"
-    # 4,096 bytes have no pad bytes, so the wrong key is only caught by
-    # the padding of the other files
+    # 4,096 bytes have no pad bytes, so only the evidence refuses the
+    # wrong key for that file
     make_tree(box, {"padded.txt": b"p" * 1000, "unpadded.txt": b"u" * 4096,
                     "sub/padded.txt": b"q" * 2001})
     emulate_infection(box, session_key, None, VictimBlock.zeros(), confirm_token=CONFIRM_TOKEN)
     wrong = tmp_path / "wrong.hex"
     wrong.write_text(other_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     infected = snapshot(box)
     into = tmp_path / "restored"
 
-    done = run_read_only(box, ["decrypt", box, "--key-file", wrong, "--no-verify", "--into", into,
+    done = run_read_only(box, ["decrypt", box, "--key-file", wrong, *proof, "--into", into,
                                "--json"])
-    assert done.returncode == ExitCode.PARTIAL_FAILURE, done.stderr
-    statuses = {os.path.relpath(r["path"], box): r["status"]
-                for r in json.loads(done.stdout)["rows"]}
-    assert statuses == {"padded.txt": "wrong_key", "sub/padded.txt": "wrong_key",
-                        "unpadded.txt": "decrypted"}
+    assert done.returncode == ExitCode.GATE_REFUSAL, done.stderr
+    assert json.loads(done.stdout)["rows"] == []
     assert snapshot(box) == infected
-    # the noise lands in the new directory only
-    assert list(files_of(into)) == [str(mirrored(into, box).relative_to(into) / "unpadded.txt")]
+    assert not into.exists()
 
 
 @pytest.mark.parametrize("spelling", ["inside", "through_a_link"])
@@ -1969,13 +2010,14 @@ def test_decrypt_into_inside_a_path_is_a_usage_error(runner, tmp_path, session_k
     into = (box if spelling == "inside" else tmp_path / "link") / "restored"
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     def no_walk(*args):
         raise AssertionError("the tree was walked")
 
     monkeypatch.setattr(cli_mod, "walk_runs", no_walk)
     result = runner.invoke(cli, ["decrypt", str(tmp_path / "one"), str(box), "--key-file",
-                                 str(key_file), "--no-verify", "--into", str(into)])
+                                 str(key_file), *proof, "--into", str(into)])
     assert result.exit_code == 2, result.output
     assert "inside a PATH" in result.output
     assert not (box / "restored").exists()
@@ -1991,9 +2033,10 @@ def test_decrypt_into_an_existing_directory_writes_nothing(tmp_path, session_key
     (into / "notes.txt").write_text("an earlier restore")
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     report = tmp_path / "report.json"
     monkeypatch.setattr(sys, "argv", ["avaddon-rescue", "decrypt", str(box), "--key-file",
-                                      str(key_file), "--no-verify", "--into", str(into),
+                                      str(key_file), *proof, "--into", str(into),
                                       "--out", str(report)])
     with pytest.raises(SystemExit) as stopped:
         main()
@@ -2013,8 +2056,9 @@ def test_decrypt_into_is_removed_when_the_report_cannot_be_opened(tmp_path, sess
     infected = snapshot(box)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     into = tmp_path / "restored"
-    argv = ["avaddon-rescue", "decrypt", str(box), "--key-file", str(key_file), "--no-verify",
+    argv = ["avaddon-rescue", "decrypt", str(box), "--key-file", str(key_file), *proof,
             "--into", str(into), "--out"]
     monkeypatch.setattr(sys, "argv", [*argv, str(tmp_path / "missing" / "report.json")])
     with pytest.raises(SystemExit) as stopped:
@@ -2037,9 +2081,10 @@ def test_decrypt_into_mirrors_roots_of_the_same_name_apart(runner, tmp_path, ses
     letters |= infected_letters(b, session_key, ["letter.txt"], text="from b")
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     into = tmp_path / "restored"
     result = runner.invoke(cli, ["decrypt", str(a), str(b), "--key-file", str(key_file),
-                                 "--no-verify", "--into", str(into)])
+                                 *proof, "--into", str(into)])
     assert result.exit_code == ExitCode.OK, result.output
     for root in (a, b):
         assert (mirrored(into, root) / "letter.txt").read_bytes() == letters[root / "letter.txt"]
@@ -2069,8 +2114,9 @@ def test_decrypt_restores_a_file_with_the_longest_name(runner, tmp_path, session
     (box / "short.txt").rename(box / LONGEST_NAME)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     into = tmp_path / "restored"
-    result = runner.invoke(cli, ["decrypt", str(box), "--key-file", str(key_file), "--no-verify",
+    result = runner.invoke(cli, ["decrypt", str(box), "--key-file", str(key_file), *proof,
                                  "--json", *(["--into", str(into)] if mode == "into" else [])])
     assert result.exit_code == ExitCode.OK, result.output
     assert [r["status"] for r in json.loads(result.stdout)["rows"]] == ["decrypted"]
@@ -2087,6 +2133,7 @@ def test_decrypt_into_fails_the_files_of_a_directory_it_cannot_mirror(runner, tm
     infected = snapshot(b)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     real_mkdir = os.mkdir
 
     def no_b(path, *args, **kwargs):
@@ -2097,7 +2144,7 @@ def test_decrypt_into_fails_the_files_of_a_directory_it_cannot_mirror(runner, tm
     monkeypatch.setattr(os, "mkdir", no_b)
     into = tmp_path / "restored"
     result = runner.invoke(cli, ["decrypt", str(a), str(b), "--key-file", str(key_file),
-                                 "--no-verify", "--into", str(into), "--json"])
+                                 *proof, "--into", str(into), "--json"])
     assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
     rows = {r["path"]: r for r in json.loads(result.stdout)["rows"]}
     assert rows[str(a / "letter.txt")]["status"] == "decrypted"
@@ -2113,6 +2160,7 @@ def test_decrypt_partial_failure_exit_code(runner, tmp_path, session_key, monkey
     build_infected_sandbox(box, session_key, n_files=4)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     from avaddon_rescue.filecodec import FileRecoveryReport, FileStatus
     real_decrypt = cli_mod.decrypt_file
@@ -2124,7 +2172,7 @@ def test_decrypt_partial_failure_exit_code(runner, tmp_path, session_key, monkey
 
     monkeypatch.setattr(cli_mod, "decrypt_file", flaky_decrypt)
     result = runner.invoke(
-        cli, ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(box), "--key-file", str(key_file), *proof, "--json"]
     )
     assert result.exit_code == ExitCode.PARTIAL_FAILURE
     payload = json.loads(result.stdout)
@@ -2138,6 +2186,7 @@ def test_decrypt_write_failure_still_counts_as_infected(runner, tmp_path, sessio
     originals, _report = build_infected_sandbox(box, session_key, n_files=4)
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     failing = box / "docs" / "file1.txt"
     real_replace = os.replace
 
@@ -2148,7 +2197,7 @@ def test_decrypt_write_failure_still_counts_as_infected(runner, tmp_path, sessio
 
     monkeypatch.setattr(os, "replace", flaky_replace)
     result = runner.invoke(
-        cli, ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(box), "--key-file", str(key_file), *proof, "--json"]
     )
     assert result.exit_code == ExitCode.PARTIAL_FAILURE
     payload = json.loads(result.stdout)
@@ -2167,9 +2216,10 @@ def test_decrypt_damaged_trailer_is_a_failed_row(runner, tmp_path, infected_sand
     damaged.write_bytes(bytes(data))
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     result = runner.invoke(
-        cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(root), "--key-file", str(key_file), *proof, "--json"]
     )
     assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
     payload = json.loads(result.stdout)
@@ -2192,9 +2242,10 @@ def test_decrypt_unreadable_file_is_a_failed_row(
     snapshot = unreadable.read_bytes()
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     deny_open(monkeypatch, unreadable)
     result = runner.invoke(
-        cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(root), "--key-file", str(key_file), *proof, "--json"]
     )
     monkeypatch.undo()
     assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
@@ -2216,6 +2267,7 @@ def test_decrypt_classifies_each_walked_file_once(
     root, originals, report = infected_sandbox
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     real_classify = trailer_mod.classify
     classified = []
 
@@ -2229,13 +2281,13 @@ def test_decrypt_classifies_each_walked_file_once(
     monkeypatch.setattr(trailer_mod, "classify", counting_classify)
     monkeypatch.setattr(cli_mod, "probe", no_probe)
     result = runner.invoke(
-        cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(root), "--key-file", str(key_file), *proof, "--json"]
     )
     assert result.exit_code == ExitCode.OK, result.output
     payload = json.loads(result.stdout)
     assert payload["totals"]["files_scanned"] == len(originals)
     assert payload["totals"]["decrypted"] == report.encrypted
-    assert len(classified) == len(originals)
+    assert len(classified) == 1 + len(originals)  # the evidence file, then each walked file
 
 
 def test_detect_and_decrypt_agree_on_every_row(runner, tmp_path, session_key, monkeypatch):
@@ -2255,10 +2307,11 @@ def test_detect_and_decrypt_agree_on_every_row(runner, tmp_path, session_key, mo
     deny_open(monkeypatch, root / "denied.txt")
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
 
     detect = runner.invoke(cli, ["detect", str(root), "--json"])
     decrypt = runner.invoke(
-        cli, ["decrypt", str(root), "--key-file", str(key_file), "--no-verify", "--json"]
+        cli, ["decrypt", str(root), "--key-file", str(key_file), *proof, "--json"]
     )
     monkeypatch.undo()
     assert (detect.exit_code, decrypt.exit_code) == (ExitCode.PARTIAL_FAILURE,) * 2
@@ -2294,18 +2347,19 @@ def test_version_flag(runner):
     ["key_file_is_a_directory", "dump_is_a_directory", "key_file_not_ascii",
      "batch_not_utf8", "report_directory_missing"],
 )
-def test_bad_command_inputs_end_without_a_traceback(tmp_path, monkeypatch, capsys, case):
+def test_bad_command_inputs_end_without_a_traceback(tmp_path, session_key, monkeypatch, capsys,
+                                                     case):
     # through `main`, whose error handler CliRunner never reaches
     tree = tmp_path / "tree"
     make_tree(tree, {"a.txt": b"a" * 700})
     binary = tmp_path / "binary.bin"
     binary.write_bytes(b"\xff\xfe\x00 not text")
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     argv = {
-        "key_file_is_a_directory": ["decrypt", str(tree), "--key-file", str(tmp_path),
-                                    "--no-verify"],
+        "key_file_is_a_directory": ["decrypt", str(tree), "--key-file", str(tmp_path), *proof],
         "dump_is_a_directory": ["recover-key", "--dump", str(tmp_path),
                                 "--evidence-encrypted", str(binary)],
-        "key_file_not_ascii": ["decrypt", str(tree), "--key-file", str(binary), "--no-verify"],
+        "key_file_not_ascii": ["decrypt", str(tree), "--key-file", str(binary), *proof],
         "batch_not_utf8": ["strings", "--input", str(binary)],
         "report_directory_missing": ["detect", str(tree), "--out",
                                      str(tmp_path / "missing" / "report.json")],
@@ -2373,13 +2427,14 @@ def test_an_output_never_lands_on_an_infected_file(runner, tmp_path, session_key
     before = {p: p.read_bytes() for p in letters}
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
+    proof = evidence_flags(tmp_path / "evidence", session_key)
     batch = tmp_path / "batch.tsv"
     batch.write_text("id1\tAnshGSgwNQ==\n")
     encrypted, original = evidence_files
     command, flag = option.split()
     argv = {
         "detect": ["detect", str(box), "--json"],
-        "decrypt": ["decrypt", str(box), "--key-file", str(key_file), "--no-verify", "--json"],
+        "decrypt": ["decrypt", str(box), "--key-file", str(key_file), *proof, "--json"],
         "recover-key": ["recover-key", "--dump", str(session_dump),
                         "--evidence-encrypted", str(encrypted),
                         "--evidence-original", str(original),
@@ -2408,7 +2463,8 @@ def test_report_is_never_written_through_a_link(tmp_path, session_key, monkeypat
     link = box / "b" / "link.json"
     link.symlink_to(os.path.join("..", "..", "k.hex"))
     argv = {"detect": ["detect", str(box)],
-            "decrypt": ["decrypt", str(box), "--key-file", str(key_file), "--no-verify"]}[command]
+            "decrypt": ["decrypt", str(box), "--key-file", str(key_file),
+                        *evidence_flags(tmp_path / "evidence", session_key)]}[command]
     monkeypatch.setattr(sys, "argv", ["avaddon-rescue", *argv, "--json", "--out", str(link)])
     with pytest.raises(SystemExit) as stopped:
         main()

@@ -33,7 +33,7 @@ from avaddon_rescue.trailer import (
     parse_trailer,
     probe,
 )
-from conftest import deny_open, make_tree, shrink_after_stat
+from conftest import deny_open, evidence_flags, make_tree, shrink_after_stat
 
 BLOCK = VictimBlock.zeros()
 
@@ -447,7 +447,7 @@ def test_tree_commands_close_every_descriptor(tmp_path, session_key, monkeypatch
     key_file.write_text(session_key.hex())
     argv = [command, str(tree), "--json"]
     if command == "decrypt":
-        argv += ["--key-file", str(key_file), "--no-verify"]
+        argv += ["--key-file", str(key_file), *evidence_flags(tmp_path / "evidence", session_key)]
     real_open = os.open
 
     def flaky_open(file, flags, *args, **kwargs):
