@@ -40,9 +40,9 @@ from .memscan import (
     Evidence,
     RecoveryOutcome,
     RecoveryResult,
-    default_map_path,
     load_dump,
     recover_key,
+    sidecar_path,
     verify_key,
 )
 from .strings import label_batch, parse_batch_input, rows_to_json, rows_to_tsv
@@ -78,7 +78,9 @@ class _Report:
     gives it), and a tail of `key_recovery` and the totals. A run killed
     midway leaves a truncated report that holds every row written.
     Without either flag, `line(row)` gives the line a row prints, if any,
-    and the summary follows. `counts` are the tree commands' totals so far.
+    and the summary follows. `counts` are the tree commands' totals so far;
+    `totals` adds `sessions`, the number of session tags among the
+    infected rows.
 
     The --out file is opened when the report is, before any tree is
     walked, never through a link at its name nor blocked by a FIFO with
@@ -92,6 +94,7 @@ class _Report:
                  as_dict: Callable[..., dict[str, Any]] = FileRecoveryReport.to_dict
                  ) -> None:
         self.counts = {"files_scanned": 0, "infected": 0, "decrypted": 0, "failed": 0, "bytes": 0}
+        self._sessions: set[str] = set()
         self._line = line
         self._as_dict = as_dict
         self._json = as_json or bool(out)
@@ -139,6 +142,8 @@ class _Report:
             counts["files_scanned"] += 1
             # detect and decrypt rows carry original_length only for infected files
             counts["infected"] += row.original_length is not None
+            if row.session is not None:  # set on infected rows only
+                self._sessions.add(row.session)
             counts["decrypted"] += row.status is FileStatus.DECRYPTED
             counts["failed"] += row.status.failed
             counts["bytes"] += row.bytes_processed
@@ -153,7 +158,8 @@ class _Report:
 
     def totals(self, started: float) -> dict[str, Any]:
         """The counts so far, and the wall time since `started`."""
-        return {**self.counts, "wall_time": round(time.perf_counter() - started, 3)}
+        return {**self.counts, "sessions": len(self._sessions),
+                "wall_time": round(time.perf_counter() - started, 3)}
 
     def finish(self, key_recovery: dict[str, Any] | None, totals: dict[str, Any],
                summary: Iterable[str]) -> None:
@@ -353,7 +359,8 @@ def _flagged(row: FileRecoveryReport) -> str | None:
 def _detect_row(name: str, dir_fd: int) -> FileRecoveryReport:
     found = probe(name, dir_fd=dir_fd)
     if found.trailer is not None:
-        return FileRecoveryReport(name, FileStatus.INFECTED, found.trailer.original_length)
+        return FileRecoveryReport(name, FileStatus.INFECTED, found.trailer.original_length,
+                                  session=found.session)
     if found.damage:
         return FileRecoveryReport(name, FileStatus.CORRUPT_TRAILER, detail=found.damage)
     return FileRecoveryReport(name, FileStatus.CLEAN)
@@ -377,8 +384,6 @@ def _evidence_from_flags(evidence_encrypted: str, evidence_original: str | None)
 
 
 _KEY_SOURCE_OPTIONS = (
-    click.option("--map", "map_path", type=click.Path(exists=True, dir_okay=False),
-                 help="Sidecar VA map of a raw dump (default <dump>.map.json)."),
     click.option("--evidence-encrypted", required=True,
                  type=click.Path(exists=True, dir_okay=False),
                  help="One encrypted file to verify candidate keys against."),
@@ -395,8 +400,8 @@ def _key_source_options(command):
     return command
 
 
-def _recover_from_dump(dump: str, map_path: str | None, evidence: Evidence) -> RecoveryResult:
-    with load_dump(dump, map_path=map_path) as image:
+def _recover_from_dump(dump: str, evidence: Evidence) -> RecoveryResult:
+    with load_dump(dump) as image:
         bits = "/".join(str(8 * pw) for pw in image.pointer_widths)
         _status_note(f"scanning {dump} ({image.format}, {len(image.ranges)} ranges, {bits}-bit)")
         return recover_key(image, evidence)
@@ -418,7 +423,6 @@ def _recovery_summary(result: RecoveryResult) -> list[str]:
 @_OUT_OPTION
 def cmd_recover_key(
     dump: str,
-    map_path: str | None,
     evidence_encrypted: str,
     evidence_original: str | None,
     key_out: str,
@@ -429,7 +433,7 @@ def cmd_recover_key(
     """Scan a memory dump for the AES-256 session key and verify it."""
     started = time.perf_counter()
     evidence = _evidence_from_flags(evidence_encrypted, evidence_original)
-    result = _recover_from_dump(dump, map_path, evidence)
+    result = _recover_from_dump(dump, evidence)
 
     parameters = {
         "dump": dump,
@@ -468,7 +472,6 @@ def cmd_decrypt(
     paths: tuple[str, ...],
     key_file: str | None,
     dump: str | None,
-    map_path: str | None,
     evidence_encrypted: str,
     evidence_original: str | None,
     into: str | None,
@@ -500,7 +503,7 @@ def cmd_decrypt(
             key = None
         key_recovery, refusal, summary = None, ExitCode.GATE_REFUSAL, []
     else:
-        result = _recover_from_dump(dump, map_path, evidence)
+        result = _recover_from_dump(dump, evidence)
         key, key_recovery = result.key, result.to_dict(include_key=False)
         refusal, summary = _EXIT_BY_OUTCOME[result.outcome], _recovery_summary(result)
     if key is None:  # reported, and no file opened
@@ -542,7 +545,7 @@ def cmd_decrypt(
 @click.option("--i-understand-this-writes-files", "confirmed", is_flag=True,
               help="Mandatory confirmation; without it nothing is touched.")
 @click.option("--allow-root", "allow_roots", multiple=True, type=click.Path(),
-              help="Allow-listed location, in place of the default list (repeatable).")
+              help="Allow-listed location, in place of the system temp directory (repeatable).")
 @click.option("--priority", "priority_paths", multiple=True, type=click.Path(),
               help="Folders to encrypt first, skipping the path whitelist (repeatable).")
 @click.option("--key-out", type=click.Path(dir_okay=False), callback=_not_evidence,
@@ -604,7 +607,7 @@ def cmd_emulate(
     }
     outputs = [key_out, operator_key_out]
     if dump_out:
-        outputs += [dump_out, default_map_path(dump_out), manifest_path(dump_out)]
+        outputs += [dump_out, sidecar_path(dump_out), manifest_path(dump_out)]
     with _Report("emulate", parameters, as_json, out) as report:
         # every output is written before any file is encrypted, so that one
         # that cannot be written leaves the sandbox as it was; the plan

@@ -36,8 +36,8 @@ from .memscan import (
     DUMP_FORMATS,
     HANDLE_XOR_CONSTANT,
     KEY_DATA_PATTERN,
-    default_map_path,
     load_dump,
+    sidecar_path,
 )
 from .minidump import write_minidump
 from .trailer import VICTIM_BLOCK_LEN, VictimBlock
@@ -74,7 +74,6 @@ DEFAULT_EXCLUDED_EXTENSIONS: tuple[str, ...] = (
 )
 
 CONFIRM_TOKEN = "i-understand-this-writes-files"
-ALLOWLIST_ENV_VAR = "AVADDON_RESCUE_SANDBOX_ALLOWLIST"
 
 
 @dataclass(frozen=True)
@@ -207,24 +206,6 @@ def plan_traversal(
     return planned
 
 
-def allowed_sandbox_roots() -> list[Path]:
-    """Locations a sandbox may live under.
-
-    Defaults to the system temp directory; the env var points at a config
-    file (one path per line, `#` comments) that replaces the default.
-    """
-    roots: list[Path] = []
-    config = os.environ.get(ALLOWLIST_ENV_VAR)
-    if config:
-        for line in Path(config).read_text().splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                roots.append(Path(line))
-    else:
-        roots.append(Path(tempfile.gettempdir()))
-    return [p.resolve() for p in roots]
-
-
 def ensure_sandbox(
     sandbox_root: str | os.PathLike,
     *,
@@ -235,7 +216,8 @@ def ensure_sandbox(
 
     Refuses: a missing token, filesystem roots, home directories, and any
     resolved path (symlinks and `..` collapse first) that is not a strict
-    descendant of an allow-listed location.
+    descendant of an allow-listed location: one of `allow_roots`, or,
+    when none are given, the system temp directory.
     """
     if confirm_token != CONFIRM_TOKEN:
         raise SandboxViolation(
@@ -249,11 +231,9 @@ def ensure_sandbox(
         raise SandboxViolation(f"refusing to use the filesystem root {root} as sandbox")
     if root == Path.home().resolve():
         raise SandboxViolation(f"refusing to use the home directory {root} as sandbox")
-    allowed = (
-        [Path(p).resolve() for p in allow_roots]
-        if allow_roots is not None
-        else allowed_sandbox_roots()
-    )
+    if allow_roots is None:
+        allow_roots = [tempfile.gettempdir()]
+    allowed = [Path(p).resolve() for p in allow_roots]
     for candidate in allowed:
         if root != candidate and root.is_relative_to(candidate):
             return root
@@ -485,8 +465,8 @@ def write_synthetic_dump(spec: DumpLayoutSpec, path: str | os.PathLike) -> dict[
             offsets = itertools.accumulate((rlen for _, rlen in ranges), initial=0)
             rows = [{"va": rva, "length": rlen, "offset": offset}
                     for (rva, rlen), offset in zip(ranges, offsets)]
-            replace_atomically(default_map_path(path), [json.dumps(rows, indent=2).encode()])
-            written.append(default_map_path(path))
+            replace_atomically(sidecar_path(path), [json.dumps(rows, indent=2).encode()])
+            written.append(sidecar_path(path))
         with load_dump(path) as image:
             if image.format != spec.container:
                 raise LayoutSpecError(f"self-check failed: the {spec.container} dump reads back "

@@ -78,7 +78,8 @@ class FileStatus(str, Enum):
 @dataclass
 class FileRecoveryReport:
     """One row of a run report; `status == decrypted` implies the output
-    file length equals `original_length`."""
+    file length equals `original_length`. `session` is the tag of an
+    infected file's session (`Classification.session`)."""
 
     path: str
     status: FileStatus
@@ -86,6 +87,7 @@ class FileRecoveryReport:
     bytes_processed: int = 0
     duration_s: float = 0.0
     detail: str | None = None
+    session: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -95,6 +97,7 @@ class FileRecoveryReport:
             "bytes_processed": self.bytes_processed,
             "duration_s": round(self.duration_s, 6),
             "detail": self.detail,
+            "session": self.session,
         }
 
 
@@ -316,10 +319,11 @@ def _row(
     original_length: int | None = None,
     processed: int = 0,
     detail: str | None = None,
+    session: str | None = None,
 ) -> FileRecoveryReport:
     """The report row of one file, timed from `started`."""
     return FileRecoveryReport(str(path), status, original_length, processed,
-                              time.perf_counter() - started, detail)
+                              time.perf_counter() - started, detail, session)
 
 
 def encrypt_file(
@@ -401,6 +405,7 @@ def decrypt_file(
     """
     started = time.perf_counter()
     original_length: int | None = None
+    session: str | None = None
 
     try:
         fd, st, found = open_classified(path, dir_fd=dir_fd)
@@ -410,18 +415,19 @@ def decrypt_file(
                 return _row(path, status, started, detail=found.damage)
 
             layout = found.trailer
-            original_length = layout.original_length
+            original_length, session = layout.original_length, found.session
             if victim_block is not None and found.victim_block != victim_block:
                 return _row(path, FileStatus.OTHER_SESSION, started, original_length,
                             detail="victim block differs from the evidence file's: "
-                                   "infected under another session's key")
+                                   "infected under another session's key", session=session)
             plaintext = decrypt_stream(key, read_at(fd, layout.prefix_length, 0))
             # classify checked the recorded length against the body, so
             # what lies past it is exactly the zero padding
             padding = plaintext[original_length:]
             if padding.strip(PAD_BYTE):
                 return _row(path, FileStatus.WRONG_KEY, started, original_length,
-                            detail="padding past the recorded length is not zero")
+                            detail="padding past the recorded length is not zero",
+                            session=session)
             # the untouched middle of a large file follows; stop before the appendix
             rest = _read_span(fd, layout.prefix_length, layout.body_length)
             chunks = itertools.chain([plaintext[:original_length]], rest)
@@ -433,6 +439,7 @@ def decrypt_file(
             if fd is not None:
                 os.close(fd)
     except OSError as exc:
-        return _row(path, FileStatus.IO_ERROR, started, original_length, detail=str(exc))
+        return _row(path, FileStatus.IO_ERROR, started, original_length, detail=str(exc),
+                    session=session)
     return _row(path, FileStatus.DECRYPTED, started, original_length, layout.prefix_length,
-                None if padding else "no pad bytes to check")
+                None if padding else "no pad bytes to check", session)

@@ -67,19 +67,19 @@ assert all(len(magic) >= MIN_MAGIC_MATCH for _, magic in HEADER_MAGICS)
 MIN_PLAINTEXT_MATCH = 16
 
 
-def _load_sidecar_map(map_path: Path) -> list[MemoryRange]:
+def _load_sidecar_map(side: Path) -> list[MemoryRange]:
     try:
-        fd, _st = open_regular(map_path)
-    except FileNotFoundError:
-        raise DumpFormatError(f"sidecar map not found: {map_path}") from None
+        fd, _st = open_regular(side)
+    except FileNotFoundError:  # a link at its name that leads nowhere
+        raise DumpFormatError(f"sidecar map not found: {side}") from None
     with open(fd, "rb") as fh:
         text = fh.read()
     try:
         entries = json.loads(text.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
-        raise DumpFormatError(f"sidecar map {map_path} is not valid JSON: {exc}") from exc
+        raise DumpFormatError(f"sidecar map {side} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
-        raise DumpFormatError(f"sidecar map {map_path} must be a JSON array")
+        raise DumpFormatError(f"sidecar map {side} must be a JSON array")
     ranges = []
     for entry in entries:
         try:
@@ -89,7 +89,8 @@ def _load_sidecar_map(map_path: Path) -> list[MemoryRange]:
     return ranges
 
 
-def default_map_path(dump_path: str | os.PathLike) -> Path:
+def sidecar_path(dump_path: str | os.PathLike) -> Path:
+    """The one name a raw dump's sidecar map has: `<dump>.map.json`."""
     return Path(str(dump_path) + ".map.json")
 
 
@@ -101,28 +102,28 @@ class DumpImage:
 
     The container is sniffed, the one way every caller reads a dump: a
     file that starts with the MDMP signature is a minidump, whose stream
-    directory gives its ranges; else a `map_path` that is given, or a
-    `<dump>.map.json` beside the dump, makes it raw_with_map, whose ranges
-    come from that JSON sidecar; else it is raw, the whole file mapped at
-    virtual address 0 (offset == VA). `format` names the container.
+    directory gives its ranges; else a sidecar named `<dump>.map.json`
+    (`sidecar_path`) makes it raw_with_map, its ranges read from that JSON
+    file: a link at that name is followed, and one that leads nowhere is a
+    format error; else it is raw, the whole file mapped at virtual address
+    0 (offset == VA). `format` names the container.
     `pointer_width` is the width a minidump's system-info stream records,
     and None where the container records none (raw flavors included).
 
     Read-only after construction; safe to share across scanning threads.
     """
 
-    def __init__(self, path: str | os.PathLike, *,
-                 map_path: str | os.PathLike | None = None) -> None:
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = path = Path(path)
         self.fd, st = open_regular(path)
         self._size = st.st_size
         try:
             self.pointer_width = None  # a minidump may record its own
-            side = Path(map_path) if map_path else default_map_path(path)
+            side = sidecar_path(path)
             if self[:4] == MDMP_SIGNATURE:
                 self.format = "minidump"
                 ranges, self.pointer_width = read_minidump(self)
-            elif map_path or side.exists():
+            elif os.path.lexists(side):
                 self.format = "raw_with_map"
                 ranges = _load_sidecar_map(side)
             else:

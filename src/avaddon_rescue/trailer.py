@@ -10,6 +10,7 @@ is content-based only; file names and extensions are never consulted.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import stat
 import struct
@@ -129,6 +130,15 @@ class Classification:
     trailer: Trailer | None = None
     damage: str | None = None
     victim_block: bytes | None = None
+
+    @property
+    def session(self) -> str | None:
+        """The tag of an infected file's session, None for any other file:
+        the first 8 bytes of the SHA-256 of its victim block, as hex. A
+        digest of the wrapped key, not key material."""
+        if self.victim_block is None:
+            return None
+        return hashlib.sha256(self.victim_block).digest()[:8].hex()
 
 
 def classify(size: int, tail: bytes) -> Classification:

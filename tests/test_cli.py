@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -203,7 +204,8 @@ def test_single_file_argument(runner, tmp_path, infected_sandbox, session_key):
     result = runner.invoke(cli, ["detect", str(target), "--json"])
     assert result.exit_code == ExitCode.OK
     assert json.loads(result.stdout)["rows"] == [
-        {"path": str(target), "status": "infected", "original_length": len(originals[target])}
+        {"path": str(target), "status": "infected", "original_length": len(originals[target]),
+         "session": session_tag(target)}
     ]
 
     result = runner.invoke(
@@ -258,7 +260,8 @@ def test_symlink_root_to_a_file_is_followed(runner, tmp_path, infected_sandbox, 
     result = runner.invoke(cli, ["detect", str(link), "--json"])
     assert result.exit_code == ExitCode.OK, result.output
     assert json.loads(result.stdout)["rows"] == [
-        {"path": str(target), "status": "infected", "original_length": len(originals[target])}
+        {"path": str(target), "status": "infected", "original_length": len(originals[target]),
+         "session": session_tag(target)}
     ]
 
     result = runner.invoke(
@@ -427,7 +430,7 @@ def test_detect_nested_tree_rows_independent_of_walk_order(runner, tmp_path, ses
         else:
             expected.append(
                 {"path": str(path), "status": "infected",
-                 "original_length": trailer.original_length}
+                 "original_length": trailer.original_length, "session": session_tag(path)}
             )
     assert payload["rows"] == expected
     totals = payload["totals"]
@@ -1291,7 +1294,8 @@ def test_decrypt_that_finds_no_key_still_writes_its_report(runner, tmp_path, evi
         assert written["key_recovery"]["outcome"] == outcome
         assert written["key_recovery"]["candidates"]
     totals = {k: v for k, v in written["totals"].items() if k != "wall_time"}
-    assert totals == {"files_scanned": 0, "infected": 0, "decrypted": 0, "failed": 0, "bytes": 0}
+    assert totals == {"files_scanned": 0, "infected": 0, "decrypted": 0, "failed": 0, "bytes": 0,
+                      "sessions": 0}
     assert written_to == [str(report)]
     assert not (tmp_path / "into").exists()
     assert {p: p.read_bytes() for p in letters} == infected
@@ -1327,11 +1331,14 @@ def test_recover_key_requires_evidence(runner, tmp_path, session_dump, evidence_
     result = runner.invoke(cli, ["recover-key", "--dump", str(session_dump)])
     assert result.exit_code == 2  # usage error
 
-    # neither the scan step nor the pointer width is an option: the triple
-    # is searched at every offset, and a dump's width is what it records
+    # neither the scan step, the pointer width nor the map is an option: the
+    # triple is searched at every offset, a dump's width is what it
+    # records, and its map is the sidecar beside it
     encrypted, original = evidence_files
     key_out = tmp_path / "k.hex"
-    for extra in (["--alignment", "4"], ["--pointer-width", "8"]):
+    side = tmp_path / "side.map.json"
+    side.write_text("[]")
+    for extra in (["--alignment", "4"], ["--pointer-width", "8"], ["--map", str(side)]):
         result = runner.invoke(
             cli,
             [
@@ -1435,11 +1442,13 @@ def _cli_in_child(argv: list[str]) -> subprocess.CompletedProcess:
     for command in ("decrypt", "recover-key")] + [("--key-file", "decrypt")])
 def test_dump_or_original_that_is_a_fifo_is_an_error(tmp_path, session_key, session_dump,
                                                      evidence_files, command, flag):
-    """A FIFO given as the dump, as the sidecar map of a raw dump, as the
-    original copy or as decrypt's key file ends in one error line naming
-    it and exit 1, before the dump is scanned or a file is touched."""
+    """A FIFO given as the dump, as the original copy or as decrypt's key
+    file, or found as the sidecar map beside a dump with no MDMP signature
+    (the `--map` case, named after the option that is gone), ends in one
+    error line naming it and exit 1, before the dump is scanned or a file
+    is touched."""
     encrypted, original = evidence_files
-    fifo = tmp_path / "input.fifo"
+    fifo = tmp_path / ("flat.dmp.map.json" if flag == "--map" else "input.fifo")
     os.mkfifo(fifo)
     tree = tmp_path / "tree"
     letters = infected_letters(tree, session_key, ["a.txt"])
@@ -1450,13 +1459,11 @@ def test_dump_or_original_that_is_a_fifo_is_an_error(tmp_path, session_key, sess
     if flag == "--key-file":  # in place of a dump, and read before the evidence
         target += ["--key-file", str(fifo)]
         del given["--dump"]
-    sidecar = []
     if flag == "--map":  # a map is read only beside a dump with no MDMP signature
         given["--dump"] = tmp_path / "flat.dmp"
         given["--dump"].write_bytes(random.Random(9).randbytes(4096))
-        sidecar = ["--map", str(fifo)]
     dump = ["--dump", str(given["--dump"])] if "--dump" in given else []
-    done = _cli_in_child([*target, *dump, *sidecar, "--evidence-encrypted", str(encrypted),
+    done = _cli_in_child([*target, *dump, "--evidence-encrypted", str(encrypted),
                           "--evidence-original", str(given["--evidence-original"])])
     assert done.returncode == ExitCode.ERROR, done.stderr
     errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
@@ -1691,6 +1698,36 @@ def two_sessions(runner, tmp_path):
     return tree, originals, sessions
 
 
+def session_tag(path: Path) -> str:
+    """The tag of the session that infected `path`, from its bytes: the
+    first 8 bytes of the SHA-256 of the victim block before its trailer."""
+    block = path.read_bytes()[-APPENDIX_LEN:-TRAILER_LEN]
+    return hashlib.sha256(block).digest()[:8].hex()
+
+
+def test_detect_counts_the_sessions_of_a_tree(runner, tmp_path, two_sessions, infected_sandbox):
+    """Before any restore, `detect` tells the two sessions apart: each
+    infected row carries its session's tag and the totals count 2; a tree
+    of one session counts 1, and a clean tree 0."""
+    tree, originals, _sessions = two_sessions
+    result = runner.invoke(cli, ["detect", str(tree), "--json"])
+    assert result.exit_code == ExitCode.OK, result.output
+    payload = json.loads(result.stdout)
+    assert payload["totals"]["sessions"] == 2
+    tags = {s: session_tag(tree / s / "a1.docx") for s in ("s1", "s2")}
+    assert tags["s1"] != tags["s2"]
+    rows = {Path(row["path"]): row for row in payload["rows"]}
+    assert {path: rows[path]["session"] for path in originals} == {
+        path: tags[path.parent.name] for path in originals}
+
+    root, _originals, _report = infected_sandbox
+    make_tree(tmp_path / "clean", {"a.txt": b"a" * 600, "b/c.txt": b"c" * 600})
+    for where, count in ((root, 1), (tmp_path / "clean", 0)):
+        payload = json.loads(runner.invoke(cli, ["detect", str(where), "--json"]).stdout)
+        assert payload["totals"]["sessions"] == count
+        assert all("session" not in row for row in payload["rows"] if row["status"] == "clean")
+
+
 @pytest.mark.parametrize("key_source", ["--key-file", "--dump"])
 def test_a_verified_key_never_restores_another_sessions_files(runner, two_sessions, key_source):
     """Session 1's key, verified on session 1's evidence, restores session
@@ -1706,10 +1743,15 @@ def test_a_verified_key_never_restores_another_sessions_files(runner, two_sessio
             "decrypt", str(tree), *source, "--evidence-encrypted", str(evidence),
             "--evidence-original", str(evidence_original), "--jobs", "1", "--json"])
 
+    tags = {s: session_tag(tree / s / "a1.docx") for s in ("s1", "s2")}
     result = restore(1)
     assert result.exit_code == ExitCode.PARTIAL_FAILURE, result.output
-    rows = {Path(row["path"]): row for row in json.loads(result.stdout)["rows"]}
+    payload = json.loads(result.stdout)
+    assert payload["totals"]["sessions"] == 2
+    rows = {Path(row["path"]): row for row in payload["rows"]}
     for path in originals:
+        # each row, refused or not, names the session of its file
+        assert rows[path]["session"] == tags[path.parent.name]
         if path.parent.name == "s1":
             assert rows[path]["status"] == "decrypted"
             assert path.read_bytes() == originals[path]
@@ -1770,14 +1812,17 @@ def test_decrypt_requires_exactly_one_key_source(
     assert result.exit_code == 2
 
     # a worker count below 1 is a usage error, not a silent default, and
-    # there is no scan-step, pointer-width or no-verify option
-    root, originals, _report = infected_sandbox
+    # there is no scan-step, pointer-width, map or no-verify option
+    root, _originals, _report = infected_sandbox
+    side = tmp_path / "side.map.json"
+    side.write_text("[]")
     key_file = tmp_path / "key.hex"
     key_file.write_text(session_key.hex())
     encrypted, original = evidence_files
     evidence = ["--evidence-encrypted", str(encrypted), "--evidence-original", str(original)]
     from_key_file = ["--key-file", str(key_file), *evidence]
     from_dump = ["--dump", str(session_dump), *evidence]
+    infected = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
     for extra in (
         # every key is proven on evidence, and nothing skips the proof
         ["--key-file", str(key_file)],
@@ -1788,10 +1833,11 @@ def test_decrypt_requires_exactly_one_key_source(
         [*from_key_file, "--jobs", "-2"],
         [*from_dump, "--alignment", "4"],
         [*from_dump, "--pointer-width", "8"],
+        [*from_dump, "--map", str(side)],
     ):
         result = runner.invoke(cli, ["decrypt", str(root), *extra])
         assert result.exit_code == 2, (extra, result.output)
-        assert all(probe(p).trailer is not None for p in originals if p.suffix == ".txt")
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == infected
 
 
 def test_decrypt_nothing_infected(runner, tmp_path, session_key):

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,6 @@ from avaddon_rescue.emulator import (
     OperatorKeyPair,
     PlantedChain,
     SkipPolicy,
-    allowed_sandbox_roots,
     emulate_infection,
     ensure_sandbox,
     generate_session_key,
@@ -33,7 +33,7 @@ from avaddon_rescue.emulator import (
 )
 from avaddon_rescue.errors import LayoutSpecError, SandboxViolation, WrapError
 from avaddon_rescue.filecodec import FileStatus, encrypt_file
-from avaddon_rescue.memscan import default_map_path, load_dump
+from avaddon_rescue.memscan import load_dump, sidecar_path
 from avaddon_rescue.trailer import VICTIM_BLOCK_LEN, VictimBlock, probe
 from conftest import PEAK_RSS_OF, make_tree
 
@@ -247,12 +247,20 @@ def test_gate_missing_directory(tmp_path):
         ensure_sandbox(tmp_path / "ghost", confirm_token=CONFIRM_TOKEN)
 
 
-def test_allowlist_env_override(tmp_path, monkeypatch):
-    config = tmp_path / "allow.conf"
-    config.write_text(f"# test allow-list\n{tmp_path / 'permitted'}\n")
+def test_gate_without_allow_roots_allows_only_the_temp_directory(tmp_path, monkeypatch):
+    """With no `allow_roots`, a sandbox must lie strictly inside the
+    resolved system temp directory; no environment setting widens that."""
+    temp, outside = tmp_path / "temp", tmp_path / "outside"
+    (temp / "box").mkdir(parents=True)
+    outside.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "." / "temp"))
+    config = tmp_path / "allow.conf"  # the form of the allow-list file that was read once
+    config.write_text(f"{outside}\n")
     monkeypatch.setenv("AVADDON_RESCUE_SANDBOX_ALLOWLIST", str(config))
-    roots = allowed_sandbox_roots()
-    assert roots == [(tmp_path / "permitted").resolve()]
+    assert ensure_sandbox(temp / "box", confirm_token=CONFIRM_TOKEN) == (temp / "box").resolve()
+    for refused in (outside, temp):
+        with pytest.raises(SandboxViolation, match="not strictly inside"):
+            ensure_sandbox(refused, confirm_token=CONFIRM_TOKEN)
 
 
 # --- hybrid wrap -------------------------------------------------------------
@@ -522,14 +530,14 @@ def test_dump_generator_rejects_collisions(tmp_path, session_key):
         with pytest.raises(LayoutSpecError, match="collide"):
             write_synthetic_dump(spec, dump_path)
         assert not dump_path.exists()
-        assert not default_map_path(dump_path).exists()
+        assert not sidecar_path(dump_path).exists()
 
 
 @pytest.mark.parametrize("container", ["raw", "minidump"])
 def test_dump_generator_failed_check_keeps_a_sidecar_it_did_not_write(tmp_path, session_key,
                                                                        container):
     dump_path = tmp_path / "bad.dmp"
-    default_map_path(dump_path).write_text("[]")
+    sidecar_path(dump_path).write_text("[]")
     spec = DumpLayoutSpec(
         ranges=[(0, 0x10000)],
         chains=[PlantedChain(key=session_key, key_data_va=0x1000, key_va=0x1008)],
@@ -540,7 +548,7 @@ def test_dump_generator_failed_check_keeps_a_sidecar_it_did_not_write(tmp_path, 
     with pytest.raises(LayoutSpecError, match=failure):
         write_synthetic_dump(spec, dump_path)
     assert not dump_path.exists()
-    assert default_map_path(dump_path).read_text() == "[]"
+    assert sidecar_path(dump_path).read_text() == "[]"
 
 
 def test_a_raw_dump_beside_a_stale_sidecar_is_refused(tmp_path, session_key):
@@ -549,7 +557,7 @@ def test_a_raw_dump_beside_a_stale_sidecar_is_refused(tmp_path, session_key):
     the self-check reads it as they do, and refuses it."""
     dump_path = tmp_path / "proc.dmp"
     stale = json.dumps([{"va": 0x700000, "length": 0x1000, "offset": 0}])
-    default_map_path(dump_path).write_text(stale)
+    sidecar_path(dump_path).write_text(stale)
     spec = DumpLayoutSpec(
         ranges=[(0, 0x10000)],
         chains=[PlantedChain(key=session_key, key_data_va=0x1000, key_va=0x2000)],
@@ -559,7 +567,7 @@ def test_a_raw_dump_beside_a_stale_sidecar_is_refused(tmp_path, session_key):
         write_synthetic_dump(spec, dump_path)
     assert not dump_path.exists()
     assert not emulator_mod.manifest_path(dump_path).exists()
-    assert default_map_path(dump_path).read_text() == stale
+    assert sidecar_path(dump_path).read_text() == stale
 
 
 def test_dump_generator_rejects_stray_vas(tmp_path, session_key):
@@ -586,7 +594,7 @@ def test_dump_generator_decoys_never_true_key(tmp_path, session_key):
 
 def _dump_files(dump_path: Path, container: str) -> list[Path]:
     """The files `write_synthetic_dump` writes for a dump at `dump_path`."""
-    sidecar = [default_map_path(dump_path)] if container == "raw_with_map" else []
+    sidecar = [sidecar_path(dump_path)] if container == "raw_with_map" else []
     return [dump_path, *sidecar, emulator_mod.manifest_path(dump_path)]
 
 
@@ -640,7 +648,7 @@ def test_dump_files_are_pinned_byte_for_byte(tmp_path, seed, container, pointer_
     write_synthetic_dump(random_dump_layout(seed, pointer_width=pointer_width, container=container,
                                             n_decoys=5, total_bytes=2 << 20), dump_path)
     found = [hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
-             for path in (dump_path, default_map_path(dump_path),
+             for path in (dump_path, sidecar_path(dump_path),
                           emulator_mod.manifest_path(dump_path))]
     assert found == digests
 

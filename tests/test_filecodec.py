@@ -153,6 +153,25 @@ def test_decrypt_wrong_key_is_structural_only(tmp_path, session_key, other_key):
     assert f.read_bytes() != content
 
 
+def test_a_length_raised_inside_its_last_block_restores_with_zero_bytes(tmp_path, session_key):
+    """The format's known limit: a 127-byte file whose recorded length is
+    raised to 128 still fits its one-block body, so it classifies as
+    infected and has no pad bytes left to check. It restores as
+    `decrypted` to the original plus one zero byte, which no check can
+    tell from a real 128-byte file that ends in 0x00."""
+    f = tmp_path / "sample.bin"
+    content = write_sample(f, 127, seed=17)
+    encrypt_file(f, session_key, BLOCK, sandbox_root=tmp_path)
+    data = bytearray(f.read_bytes())
+    data[-TRAILER_LEN] ^= 0xFF  # the low byte of the recorded length: 0x7F becomes 0x80
+    f.write_bytes(bytes(data))
+    assert probe(f).trailer.original_length == 128
+    report = decrypt_file(f, session_key)
+    assert (report.status, report.original_length) == (FileStatus.DECRYPTED, 128)
+    assert report.detail == "no pad bytes to check"
+    assert f.read_bytes() == content + b"\x00"
+
+
 def test_decrypt_corrupt_trailer_variants(tmp_path, session_key):
     body = bytes(32)
     # magics fine, recorded length inconsistent with body

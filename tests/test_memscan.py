@@ -118,11 +118,30 @@ def test_load_raw_with_sidecar_map(tmp_path):
 
 
 def test_load_raw_with_map_requires_sidecar(tmp_path):
-    """A map that is named but not there is an error, not a raw dump."""
+    """A sidecar beside the dump that cannot be read as a map, or a link
+    there that leads nowhere, is an error, not a raw dump."""
     f = tmp_path / "lonely.dmp"
     f.write_bytes(bytes(64))
+    side = tmp_path / "lonely.dmp.map.json"
+    side.write_text("not a map")
+    with pytest.raises(DumpFormatError, match="not valid JSON"):
+        load_dump(f)
+    side.unlink()
+    side.symlink_to(tmp_path / "missing.map.json")
     with pytest.raises(DumpFormatError, match="sidecar map not found"):
-        load_dump(f, map_path=tmp_path / "missing.map.json")
+        load_dump(f)
+
+
+def test_a_sidecar_kept_elsewhere_is_read_through_a_link(tmp_path):
+    f = tmp_path / "linked.dmp"
+    f.write_bytes(bytes(range(256)) * 16)
+    kept = tmp_path / "maps" / "linked.json"
+    kept.parent.mkdir()
+    kept.write_text(json.dumps([{"va": 0x400000, "length": 0x1000, "offset": 0}]))
+    (tmp_path / "linked.dmp.map.json").symlink_to(kept)
+    with load_dump(f) as dump:
+        assert dump.format == "raw_with_map"
+        assert dump.read_va(0x400010, 4) == bytes([16, 17, 18, 19])
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -153,9 +172,10 @@ def test_loaded_dump_holds_one_descriptor(tmp_path, session_key, container):
         os.truncate(dump_path, 12)
         with pytest.raises(DumpFormatError):
             load_dump(dump_path)
-    else:
-        with pytest.raises(DumpFormatError, match="sidecar map not found"):
-            load_dump(dump_path, map_path=tmp_path / "missing.map.json")
+    else:  # a malformed sidecar beside the dump fails the load
+        tmp_path.joinpath("proc.dmp.map.json").write_text("{")
+        with pytest.raises(DumpFormatError, match="not valid JSON"):
+            load_dump(dump_path)
     assert descriptors_on_dump() == 0
 
 

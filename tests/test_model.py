@@ -35,17 +35,20 @@ from avaddon_rescue.emulator import (
     write_synthetic_dump,
 )
 from avaddon_rescue.filecodec import FileStatus
-from avaddon_rescue.trailer import TRAILER_LEN, VictimBlock
+from avaddon_rescue.trailer import TRAILER_LEN, VictimBlock, probe
 from conftest import evidence_flags
 
 SESSIONS = (1, 2)
 
 #: Each session's files by their original size: under 536 bytes, with pad
 #: bytes, a multiple of 16 (no pad bytes to check a key against), and in
-#: session 2 one sparse file over 1 MiB (no pad bytes either)
+#: session 2 one sparse file over 1 MiB (no pad bytes either). Session 1's
+#: 0x37F bytes is the one size whose recorded length one flipped trailer
+#: byte raises inside its last block (0x7F ^ 0xFF = 0x80), so that it
+#: restores with one zero byte appended
 SIZES = {
     1: {"tiny.txt": 100, "padded.txt": 1000, "odd.txt": 3001, "whole.txt": 4096,
-        "blocks.txt": 8192},
+        "blocks.txt": 8192, "raised.txt": 0x37F},
     2: {"tiny.txt": 200, "padded.txt": 2000, "odd.txt": 5003, "whole.txt": 4096,
         "blocks.txt": 16384, "sparse.txt": (1 << 20) + (64 << 10) + 5},
 }
@@ -100,8 +103,11 @@ class IncidentModel(RuleBasedStateMachine):
         self.tree = self.work / "t"
         shutil.copytree(pristine, self.tree)
         # what each file may be: its original bytes, or its infected
-        # bytes as the last damage left them
+        # bytes as the last damage left them, or, after damage that raised
+        # its recorded length inside its last block, the original then
+        # that many zero bytes: the format's known limit (README)
         self.infected = {name: (self.tree / name).read_bytes() for name in NAMES}
+        self.raised: dict[str, bytes] = {}
         self.last = None
         self.runs = 0
 
@@ -123,7 +129,8 @@ class IncidentModel(RuleBasedStateMachine):
         decrypted = [os.path.relpath(r["path"], self.tree) for r in rows
                      if r["status"] == "decrypted"]
         for name in decrypted:
-            assert (restored / name).read_bytes() == self.originals[name], name
+            assert (restored / name).read_bytes() in (self.originals[name],
+                                                      self.raised.get(name)), name
         if into:  # the new directory holds the restored files and nothing else
             assert sorted(str(p.relative_to(restored)) for p in restored.rglob("*")
                           if p.is_file()) == sorted(decrypted)
@@ -158,15 +165,37 @@ class IncidentModel(RuleBasedStateMachine):
             f.seek(-1, os.SEEK_CUR)
             f.write(bytes([flipped]))
         self.infected[name] = path.read_bytes()
+        self.raised.pop(name, None)
+        original = self.originals[name]
+        if (trailer := probe(path).trailer) and trailer.original_length > len(original):
+            self.raised[name] = original + bytes(trailer.original_length - len(original))
 
     @invariant()
     def each_file_is_its_original_or_its_infected_bytes(self):
         for name in NAMES:
-            assert (self.tree / name).read_bytes() in (self.originals[name], self.infected[name])
+            assert (self.tree / name).read_bytes() in (
+                self.originals[name], self.infected[name], self.raised.get(name))
 
     @invariant()
     def no_temp_is_left(self):
         assert not list(self.work.rglob("*.avrescue-tmp"))
+
+
+def test_a_length_raised_inside_its_last_block_is_a_state_the_model_allows(incident):
+    """The sequence the random runs seldom draw: the damage that raises
+    `raised.txt`'s recorded length from 0x37F to 0x380, then a restore and
+    a re-run, with the invariants checked after each step."""
+    state = IncidentModel(incident)
+    try:
+        steps = [lambda: state.damage("s1/raised.txt", 0),
+                 lambda: state.restore(1, "key_file", "1", False), state.rerun]
+        for step in steps:
+            step()
+            state.each_file_is_its_original_or_its_infected_bytes()
+            state.no_temp_is_left()
+        assert (state.tree / "s1/raised.txt").read_bytes() == state.originals["s1/raised.txt"] + b"\0"
+    finally:
+        state.teardown()
 
 
 def test_a_file_is_only_ever_its_original_or_its_infected_bytes(incident):
