@@ -8,7 +8,6 @@ unless --show-key is passed.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import json
 import logging
@@ -16,10 +15,9 @@ import os
 import stat
 import sys
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from enum import IntEnum
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from typing import Any, BinaryIO, Callable, Iterable
 
 import click
 
@@ -29,10 +27,9 @@ from .errors import AvaddonRescueError, SandboxViolation
 from .filecodec import (
     FileRecoveryReport,
     FileStatus,
-    Run,
     decrypt_file,
     replace_atomically,
-    walk_runs,
+    tree_rows,
 )
 from .memscan import (
     DUMP_FORMATS,
@@ -193,112 +190,6 @@ def _exit_by_rows(totals: dict[str, Any]) -> ExitCode:
     return ExitCode.OK
 
 
-#: How `_run_rows` opens a run's directory: never through a link at its
-#: last component, and `_run_rows` checks the rest by the inode
-_DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY | os.O_NOFOLLOW | os.O_CLOEXEC
-
-#: Files that `decrypt` keeps in flight: in runs handed to its pool whose
-#: rows are not written yet. A run's rows wait for every run before it, so
-#: this bounds the rows held in memory, while a run that is slow to finish
-#: still leaves the workers other runs to take. On 2 cores, windows of 128
-#: to 4,096 files restored as fast as one unbounded window, and 16 lost a
-#: quarter of the speed. More than one run per worker stays in flight
-#: whatever the runs hold, so directories larger than the window are
-#: still restored side by side.
-_FILES_IN_FLIGHT = 1024
-
-
-def _in_order(pool: ThreadPoolExecutor, jobs: int, fn: Callable[[Run], list[Any]],
-              runs: Iterable[Run]) -> Iterator[list[Any]]:
-    """The rows `fn` gives for each of `runs`, run on `pool` of `jobs`
-    workers, in order.
-
-    Runs are handed out until they hold `_FILES_IN_FLIGHT` files and
-    outnumber the workers; then the older runs, down to half that many
-    files but never down to fewer runs than workers, are waited for
-    together and their rows yielded as one list. So the caller, which
-    writes the rows, wakes and takes the interpreter lock from the workers
-    once per batch, not once per run, which cost a fifth more user CPU
-    time.
-    """
-    window: collections.deque = collections.deque()  # (future, files), oldest first
-    held = 0
-    try:
-        for run in runs:
-            files = len(run.names) + len(run.failures)
-            window.append((pool.submit(fn, run), files))
-            held += files
-            if held >= _FILES_IN_FLIGHT and len(window) > jobs:
-                batch = []
-                while held > _FILES_IN_FLIGHT // 2 and len(window) > jobs:
-                    future, files = window.popleft()
-                    held -= files
-                    batch.append(future)
-                yield _rows_of(batch)
-        yield _rows_of([future for future, _files in window])
-    finally:  # a report that cannot be written starts no more restores
-        for future, _files in window:
-            future.cancel()
-
-
-def _rows_of(futures: list[Future]) -> list[Any]:
-    """The rows of `futures`, in order, once every one of them is done."""
-    wait(futures)
-    return [row for future in futures for row in future.result()]
-
-
-def _run_rows(run: Run, row: Callable[..., FileRecoveryReport], into: str | None = None
-              ) -> list[FileRecoveryReport]:
-    """The rows of one run in path order, its directory open on one
-    descriptor throughout.
-
-    `row(name, dir_fd)` gives the row of the file `name` in the directory
-    open on `dir_fd`; its path is set here. With `into`, the directory's
-    resolved path is mirrored under it, in directories of mode 0700 opened
-    without following a link, and `row` gets the mirror's descriptor as a
-    third argument. A failure of the walk, a file `row` raises `OSError`
-    for, and each file of a directory that cannot be opened or mirrored,
-    or is no longer the one the walk listed (swapped for a link or for
-    another directory), gets an `io_error` row, and nothing inside such a
-    directory is opened. Every `io_error` row is logged.
-    """
-    rows: list[FileRecoveryReport] = []
-    failures = list(run.failures)
-    paths = [os.path.join(run.directory, name) for name in run.names]
-    fds: list[int] = []
-    try:
-        if paths:
-            fds.append(os.open(run.opened, _DIR_FLAGS))
-            st = os.fstat(fds[0])
-            if (st.st_dev, st.st_ino) != run.identity:
-                raise OSError(f"{run.directory} is no longer the directory that was listed")
-            if into:  # each component made unless an earlier run made it, then opened
-                fds.append(os.open(into, _DIR_FLAGS))
-                for part in Path(run.opened).parts[1:]:
-                    with contextlib.suppress(FileExistsError):
-                        os.mkdir(part, 0o700, dir_fd=fds[-1])
-                    fds.append(os.open(part, _DIR_FLAGS, dir_fd=fds[-1]))
-                    os.close(fds.pop(-2))
-            for path, name in zip(paths, run.names):
-                try:
-                    rows.append(row(name, *fds))
-                    rows[-1].path = path
-                except OSError as exc:
-                    failures.append((path, str(exc)))
-    except OSError as exc:
-        failures += [(path, str(exc)) for path in paths]
-    finally:
-        for fd in fds:
-            os.close(fd)
-    rows += [FileRecoveryReport(path, FileStatus.IO_ERROR, detail=detail)
-             for path, detail in failures]
-    for failed in (r for r in rows if r.status is FileStatus.IO_ERROR):
-        log.warning("%s failed: %s", failed.path, failed.detail)
-    if failures:
-        rows.sort(key=lambda r: r.path)
-    return rows
-
-
 def _not_evidence(ctx: click.Context, param: click.Parameter, path: str | None) -> str | None:
     """The callback of every output path: a usage error if `path` names an
     infected file or one with a damaged trailer, which the output would
@@ -344,8 +235,8 @@ def cmd_detect(paths: tuple[str, ...], as_json: bool, out: str | None) -> None:
     """Recursively scan PATHS and report infected files."""
     started = time.perf_counter()
     with _Report("detect", {"paths": list(paths)}, as_json, out, _flagged, _detect_dict) as report:
-        for run in walk_runs(paths, report.skip):
-            report.add(_run_rows(run, _detect_row))
+        for rows in tree_rows(paths, _detect_row, skip=report.skip):
+            report.add(rows)
         totals = report.totals(started)
         report.finish(None, totals, [f"scanned {totals['files_scanned']} files: "
                                      f"{totals['infected']} infected, {totals['failed']} failed"])
@@ -524,11 +415,8 @@ def cmd_decrypt(
         if into:  # still empty, so that a re-run with a writable report may make it
             os.rmdir(into)
         raise
-    with report, ThreadPoolExecutor(max_workers=jobs) as pool:
-        # one task per run of files in one directory: workers that share a
-        # directory contend for it in the kernel when they create and rename
-        runs = walk_runs(paths, report.skip)
-        for rows in _in_order(pool, jobs, lambda run: _run_rows(run, row, into), runs):
+    with report:
+        for rows in tree_rows(paths, row, skip=report.skip, into=into, jobs=jobs):
             report.add(rows)
         totals = report.totals(started)
         report.finish(key_recovery, totals, [

@@ -8,7 +8,6 @@ import stat
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -16,6 +15,7 @@ from click.testing import CliRunner
 
 import avaddon_rescue
 import avaddon_rescue.cli as cli_mod
+import avaddon_rescue.filecodec as filecodec_mod
 import avaddon_rescue.trailer as trailer_mod
 from avaddon_rescue.cipher import SessionKey
 from avaddon_rescue.cli import ExitCode, cli, main
@@ -359,21 +359,27 @@ def test_file_that_grows_while_read_is_classified_at_its_new_size(runner, tmp_pa
     assert row["status"] == ("clean" if command == "detect" else "skipped_clean")
 
 
-def test_decrypt_keeps_every_worker_busy_on_directories_larger_than_the_window():
+def test_decrypt_keeps_every_worker_busy_on_directories_larger_than_the_window(tmp_path,
+                                                                                monkeypatch):
     # each run holds more files than the whole window; the two workers meet
-    # at a barrier, so a window that waits on one run alone breaks it
+    # at a barrier on each run's first file, so a window that waits on one
+    # run alone breaks it
     jobs = 2
     barrier = threading.Barrier(jobs, timeout=10)
-    names = [f"f{i}" for i in range(2 * cli_mod._FILES_IN_FLIGHT)]
-    runs = [cli_mod.Run(f"d{i}", f"d{i}", None, names, []) for i in range(4)]
+    names = [f"f{i}" for i in range(2 * filecodec_mod._FILES_IN_FLIGHT)]
+    st = tmp_path.stat()
+    runs = [filecodec_mod.Run(f"d{i}", str(tmp_path), (st.st_dev, st.st_ino), names, [])
+            for i in range(4)]
+    monkeypatch.setattr(filecodec_mod, "walk_runs", lambda paths, skip: iter(runs))
 
-    def rows(run):
-        barrier.wait()
-        return [{"path": run.directory}]
+    def row(name, dir_fd):
+        if name == names[0]:
+            barrier.wait()
+        return filecodec_mod.FileRecoveryReport(name, filecodec_mod.FileStatus.CLEAN)
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        batches = list(cli_mod._in_order(pool, jobs, rows, runs))
-    assert [row["path"] for batch in batches for row in batch] == ["d0", "d1", "d2", "d3"]
+    batches = list(filecodec_mod.tree_rows(["unused"], row, jobs=jobs))
+    assert [row.path for batch in batches for row in batch] == [
+        f"d{i}/{name}" for i in range(4) for name in names]
 
 
 @pytest.mark.parametrize("command", ["detect", "decrypt"])
@@ -442,14 +448,14 @@ def test_detect_nested_tree_rows_independent_of_walk_order(runner, tmp_path, ses
 def after_the_walk(monkeypatch, action):
     """Run `action` once `detect` or `decrypt` has walked its whole tree,
     before it opens anything in it."""
-    walk = cli_mod.walk_runs
+    walk = filecodec_mod.walk_runs
 
     def walked(*args):
         runs = list(walk(*args))
         action()
         yield from runs
 
-    monkeypatch.setattr(cli_mod, "walk_runs", walked)
+    monkeypatch.setattr(filecodec_mod, "walk_runs", walked)
 
 
 def infected_letters(root, session_key, rels, text="letter"):
@@ -675,7 +681,8 @@ def test_walked_file_swapped_for_a_fifo_is_an_io_error_row(tmp_path, session_key
 import os, sys
 import avaddon_rescue.cli as cli
 import avaddon_rescue.emulator as emulator
-walk = cli.walk_runs
+import avaddon_rescue.filecodec as filecodec
+walk = filecodec.walk_runs
 
 def walked(*args):
     runs = list(walk(*args))
@@ -683,7 +690,7 @@ def walked(*args):
     os.mkfifo({str(tree / "b.txt")!r})
     yield from runs
 
-cli.walk_runs = emulator.walk_runs = walked
+filecodec.walk_runs = emulator.walk_runs = walked
 sys.argv = ["avaddon-rescue", *sys.argv[1:]]
 cli.main()
 """
@@ -1057,6 +1064,8 @@ def test_emulate_key_file_that_cannot_be_written_encrypts_nothing(tmp_path, monk
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and "Traceback" not in err, err
+    # the path the operator gave, not the writer's random temp name
+    assert errors[0].endswith("key.hex'") and "avrescue-tmp" not in err, err
     assert snapshot(box) == before
 
 
@@ -1241,7 +1250,35 @@ def test_a_key_is_proven_on_a_header_magic_without_an_original(runner, tmp_path,
         assert {p: p.read_bytes() for p in letters} == letters
 
 
-@pytest.mark.parametrize("outcome", ["not_found", "ambiguous", "wrong_key_file"])
+@pytest.mark.parametrize("command", ["recover-key", "decrypt"])
+def test_four_bytes_of_a_header_magic_prove_no_key(runner, tmp_path, session_key, session_dump,
+                                                   command):
+    """Evidence that decrypts to the first 4 bytes of the PNG magic and then
+    4 others is no proof: the true key is refused, and no file is touched."""
+    photo = tmp_path / "photo.png"
+    photo.write_bytes(b"\x89PNG" + b"JUNK" + bytes(range(256)) * 4)
+    encrypt_file(photo, session_key, VictimBlock.zeros(), sandbox_root=tmp_path)
+    tree = tmp_path / "tree"
+    infected_letters(tree, session_key, ["a.txt", "sub/b.txt"])
+    infected = snapshot(tree)
+    key_file = tmp_path / "key.hex"
+    key_file.write_text(session_key.hex())
+    key_out = tmp_path / "k.hex"
+    target = ["recover-key", "--dump", str(session_dump), "--key-out", str(key_out)] \
+        if command == "recover-key" else ["decrypt", str(tree), "--key-file", str(key_file)]
+    result = runner.invoke(cli, [*target, "--evidence-encrypted", str(photo), "--json"])
+    if command == "recover-key":
+        assert result.exit_code == ExitCode.KEY_NOT_FOUND, result.output
+        assert json.loads(result.stdout)["key_recovery"]["outcome"] == "not_found"
+        assert not key_out.exists()
+    else:
+        assert result.exit_code == ExitCode.GATE_REFUSAL, result.output
+        assert json.loads(result.stdout)["rows"] == []
+    assert snapshot(tree) == infected
+
+
+@pytest.mark.parametrize("outcome", ["not_found", "ambiguous", "wrong_key_file",
+                                     "original_true_for_8_bytes"])
 def test_decrypt_that_finds_no_key_still_writes_its_report(runner, tmp_path, evidence_files,
                                                            session_key, other_key, monkeypatch,
                                                            outcome):
@@ -1255,6 +1292,11 @@ def test_decrypt_that_finds_no_key_still_writes_its_report(runner, tmp_path, evi
     if outcome == "wrong_key_file":
         source = ["--key-file", str(tmp_path / "wrong.hex")]
         (tmp_path / "wrong.hex").write_text(other_key.hex())
+    elif outcome == "original_true_for_8_bytes":  # the true key, on a false original
+        source = ["--key-file", str(tmp_path / "key.hex")]
+        (tmp_path / "key.hex").write_text(session_key.hex())
+        true = original.read_bytes()
+        original.write_bytes(true[:8] + bytes(b ^ 0xFF for b in true[8:16]) + true[16:])
     else:  # one wrong key, or two that both pass a verification that passes all
         layout = random_dump_layout(13, container="raw", n_decoys=0, total_bytes=1 << 20,
                                     n_chains=2 if outcome == "ambiguous" else 1)
@@ -1284,11 +1326,12 @@ def test_decrypt_that_finds_no_key_still_writes_its_report(runner, tmp_path, evi
     ])
     monkeypatch.undo()
     want = {"not_found": ExitCode.KEY_NOT_FOUND, "ambiguous": ExitCode.AMBIGUOUS_KEY,
-            "wrong_key_file": ExitCode.GATE_REFUSAL}[outcome]
+            "wrong_key_file": ExitCode.GATE_REFUSAL,
+            "original_true_for_8_bytes": ExitCode.GATE_REFUSAL}[outcome]
     assert result.exit_code == want, result.output
     written = json.loads(report.read_text())
     assert written["command"] == "decrypt" and written["rows"] == []
-    if outcome == "wrong_key_file":
+    if source[0] == "--key-file":
         assert written["key_recovery"] is None
     else:
         assert written["key_recovery"]["outcome"] == outcome
@@ -2061,7 +2104,7 @@ def test_decrypt_into_inside_a_path_is_a_usage_error(runner, tmp_path, session_k
     def no_walk(*args):
         raise AssertionError("the tree was walked")
 
-    monkeypatch.setattr(cli_mod, "walk_runs", no_walk)
+    monkeypatch.setattr(filecodec_mod, "walk_runs", no_walk)
     result = runner.invoke(cli, ["decrypt", str(tmp_path / "one"), str(box), "--key-file",
                                  str(key_file), *proof, "--into", str(into)])
     assert result.exit_code == 2, result.output

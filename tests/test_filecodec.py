@@ -339,7 +339,7 @@ def test_layout_of_an_encrypted_file_is_what_decrypt_reads(tmp_path, session_key
     assert reads[-1][1] == layout.body_length
 
 
-def test_restore_never_writes_through_a_planted_temp_link(tmp_path, session_key):
+def test_restore_never_writes_through_a_planted_temp_link(tmp_path, session_key, monkeypatch):
     tree = tmp_path / "tree"
     tree.mkdir()
     f = tree / "doc.txt"
@@ -349,11 +349,33 @@ def test_restore_never_writes_through_a_planted_temp_link(tmp_path, session_key)
     victim.write_bytes(b"outside the evidence tree")
     # a link under the fixed temp name that a predictable writer would open
     (tree / "doc.txt.avrescue-tmp").symlink_to("../victim.txt")
+    # and one under the name the writer draws first, which it must not open
+    chosen = bytes.fromhex("0123456789ab")
+    planted = tree / f".{chosen.hex()}.avrescue-tmp"
+    planted.symlink_to("../victim.txt")
+    draws = iter([chosen])
+    real_urandom = os.urandom
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws, None) or real_urandom(n))
 
     assert decrypt_file(f, session_key).status is FileStatus.DECRYPTED
+    assert next(draws, None) is None  # the planted name was drawn
     assert victim.read_bytes() == b"outside the evidence tree"
     assert not f.is_symlink()
+    assert stat.S_ISREG(f.lstat().st_mode)
     assert f.read_bytes() == content
+    assert planted.is_symlink()
+
+
+@pytest.mark.parametrize("kind", ["missing_directory", "directory_at_path"])
+def test_a_failed_write_names_the_path_given_not_its_temp(tmp_path, kind):
+    path = tmp_path / "nodir" / "key.hex"
+    if kind == "directory_at_path":  # the temp is made, and the rename fails
+        path.mkdir(parents=True)
+    with pytest.raises(OSError) as raised:
+        filecodec_mod.replace_atomically(path, [b"key\n"])
+    assert raised.value.filename == str(path)
+    assert str(raised.value).endswith(f": '{path}'")
+    assert list(tmp_path.rglob("*avrescue-tmp*")) == []
 
 
 def test_probe_matches_reports(tmp_path, session_key):

@@ -451,6 +451,11 @@ def test_verify_key_against_original(evidence_pair, session_key, other_key):
     evidence = Evidence.from_original(encrypted, original)
     assert verify_key(session_key, evidence) is True
     assert verify_key(other_key, evidence) is False
+    # every byte of the original is compared: one that agrees with the true
+    # original in its first 8 bytes only proves nothing, not even the true key
+    true = original.read_bytes()
+    original.write_bytes(true[:8] + bytes(b ^ 0xFF for b in true[8:16]) + true[16:])
+    assert verify_key(session_key, Evidence.from_original(encrypted, original)) is False
 
 
 def test_verify_header_magic_png(tmp_path, session_key, other_key):
@@ -461,6 +466,10 @@ def test_verify_header_magic_png(tmp_path, session_key, other_key):
     evidence = Evidence.from_header_magics(f)
     assert verify_key(session_key, evidence) is True
     assert verify_key(other_key, evidence) is False
+    # the whole magic is compared: its first 4 bytes and then 4 others prove nothing
+    f.write_bytes(b"\x89PNG" + b"JUNK" + bytes(range(64)) * 4)
+    encrypt_file(f, session_key, VictimBlock.zeros(), sandbox_root=tmp_path)
+    assert verify_key(session_key, Evidence.from_header_magics(f)) is False
 
 
 def test_evidence_requires_infected_file(tmp_path, session_key):
